@@ -50,6 +50,7 @@ from .fusion import (  # noqa: E402
     mrc_weights_inverse_mse,
     mrc_weights_lmmse,
     online_alpha_update,
+    online_inverse_mse_weights,
     select_channels,
 )
 from .baselines import LinearModel, fit_bayes, fit_ols, predict  # noqa: E402
@@ -108,6 +109,7 @@ __all__ = [
     "mrc_weights_inverse_mse",
     "mrc_weights_lmmse",
     "online_alpha_update",
+    "online_inverse_mse_weights",
     "select_channels",
     "LinearModel",
     "fit_bayes",

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -50,7 +52,7 @@ from .fusion import (
     fusion_to_dict,
     mrc_weights_inverse_mse,
     mrc_weights_lmmse,
-    online_alpha_update,
+    online_inverse_mse_weights,
     select_channels,
     selective_weights,
 )
@@ -83,6 +85,26 @@ def _dims(text: str):
     if w < 1 or h < 1:
         raise argparse.ArgumentTypeError("dimensions must be positive")
     return w, h
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
+    return value
 
 
 def _float_list(text: str):
@@ -254,15 +276,11 @@ def cmd_infer(args) -> None:
     )
 
     if args.online_window:
-        histories: list[list[float]] = [[] for _ in models]
-        fused = np.zeros(targets.size)
-        current = fused_model
-        for i in range(targets.size):
-            fused[i] = float(current.alphas @ est[:, i])
-            for h, row in zip(histories, est):
-                h.append(float((y_eval[i] - row[i]) ** 2))
-            current = online_alpha_update(current, histories, args.online_window)
-        fused_model = current
+        rows = online_inverse_mse_weights(
+            (y_eval - est) ** 2, args.online_window, fused_model.alphas
+        )
+        fused = np.einsum("ij,ji->i", rows[:-1], est)
+        fused_model = dataclasses.replace(fused_model, alphas=rows[-1])
     else:
         fused = fused_model.alphas @ est
 
@@ -478,9 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--online-window",
-        type=int,
+        type=_nonnegative_int,
         default=0,
-        help="trailing window for online weight refresh (mrc_inverse_mse only)",
+        help="trailing window for online weight refresh (mrc_inverse_mse only; "
+        "0 = off)",
     )
     p.add_argument("--fusion-out", default=None, help="also write the fusion JSON here")
     p.add_argument("--seed", type=int, default=0)
@@ -502,7 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("couple", help="divergence-transition analysis of a channel")
     _add_channel_flags(p)
     p.add_argument("--source", default=None, help="input distribution JSON (default uniform)")
-    p.add_argument("--delta", type=float, default=0.0, help="perturbation size to report")
+    p.add_argument(
+        "--delta", type=_nonnegative_float, default=0.0, help="perturbation size to report"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="solution JSON to write")
     p.set_defaults(func=cmd_couple)
@@ -528,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100, help="images per class")
     p.add_argument("--dims", type=_dims, default="19x19")
     p.add_argument("--threads", type=int, default=0, help="0 = CTDA_THREADS or CPUs")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True, help="curve CSV to write")
     p.set_defaults(func=cmd_sweep)
 
@@ -538,6 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "infer" and args.online_window and args.fusion != "mrc_inverse_mse":
+        parser.error("infer: --online-window needs --fusion mrc_inverse_mse")
     try:
         args.func(args)
     except FileFormatError as exc:

@@ -263,6 +263,7 @@ def model_to_dict(model: EqualizerModel) -> dict:
         "training_mse": model.training_mse,
         "validation_mse": model.validation_mse,
         "mode": model.mode,
+        "degenerate": model.degenerate,
     }
 
 
@@ -276,6 +277,7 @@ def model_from_dict(obj: dict) -> EqualizerModel:
             training_mse=float(obj["training_mse"]),
             validation_mse=float(obj["validation_mse"]),
             mode=str(obj["mode"]),
+            degenerate=bool(obj.get("degenerate", False)),
         )
     except KeyError as exc:
         raise ValueError(f"model object missing key {exc}") from exc

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .equalizer import EqualizerModel, estimate_series, model_from_dict, model_to_dict
 
@@ -51,18 +52,9 @@ class FusionModel:
                 raise ValueError(f"channel {name!r} is not an equalizer model")
         if alphas.shape != (len(channels),):
             raise ValueError("need exactly one weight per channel")
-        if not np.all(np.isfinite(alphas)):
-            raise ValueError("combining weights must be finite")
         if self.mode not in FUSION_MODES:
             raise ValueError(f"unknown fusion mode {self.mode!r}")
-        if self.mode in ("mrc_inverse_mse", "equal_gain"):
-            if np.any(alphas < -_ALPHA_TOL) or abs(alphas.sum() - 1.0) > _ALPHA_TOL:
-                raise ValueError(f"{self.mode} weights must be convex")
-        if self.mode == "selective":
-            hot = np.isclose(alphas, 1.0, atol=_ALPHA_TOL)
-            cold = np.isclose(alphas, 0.0, atol=_ALPHA_TOL)
-            if hot.sum() != 1 or not np.all(hot | cold):
-                raise ValueError("selective weights must pick exactly one channel")
+        _check_weights(alphas, self.mode)
 
     @property
     def names(self) -> list:
@@ -73,24 +65,43 @@ class FusionModel:
         return [model for _, model in self.channels]
 
 
+def _check_weights(alphas: np.ndarray, mode: str) -> None:
+    """Raise ``ValueError`` unless every row of ``alphas`` (``(..., M)``) is
+    a valid weight vector for fusion ``mode``."""
+    if not np.all(np.isfinite(alphas)):
+        raise ValueError("combining weights must be finite")
+    if mode in ("mrc_inverse_mse", "equal_gain"):
+        if np.any(alphas < -_ALPHA_TOL) or np.any(
+            np.abs(alphas.sum(axis=-1) - 1.0) > _ALPHA_TOL
+        ):
+            raise ValueError(f"{mode} weights must be convex")
+    if mode == "selective":
+        hot = np.isclose(alphas, 1.0, atol=_ALPHA_TOL)
+        cold = np.isclose(alphas, 0.0, atol=_ALPHA_TOL)
+        if np.any(hot.sum(axis=-1) != 1) or not np.all(hot | cold):
+            raise ValueError("selective weights must pick exactly one channel")
+
+
 def mrc_weights_inverse_mse(mses) -> np.ndarray:
     """Convex weights proportional to ``1 / mse`` per channel.
 
-    A zero-MSE channel is a perfect branch: the first such channel takes
-    all the weight.
+    ``mses`` is ``(..., M)``: each row along the last axis gets its own
+    weights.  A zero-MSE channel is a perfect branch: the first such channel
+    of a row takes all of that row's weight.  Weights are formed as
+    ``min(mse) / mse``, which lies in (0, 1], so a tiny MSE cannot overflow
+    ``1 / mse`` into a NaN weight.
     """
     m = np.asarray(mses, dtype=float)
-    if m.ndim != 1 or m.size == 0:
+    if m.ndim == 0 or m.shape[-1] == 0:
         raise ValueError("need a non-empty vector of MSEs")
     if np.any(m < 0) or not np.all(np.isfinite(m)):
         raise ValueError("MSEs must be finite and nonnegative")
-    alphas = np.zeros(m.size)
-    zero = np.flatnonzero(m == 0)
-    if zero.size:
-        alphas[zero[0]] = 1.0
-        return alphas
-    inv = 1.0 / m
-    return inv / inv.sum()
+    zero = m == 0
+    perfect = zero.any(axis=-1, keepdims=True)
+    safe = np.where(perfect, 1.0, m)
+    inv = safe.min(axis=-1, keepdims=True) / safe
+    first_zero = zero & (np.cumsum(zero, axis=-1) == 1)
+    return np.where(perfect, first_zero, inv / inv.sum(axis=-1, keepdims=True))
 
 
 def mrc_weights_lmmse(predictions, y):
@@ -219,10 +230,53 @@ def online_alpha_update(model: FusionModel, squared_errors, window: int) -> Fusi
     return dataclasses.replace(model, alphas=mrc_weights_inverse_mse(mses))
 
 
+def online_inverse_mse_weights(squared_errors, window: int, initial) -> np.ndarray:
+    """Inverse-MSE weights refreshed after every sample from a trailing window.
+
+    ``squared_errors`` is ``(M, n)``: channel ``m``'s squared estimation
+    error at each of ``n`` samples, oldest first.  Returns an ``(n + 1, M)``
+    array whose row ``i`` holds the weights in force for sample ``i``: row 0
+    is ``initial``, and row ``i >= 1`` comes from the mean of the last
+    ``window`` errors of samples ``0 .. i - 1`` (all of them while fewer
+    exist, with one warning).  Row ``n`` holds the final weights.  This is
+    :func:`online_alpha_update` applied after every sample, computed in one
+    vectorized pass of at most ``M * n * window`` additions.
+    """
+    err = np.asarray(squared_errors, dtype=float)
+    if err.ndim != 2:
+        raise ValueError("squared errors must be an (M, n) array, one row per channel")
+    if np.any(err < 0) or not np.all(np.isfinite(err)):
+        raise ValueError("squared errors must be finite and nonnegative")
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    initial = np.asarray(initial, dtype=float)
+    if initial.shape != (err.shape[0],):
+        raise ValueError("need one initial weight per channel")
+    n = err.shape[1]
+    short = min(n, window - 1)
+    if short:
+        warnings.warn(
+            "fewer completed errors than the update window; using all available",
+            stacklevel=2,
+        )
+    # Rows 1 .. short average every error so far; later rows a full window.
+    warm = np.cumsum(err[:, :short], axis=1) / np.arange(1, short + 1)
+    full = (
+        sliding_window_view(err, window, axis=1).mean(axis=-1)
+        if n >= window
+        else err[:, :0]
+    )
+    mses = np.concatenate([warm, full], axis=1).T
+    rows = np.vstack([initial, mrc_weights_inverse_mse(mses)])
+    _check_weights(rows, "mrc_inverse_mse")
+    return rows
+
+
 def fusion_to_dict(model: FusionModel) -> dict:
     return {
         "mode": model.mode,
         "alphas": model.alphas.tolist(),
+        "degenerate": model.degenerate,
         "channels": [
             {"name": name, "model": model_to_dict(eq)} for name, eq in model.channels
         ],
@@ -239,6 +293,7 @@ def fusion_from_dict(obj: dict) -> FusionModel:
             channels=channels,
             alphas=np.asarray(obj["alphas"], dtype=float),
             mode=str(obj["mode"]),
+            degenerate=bool(obj.get("degenerate", False)),
         )
     except KeyError as exc:
         raise ValueError(f"fusion object missing key {exc}") from exc

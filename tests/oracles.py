@@ -161,3 +161,33 @@ def bayes_error(noisy_images, labels, channel_matrix, dist_a, dist_b) -> float:
     decide_b = llb > lla
     err = np.mean(decide_b.astype(int) != labels)
     return float(min(err, 1.0 - err))
+
+
+def online_inverse_mse_loop(estimates, y, window: int, initial):
+    """Online inverse-MSE fusion, one sample at a time.
+
+    Each sample is combined with the weights in force, its squared errors
+    are appended to growing per-channel histories, and the weights are
+    recomputed from the mean of each history's last ``window`` entries (the
+    first zero-MSE channel takes all the weight).  Returns ``(rows, fused)``:
+    ``rows[i]`` are the weights used for sample ``i`` and ``rows[-1]`` the
+    final weights.
+    """
+    estimates = np.asarray(estimates, dtype=float)
+    y = np.asarray(y, dtype=float)
+    alphas = np.asarray(initial, dtype=float)
+    histories = [[] for _ in range(estimates.shape[0])]
+    rows, fused = [alphas], []
+    for i in range(y.size):
+        fused.append(float(alphas @ estimates[:, i]))
+        for h, row in zip(histories, estimates):
+            h.append(float((y[i] - row[i]) ** 2))
+        mses = [np.asarray(h[-window:]).mean() for h in histories]
+        if 0.0 in mses:
+            alphas = np.zeros(len(mses))
+            alphas[mses.index(0.0)] = 1.0
+        else:
+            inv = [1.0 / m for m in mses]
+            alphas = np.array([v / sum(inv) for v in inv])
+        rows.append(alphas)
+    return np.array(rows), np.array(fused)

@@ -4,6 +4,7 @@ observable without spawning interpreters."""
 
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from ctda.dataio import (
     apply_channel_to_dataset,
     gen_fir_series,
     gen_two_class_images,
+    load_csv,
     save_csv,
     save_images_csv,
 )
+from ctda.equalizer import estimate_series, model_from_dict
 from ctda.stats import (
     DiscreteDistribution,
     parametric_channel,
@@ -27,6 +30,7 @@ from ctda.stats import (
     save_distribution,
     uniform_distribution,
 )
+from oracles import online_inverse_mse_loop
 
 DIST_A = DiscreteDistribution([0.7, 0.1, 0.1, 0.1])
 DIST_B = DiscreteDistribution([0.1, 0.1, 0.1, 0.7])
@@ -335,6 +339,55 @@ class TestInfer:
             ) == 0
         assert len(out.read_text().splitlines()) > 1
 
+    def test_online_window_warns_once(self, fitted, tmp_path):
+        out = tmp_path / "preds.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(self.infer_argv(fitted, out, ["--online-window", "50"])) == 0
+        assert sum("fewer completed errors" in str(w.message) for w in caught) == 1
+
+    def test_online_window_matches_per_sample_loop(self, fitted, tmp_path):
+        out, fusion_out = tmp_path / "preds.csv", tmp_path / "fusion.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(
+                self.infer_argv(
+                    fitted, out, ["--online-window", "40", "--fusion-out", str(fusion_out)]
+                )
+            ) == 0
+        (a, b, tgt), model_path = fitted
+        stored = json.loads(model_path.read_text())
+        models = sorted((c["name"], model_from_dict(c["model"])) for c in stored["channels"])
+        xs = {"a": load_csv(a).values, "b": load_csv(b).values}
+        y = load_csv(tgt).values
+        targets = np.arange(max(m.length for _, m in models), y.size)
+        est = np.vstack([estimate_series(m, xs[name], targets) for name, m in models])
+        initial = [1.0 / m.validation_mse for _, m in models]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows, fused = online_inverse_mse_loop(
+                est, y[targets], 40, np.array(initial) / sum(initial)
+            )
+        y_hat = np.array([float(ln.split(",")[2]) for ln in out.read_text().splitlines()[1:]])
+        np.testing.assert_allclose(y_hat, fused, rtol=1e-12)
+        payload = json.loads(fusion_out.read_text())
+        np.testing.assert_allclose(payload["alphas"], rows[-1], rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--online-window", "-5"],
+            ["--online-window", "10", "--fusion", "mrc_lmmse"],
+            ["--online-window", "ten"],
+        ],
+    )
+    def test_online_window_misuse_is_usage_error(self, fitted, tmp_path, extra):
+        out = tmp_path / "preds.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(self.infer_argv(fitted, out, extra))
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_malformed_model_file_exits_2(self, fitted, tmp_path, capsys):
         bad = tmp_path / "bad_models.json"
         bad.write_text(json.dumps({"channels": [{"oops": 1}]}))
@@ -489,6 +542,13 @@ class TestCouple:
             main(["couple", "--out", str(tmp_path / "s.json")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("delta", ["-1", "nan", "inf", "x"])
+    def test_bad_delta_is_usage_error(self, tmp_path, delta):
+        with pytest.raises(SystemExit) as exc:
+            main(["couple", "--channel-e", "0.1", "--delta", delta,
+                  "--out", str(tmp_path / "s.json")])
+        assert exc.value.code == 2
+
     def test_missing_channel_file_exits_2(self, tmp_path, capsys):
         rc = main(["couple", "--channel", str(tmp_path / "ghost.json"),
                    "--out", str(tmp_path / "s.json")])
@@ -625,6 +685,14 @@ class TestSweep:
                    "--out", str(out)])
         assert rc == 0
         assert len(out.read_text().splitlines()) == 2
+
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--e-grid", "0.05", "--n", "3", "--dims", "3x3",
+                  "--seed", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_bad_distribution_exits_1(self, tmp_path, capsys):
         rc = main(["sweep", "--e-grid", "0.05", "--n", "3", "--dims", "3x3",

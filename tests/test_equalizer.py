@@ -328,8 +328,20 @@ class TestSerialization:
         model = EqualizerModel(0, [1.0], 0.0, 0.0, 0.0)
         assert set(model_to_dict(model)) == {
             "length", "weights", "mean_x", "mean_y",
-            "training_mse", "validation_mse", "mode",
+            "training_mse", "validation_mse", "mode", "degenerate",
         }
+
+    def test_degenerate_flag_round_trips(self):
+        # a constant input leaves the normal equations rank deficient
+        model = fit_weights(np.ones(50), np.arange(50.0), 2)
+        assert model.degenerate
+        again = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+        assert again.degenerate
+
+    def test_files_without_degenerate_flag_load(self):
+        blob = model_to_dict(EqualizerModel(0, [1.0], 0.0, 0.0, 0.0))
+        del blob["degenerate"]
+        assert not model_from_dict(blob).degenerate
 
     def test_missing_key(self):
         with pytest.raises(ValueError, match="missing"):

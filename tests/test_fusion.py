@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctda.equalizer import EqualizerModel, fit_weights, infer
 from ctda.fusion import (
@@ -15,9 +18,11 @@ from ctda.fusion import (
     mrc_weights_inverse_mse,
     mrc_weights_lmmse,
     online_alpha_update,
+    online_inverse_mse_weights,
     select_channels,
     selective_weights,
 )
+from oracles import online_inverse_mse_loop
 
 
 def passthrough(mean_y=0.0, training_mse=0.0, validation_mse=0.0):
@@ -45,6 +50,21 @@ class TestInverseMseWeights:
     def test_negative(self):
         with pytest.raises(ValueError):
             mrc_weights_inverse_mse([1.0, -0.5])
+
+    def test_tiny_mse_gives_finite_weights(self):
+        # 1 / 1e-320 overflows to inf, and inf / inf is NaN
+        alphas = mrc_weights_inverse_mse([1e-320, 1.0])
+        assert np.all(np.isfinite(alphas))
+        assert alphas[0] == 1.0
+        assert alphas.sum() == 1.0
+
+    def test_rows_are_weighted_independently(self):
+        mses = np.array([[1.0, 3.0, 2.0], [0.5, 0.0, 0.0], [1e-320, 1.0, 1.0]])
+        rows = mrc_weights_inverse_mse(mses)
+        assert rows.shape == mses.shape
+        for row, m in zip(rows, mses):
+            np.testing.assert_array_equal(row, mrc_weights_inverse_mse(m))
+        np.testing.assert_array_equal(rows[1], [0.0, 1.0, 0.0])
 
     def test_convexity_on_random_inputs(self):
         rng = np.random.default_rng(0)
@@ -319,6 +339,98 @@ class TestOnlineUpdate:
             online_alpha_update(self.make_model(), [np.ones(3)], window=2)
 
 
+class TestOnlineWeights:
+    def test_rows_hold_weights_in_force_per_sample(self):
+        err = np.array([[1.0, 1.0, 1.0, 9.0], [3.0, 3.0, 3.0, 3.0]])
+        with pytest.warns(UserWarning, match="all available"):
+            rows = online_inverse_mse_weights(err, 2, [0.5, 0.5])
+        assert rows.shape == (5, 2)
+        np.testing.assert_array_equal(rows[0], [0.5, 0.5])
+        np.testing.assert_allclose(rows[1:4], [[0.75, 0.25]] * 3, rtol=1e-15)
+        # trailing window of two: mean errors 5 and 3
+        np.testing.assert_allclose(rows[4], [0.375, 0.625], rtol=1e-15)
+
+    def test_matches_online_alpha_update_after_every_sample(self):
+        rng = np.random.default_rng(12)
+        err = rng.exponential(size=(3, 30)) * [[1.0], [2.0], [0.5]]
+        chans = tuple((c, passthrough()) for c in "abc")
+        model = FusionModel(chans, [0.2, 0.3, 0.5], "mrc_inverse_mse")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = online_inverse_mse_weights(err, 7, model.alphas)
+            for i in range(err.shape[1]):
+                step = online_alpha_update(model, list(err[:, : i + 1]), 7)
+                np.testing.assert_allclose(rows[i + 1], step.alphas, rtol=1e-12)
+
+    def test_no_samples_keeps_initial(self):
+        rows = online_inverse_mse_weights(np.zeros((2, 0)), 5, [0.25, 0.75])
+        np.testing.assert_array_equal(rows, [[0.25, 0.75]])
+
+    def test_short_window_warns_once(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            online_inverse_mse_weights(np.ones((2, 100)), 50, [0.5, 0.5])
+        assert len(caught) == 1
+        assert "fewer completed errors" in str(caught[0].message)
+
+    def test_window_of_one_never_warns(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = online_inverse_mse_weights([[1.0, 2.0], [2.0, 1.0]], 1, [0.5, 0.5])
+        np.testing.assert_allclose(rows[-1], [1 / 3, 2 / 3], rtol=1e-15)
+
+    def test_tiny_errors_give_finite_weights(self):
+        err = np.array([[1e-320, 1e-320], [1.0, 1.0]])
+        rows = online_inverse_mse_weights(err, 1, [0.5, 0.5])
+        assert np.all(np.isfinite(rows))
+        np.testing.assert_array_equal(rows[1:, 0], [1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "err, window, initial, match",
+        [
+            (np.ones(4), 2, [1.0], "M, n"),
+            ([[1.0, -1.0]], 2, [1.0], "nonnegative"),
+            ([[1.0, np.nan]], 2, [1.0], "finite"),
+            ([[1.0, 2.0]], 0, [1.0], "window"),
+            ([[1.0, 2.0]], 2, [0.5, 0.5], "initial weight per channel"),
+            ([[1.0], [2.0]], 2, [0.9, 0.9], "convex"),
+        ],
+    )
+    def test_rejects_bad_input(self, err, window, initial, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match=match):
+                online_inverse_mse_weights(err, window, initial)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_channels=st.integers(1, 5),
+        n=st.integers(1, 400),
+        extra=st.integers(0, 420),
+        seed=st.integers(0, 2**32 - 1),
+        zero_share=st.lists(st.sampled_from([0.0, 0.9, 1.0]), min_size=5, max_size=5),
+    )
+    def test_matches_per_sample_loop(self, n_channels, n, extra, seed, zero_share):
+        window = 1 + extra % (n + 20)
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal(n)
+        # a channel whose estimate equals the target has exact-zero errors
+        noise = rng.standard_normal((n_channels, n)) * rng.uniform(0.1, 3.0, (n_channels, 1))
+        noise *= rng.random((n_channels, n)) >= np.array(zero_share[:n_channels])[:, None]
+        est = y + noise
+        initial = mrc_weights_inverse_mse(rng.uniform(0.1, 2.0, n_channels))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want_rows, want_fused = online_inverse_mse_loop(est, y, window, initial)
+            rows = online_inverse_mse_weights((y - est) ** 2, window, initial)
+        np.testing.assert_allclose(rows, want_rows, rtol=1e-12, atol=0)
+        fused = np.einsum("ij,ji->i", rows[:-1], est)
+        # relative to the summands' magnitude, so that cancellation cannot
+        # turn rounding into a large relative error
+        scale = np.einsum("ij,ji->i", np.abs(rows[:-1]), np.abs(est))
+        assert np.all(np.abs(fused - want_fused) <= 1e-12 * scale)
+
+
 class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(11)
@@ -336,3 +448,18 @@ class TestSerialization:
     def test_missing_key(self):
         with pytest.raises(ValueError, match="missing"):
             fusion_from_dict({"mode": "equal_gain"})
+
+    def test_degenerate_flag_round_trips(self):
+        model = FusionModel(
+            (("a", passthrough()), ("b", passthrough())),
+            [1.5, -0.5],
+            "mrc_lmmse",
+            degenerate=True,
+        )
+        again = fusion_from_dict(json.loads(json.dumps(fusion_to_dict(model))))
+        assert again.degenerate
+
+    def test_files_without_degenerate_flag_load(self):
+        blob = fusion_to_dict(FusionModel((("a", passthrough()),), [1.0], "equal_gain"))
+        del blob["degenerate"]
+        assert not fusion_from_dict(blob).degenerate
