@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-_JITTER = 1e-10
+from .equalizer import _centered_lstsq, _window_span, _windows
 
 METHODS = ("ols", "bayes")
 
@@ -69,32 +68,11 @@ def _as_matrix(xs) -> np.ndarray:
 
 def _design(x: np.ndarray, lag: int) -> np.ndarray:
     """Rows y-index t = lag..T-1; columns (channel, lag) with newest first."""
-    blocks = [sliding_window_view(xm, lag + 1)[:, ::-1] for xm in x]
-    return np.hstack(blocks)
+    return np.hstack([_windows(xm, lag) for xm in x])
 
 
-def _solve_centered(a, targets, penalty: float):
-    col_means = a.mean(axis=0)
-    y_mean = float(targets.mean())
-    ac = a - col_means
-    yc = targets - y_mean
-    gram = ac.T @ ac
-    rhs = ac.T @ yc
-    degenerate = bool(np.linalg.matrix_rank(gram + penalty * np.eye(a.shape[1])) < a.shape[1])
-    if degenerate:
-        gram = gram + _JITTER * max(np.trace(gram), 1.0) * np.eye(a.shape[1])
-    coef = np.linalg.solve(gram + penalty * np.eye(a.shape[1]), rhs)
-    intercept = y_mean - float(coef @ col_means)
-    residuals = targets - (a @ coef + intercept)
-    return coef, intercept, float(np.mean(residuals**2)), degenerate
-
-
-def fit_ols(xs, y, common_lag: int) -> LinearModel:
-    """Ordinary least squares of ``y[t]`` on every ``x_m[t - l]``.
-
-    Rank-deficient designs (collinear channels) are diagonally loaded and
-    flagged ``degenerate``.
-    """
+def _prepare(xs, y, common_lag: int):
+    """Validate a fit's inputs; return its design and the targets it regresses."""
     x = _as_matrix(xs)
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size != x.shape[1]:
@@ -105,8 +83,16 @@ def fit_ols(xs, y, common_lag: int) -> LinearModel:
         raise ValueError(
             f"insufficient data: {x.shape[1]} samples cannot fit lag {common_lag}"
         )
-    a = _design(x, common_lag)
-    coef, intercept, mse, degenerate = _solve_centered(a, y[common_lag:], 0.0)
+    return _design(x, common_lag), y[common_lag:]
+
+
+def fit_ols(xs, y, common_lag: int) -> LinearModel:
+    """Ordinary least squares of ``y[t]`` on every ``x_m[t - l]``.
+
+    Rank-deficient designs (collinear channels) are diagonally loaded and
+    flagged ``degenerate``.
+    """
+    coef, intercept, mse, degenerate = _centered_lstsq(*_prepare(xs, y, common_lag))
     return LinearModel(coef, intercept, common_lag, mse, "ols", degenerate)
 
 
@@ -125,50 +111,31 @@ def fit_bayes(
     """
     if prior_variance <= 0:
         raise ValueError("prior variance must be positive")
+    a, targets = _prepare(xs, y, common_lag)
     if noise_variance is None:
-        noise_variance = fit_ols(xs, y, common_lag).residual_mse
+        noise_variance = _centered_lstsq(a, targets)[2]
     if noise_variance < 0:
         raise ValueError("noise variance cannot be negative")
-    x = _as_matrix(xs)
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size != x.shape[1]:
-        raise ValueError("target must be a series matching the inputs' length")
-    if x.shape[1] <= common_lag + 1:
-        raise ValueError(
-            f"insufficient data: {x.shape[1]} samples cannot fit lag {common_lag}"
-        )
-    a = _design(x, common_lag)
     penalty = noise_variance / prior_variance
-    coef, intercept, mse, degenerate = _solve_centered(a, y[common_lag:], penalty)
+    coef, intercept, mse, degenerate = _centered_lstsq(a, targets, penalty)
     return LinearModel(coef, intercept, common_lag, mse, "bayes", degenerate)
 
 
 def predict(model: LinearModel, xs, n: int) -> float:
     """Regression estimate of ``y[n]`` from all channels' lag windows."""
-    x = _as_matrix(xs)
-    if x.shape[0] != model.n_channels:
-        raise ValueError(
-            f"model covers {model.n_channels} channels, got {x.shape[0]}"
-        )
-    if not 0 <= n < x.shape[1]:
-        raise ValueError(f"index {n} outside series of length {x.shape[1]}")
-    if n < model.common_lag:
-        raise ValueError(
-            f"insufficient history: index {n} needs {model.common_lag} past samples"
-        )
-    window = x[:, n - model.common_lag : n + 1][:, ::-1].reshape(-1)
-    return model.intercept + float(model.coefficients @ window)
+    return float(predict_series(model, xs, [n])[0])
 
 
 def predict_series(model: LinearModel, xs, indices) -> np.ndarray:
-    """Vectorized :func:`predict` at several indices."""
+    """Regression estimates at several indices."""
     x = _as_matrix(xs)
+    if x.shape[0] != model.n_channels:
+        raise ValueError(f"model covers {model.n_channels} channels, got {x.shape[0]}")
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
         return np.zeros(0)
-    if idx.min() < model.common_lag or idx.max() >= x.shape[1]:
-        raise ValueError("some indices lack a full window")
-    rows = _design(x, model.common_lag)[idx - model.common_lag]
+    span, at = _window_span(idx, x.shape[1], model.common_lag)
+    rows = _design(x[:, span], model.common_lag)[at]
     return model.intercept + rows @ model.coefficients
 
 
@@ -179,6 +146,7 @@ def linear_model_to_dict(model: LinearModel) -> dict:
         "intercept": model.intercept,
         "common_lag": model.common_lag,
         "residual_mse": model.residual_mse,
+        "degenerate": model.degenerate,
     }
 
 
@@ -190,6 +158,7 @@ def linear_model_from_dict(obj: dict) -> LinearModel:
             common_lag=int(obj["common_lag"]),
             residual_mse=float(obj["residual_mse"]),
             method=str(obj["type"]),
+            degenerate=bool(obj.get("degenerate", False)),
         )
     except KeyError as exc:
         raise ValueError(f"model object missing key {exc}") from exc

@@ -7,8 +7,9 @@ Subcommands cover the two pipelines end to end:
 * ``couple`` / ``score`` / ``sweep`` -- divergence-transition analysis of a
   discrete channel, unsupervised image scoring, and error-vs-noise curves.
 
-Conventions: every command takes ``--seed`` and ``--out``; JSON outputs
-embed the resolved configuration, package version and seed; identical
+Conventions: every command takes ``--seed`` and ``--out``; only ``sweep``
+draws random numbers, the others just record the seed; JSON outputs embed
+the resolved configuration, package version and seed; identical
 invocations produce byte-identical outputs.  Exit codes: 0 success, 1
 computation or validation failure, 2 usage or I/O trouble.  ``sweep``
 parallelism is capped by the ``CTDA_THREADS`` environment variable
@@ -67,11 +68,14 @@ from .scoring import (
 )
 from .stats import (
     DiscreteDistribution,
+    _write_json,
     load_channel,
     load_distribution,
     parametric_channel,
     uniform_distribution,
 )
+
+_SEED_HELP = "recorded in the outputs only; just 'sweep' draws from its seed"
 
 
 def _dims(text: str):
@@ -94,6 +98,12 @@ def _nonnegative_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    if (value := _nonnegative_int(text)) == 0:
+        raise argparse.ArgumentTypeError("0 is not positive")
     return value
 
 
@@ -135,16 +145,12 @@ def _grid(text: str):
         ) from None
 
 
-def _config(args: argparse.Namespace) -> dict:
-    return {
+def _payload(args: argparse.Namespace, body: dict) -> dict:
+    """JSON output: the resolved configuration, version and seed, then ``body``."""
+    config = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")
     }
-
-
-def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    return {"config": config, "version": __version__, "seed": args.seed, **body}
 
 
 def _load_series_bundle(args):
@@ -193,24 +199,16 @@ def _load_channel_arg(args):
 
 def cmd_fit(args) -> None:
     names, _, xs, y, _ = _load_series_bundle(args)
-    channels = []
+    stored = []
     for name, x in zip(names, xs):
         model = select_length(x, y, args.max_length, args.select, args.mode)
-        channels.append((name, model))
+        stored.append({"name": name, "model": model_to_dict(model)})
         print(
             f"{name}: length={model.length} training_mse={model.training_mse:.6g} "
             f"validation_mse={model.validation_mse:.6g}"
             + (" (degenerate fit)" if model.degenerate else "")
         )
-    payload = {
-        "config": _config(args),
-        "version": __version__,
-        "seed": args.seed,
-        "channels": [
-            {"name": name, "model": model_to_dict(model)} for name, model in channels
-        ],
-    }
-    _write_json(args.out, payload)
+    _write_json(args.out, _payload(args, {"channels": stored}))
     print(f"wrote {args.out}")
 
 
@@ -293,13 +291,7 @@ def cmd_infer(args) -> None:
     _write_predictions_csv(args.out, timestamps[targets], iso, y_eval, fused)
     print(f"wrote {args.out}")
     if args.fusion_out:
-        payload = {
-            "config": _config(args),
-            "version": __version__,
-            "seed": args.seed,
-        }
-        payload.update(fusion_to_dict(fused_model))
-        _write_json(args.fusion_out, payload)
+        _write_json(args.fusion_out, _payload(args, fusion_to_dict(fused_model)))
         print(f"wrote {args.fusion_out}")
 
 
@@ -338,13 +330,7 @@ def cmd_baseline(args) -> None:
     _write_predictions_csv(args.out, timestamps[targets], iso, y_eval, est)
     print(f"wrote {args.out}")
     if args.model_out:
-        payload = {
-            "config": _config(args),
-            "version": __version__,
-            "seed": args.seed,
-        }
-        payload.update(linear_model_to_dict(model))
-        _write_json(args.model_out, payload)
+        _write_json(args.model_out, _payload(args, linear_model_to_dict(model)))
         print(f"wrote {args.model_out}")
 
 
@@ -361,12 +347,7 @@ def cmd_couple(args) -> None:
     dtm = build_dtm(channel, source)
     solution = solve_coupling(dtm)
     table = score_table(solution, dtm)
-    payload = {
-        "config": _config(args),
-        "version": __version__,
-        "seed": args.seed,
-    }
-    payload.update(solution_to_dict(solution, table))
+    payload = _payload(args, solution_to_dict(solution, table))
     if args.delta > 0:
         plus = perturb_distribution(dtm.p_x, solution.psi_x, args.delta, +1)
         minus = perturb_distribution(dtm.p_x, solution.psi_x, args.delta, -1)
@@ -476,10 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit one tap-delay-line model per input series")
     _add_series_flags(p)
-    p.add_argument("--max-length", type=int, default=10)
+    p.add_argument("--max-length", type=_nonnegative_int, default=10)
     p.add_argument("--select", choices=("validation", "aic"), default="validation")
     p.add_argument("--mode", choices=("infer", "predict"), default="infer")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     p.add_argument("--out", required=True, help="model JSON to write")
     p.set_defaults(func=cmd_fit)
 
@@ -487,7 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", required=True, help="model JSON from 'fit'")
     _add_series_flags(p)
     p.add_argument("--fusion", choices=FUSION_MODES, default="mrc_inverse_mse")
-    p.add_argument("--top-k", type=int, default=0, help="keep only the k best channels")
+    p.add_argument(
+        "--top-k", type=_nonnegative_int, default=0, help="keep only the k best channels"
+    )
     p.add_argument(
         "--mse-threshold",
         type=float,
@@ -502,19 +485,19 @@ def build_parser() -> argparse.ArgumentParser:
         "0 = off)",
     )
     p.add_argument("--fusion-out", default=None, help="also write the fusion JSON here")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     p.add_argument("--out", required=True, help="predictions CSV to write")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("baseline", help="joint linear regression over all inputs")
     _add_series_flags(p)
     p.add_argument("--method", choices=("ols", "bayes"), default="ols")
-    p.add_argument("--lag", type=int, default=0)
+    p.add_argument("--lag", type=_nonnegative_int, default=0)
     p.add_argument("--prior-var", type=float, default=1.0)
     p.add_argument("--noise-var", type=float, default=None)
     p.add_argument("--train-frac", type=float, default=0.8)
     p.add_argument("--model-out", default=None, help="also write the model JSON here")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     p.add_argument("--out", required=True, help="predictions CSV to write")
     p.set_defaults(func=cmd_baseline)
 
@@ -524,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--delta", type=_nonnegative_float, default=0.0, help="perturbation size to report"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     p.add_argument("--out", required=True, help="solution JSON to write")
     p.set_defaults(func=cmd_couple)
 
@@ -538,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="smooth the pooled marginal (per_pixel always smooths)",
     )
     p.add_argument("--dims", type=_dims, default=None, help="image geometry WxH")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     p.add_argument("--out", required=True, help="scores CSV to write")
     p.set_defaults(func=cmd_score)
 
@@ -546,9 +529,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e-grid", type=_grid, default="0:0.25:0.025")
     p.add_argument("--p-a", type=_float_list, default="0.7,0.1,0.1,0.1")
     p.add_argument("--p-b", type=_float_list, default="0.1,0.1,0.1,0.7")
-    p.add_argument("--n", type=int, default=100, help="images per class")
+    p.add_argument("--n", type=_positive_int, default=100, help="images per class")
     p.add_argument("--dims", type=_dims, default="19x19")
-    p.add_argument("--threads", type=int, default=0, help="0 = CTDA_THREADS or CPUs")
+    p.add_argument(
+        "--threads", type=_nonnegative_int, default=0, help="0 = CTDA_THREADS or CPUs"
+    )
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True, help="curve CSV to write")
     p.set_defaults(func=cmd_sweep)

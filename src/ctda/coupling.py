@@ -18,7 +18,7 @@ perturbation produced a sequence of observations.
 from __future__ import annotations
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .stats import Channel, DiscreteDistribution
 
@@ -36,6 +36,7 @@ class Dtm:
     ``input_symbols[j]`` / ``output_symbols[i]`` map matrix columns/rows
     back to symbols of the original alphabets (of sizes ``input_alphabet``
     and ``output_alphabet``); symbols of zero probability are dropped.
+    ``singular_values`` are those of ``matrix``, descending.
     """
 
     matrix: np.ndarray
@@ -45,6 +46,7 @@ class Dtm:
     output_symbols: np.ndarray
     input_alphabet: int
     output_alphabet: int
+    singular_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         b = np.asarray(self.matrix, dtype=float)
@@ -69,9 +71,10 @@ class Dtm:
         resid = b @ np.sqrt(self.p_x.probs) - np.sqrt(self.p_y.probs)
         if np.max(np.abs(resid)) > _SUM_TOL:
             raise ValueError("matrix does not carry sqrt(p_x) to sqrt(p_y)")
-        top = np.linalg.svd(b, compute_uv=False)[0]
-        if abs(top - 1.0) > _SIGMA_TOL:
-            raise ValueError(f"top singular value {top!r} differs from 1")
+        sigma = np.linalg.svd(b, compute_uv=False)
+        object.__setattr__(self, "singular_values", sigma)
+        if abs(sigma[0] - 1.0) > _SIGMA_TOL:
+            raise ValueError(f"top singular value {sigma[0]!r} differs from 1")
 
 
 def build_dtm(channel: Channel, p_x: DiscreteDistribution) -> Dtm:
@@ -138,24 +141,31 @@ class CouplingSolution:
             raise ValueError("psi_x must be a unit vector")
         if abs(np.linalg.norm(py) - self.second_singular_value) > _SIGMA_TOL:
             raise ValueError("psi_y norm must equal the attained singular value")
-        lead = px[np.abs(px) > _SIGN_TOL]
-        if lead.size and lead[0] < 0:
+        if _leading_sign(px) < 0:
             raise ValueError("sign convention: leading non-zero entry of psi_x > 0")
 
 
-def _orthonormal_complement(v: np.ndarray) -> np.ndarray:
-    """Columns spanning the orthogonal complement of unit vector ``v``.
+def _leading_sign(v: np.ndarray) -> float:
+    """Sign of the first entry of ``v`` above ``_SIGN_TOL`` in magnitude
+    (+1 when there is none); directions are normalised to a positive one."""
+    lead = v[np.abs(v) > _SIGN_TOL]
+    return -1.0 if lead.size and lead[0] < 0 else 1.0
+
+
+def _complement_svd(dtm: Dtm):
+    """``(basis, s, vt)``: columns of ``basis`` span the complement of
+    ``v = sqrt(p_x)``, and ``s``, ``vt`` come from the SVD of ``B @ basis``.
 
     Householder construction: the reflector sending ``v`` to ``-e_0`` has
     its remaining columns orthonormal and orthogonal to ``v``; stable here
     because ``v`` (a square-rooted pmf) has a positive first entry.
     """
-    k = v.size
-    u = v.copy()
+    u = np.sqrt(dtm.p_x.probs)
     u[0] += 1.0
     u /= np.linalg.norm(u)
-    h = np.eye(k) - 2.0 * np.outer(u, u)
-    return h[:, 1:]
+    basis = (np.eye(u.size) - 2.0 * np.outer(u, u))[:, 1:]
+    _, s, vt = np.linalg.svd(dtm.matrix @ basis)
+    return basis, s, vt
 
 
 def solve_coupling(dtm: Dtm) -> CouplingSolution:
@@ -167,22 +177,16 @@ def solve_coupling(dtm: Dtm) -> CouplingSolution:
     valid probability perturbation.  The sign is fixed by making the first
     non-negligible entry of ``psi_x`` positive.
     """
-    b = dtm.matrix
-    sigma_all = np.linalg.svd(b, compute_uv=False)
-    basis = _orthonormal_complement(np.sqrt(dtm.p_x.probs))
-    _, s, vt = np.linalg.svd(b @ basis)
+    basis, s, vt = _complement_svd(dtm)
     sigma2 = float(s[0])
     psi_x = basis @ vt[0]
-    lead = psi_x[np.abs(psi_x) > _SIGN_TOL]
-    if lead.size and lead[0] < 0:
-        psi_x = -psi_x
-    psi_y = b @ psi_x
-    degenerate = int(np.sum(np.abs(sigma_all - sigma2) < _SIGMA_TOL)) > 1
+    psi_x = _leading_sign(psi_x) * psi_x
+    degenerate = int(np.sum(np.abs(dtm.singular_values - sigma2) < _SIGMA_TOL)) > 1
     return CouplingSolution(
-        singular_values=sigma_all,
+        singular_values=dtm.singular_values,
         second_singular_value=sigma2,
         psi_x=psi_x,
-        psi_y=psi_y,
+        psi_y=dtm.matrix @ psi_x,
         degenerate_subspace=degenerate,
     )
 
@@ -197,8 +201,7 @@ def optimal_directions(dtm: Dtm, solution: CouplingSolution) -> np.ndarray:
     equally valid ``psi_x``, and callers may break the tie with outside
     information).
     """
-    basis = _orthonormal_complement(np.sqrt(dtm.p_x.probs))
-    _, s, vt = np.linalg.svd(dtm.matrix @ basis)
+    basis, s, vt = _complement_svd(dtm)
     tied = np.abs(s - solution.second_singular_value) < _SIGMA_TOL
     return basis @ vt[tied].T
 
@@ -215,9 +218,7 @@ def replace_direction(solution: CouplingSolution, dtm: Dtm, psi_x) -> CouplingSo
     if norm == 0:
         raise ValueError("replacement direction cannot be zero")
     psi = psi / norm
-    lead = psi[np.abs(psi) > _SIGN_TOL]
-    if lead.size and lead[0] < 0:
-        psi = -psi
+    psi = _leading_sign(psi) * psi
     return CouplingSolution(
         singular_values=solution.singular_values,
         second_singular_value=solution.second_singular_value,

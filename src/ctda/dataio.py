@@ -112,6 +112,7 @@ def load_csv(path, time_column: str = "date", value_column: str = "value") -> Ti
 
         times: list[int] = []
         values: list[float] = []
+        out_of_order = None  # file line of the first row not after its predecessor
         iso = False
         seen: dict[int, str] = {}
         for line_no, row in enumerate(reader, start=2):
@@ -143,14 +144,15 @@ def load_csv(path, time_column: str = "date", value_column: str = "value") -> Ti
                 raise FileFormatError(
                     f"{path}: line {line_no}: non-finite value {row[v_idx]!r}"
                 )
+            if out_of_order is None and times and ts <= times[-1]:
+                out_of_order = line_no
             times.append(ts)
             values.append(val)
     if not times:
         raise FileFormatError(f"{path}: no data rows")
-    if np.any(np.diff(times) <= 0):
-        at = int(np.flatnonzero(np.diff(np.asarray(times)) <= 0)[0])
+    if out_of_order is not None:
         raise FileFormatError(
-            f"{path}: line {at + 3}: timestamps not strictly increasing"
+            f"{path}: line {out_of_order}: timestamps not strictly increasing"
         )
     return TimeSeries(name, np.asarray(times), np.asarray(values), iso_dates=iso)
 
@@ -343,8 +345,10 @@ def apply_channel_to_dataset(dataset: ImageDataset, channel: Channel, seed: int)
         )
     rng = np.random.default_rng(seed)
     # Inverse-CDF sampling per pixel: column cum[x] is the output CDF for
-    # input symbol x, and u in [0, 1) picks the first level above u.
+    # input symbol x, and u in [0, 1) picks the first level above u.  Levels
+    # at a column's total are set to inf: a total rounded below 1 may be <= u.
     cum = np.cumsum(channel.matrix, axis=0).T  # (Kx, Ky)
+    cum[cum == cum[:, -1:]] = np.inf
     u = rng.random(dataset.images.shape)
     noisy = np.sum(cum[dataset.images] <= u[..., None], axis=-1)
     return ImageDataset(

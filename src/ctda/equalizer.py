@@ -79,6 +79,33 @@ def _check_series(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _solve_loaded(gram: np.ndarray, rhs: np.ndarray, penalty: float = 0.0):
+    """Solve ``(gram + penalty I) w = rhs``; returns ``(w, degenerate)``.
+    A rank-deficient system is diagonally loaded and flagged ``degenerate``."""
+    eye = np.eye(gram.shape[0])
+    degenerate = bool(np.linalg.matrix_rank(gram + penalty * eye) < gram.shape[0])
+    if degenerate:
+        gram = gram + _JITTER * max(np.trace(gram), 1.0) * eye
+    return np.linalg.solve(gram + penalty * eye, rhs), degenerate
+
+
+def _centered_lstsq(a: np.ndarray, targets: np.ndarray, penalty: float = 0.0):
+    """Affine least squares of ``targets`` on the columns of ``a`` (ridge
+    ``penalty`` on the slopes); returns ``(coef, intercept, mse, degenerate)``.
+
+    Columns and targets are centered by their means over the rows actually
+    regressed on, so noiseless affine data is recovered exactly.
+    """
+    col_means = a.mean(axis=0)
+    target_mean = float(targets.mean())
+    ac = a - col_means
+    tc = targets - target_mean
+    coef, degenerate = _solve_loaded(ac.T @ ac, ac.T @ tc, penalty)
+    residuals = tc - ac @ coef
+    intercept = target_mean - float(coef @ col_means)
+    return coef, intercept, float(np.mean(residuals**2)), degenerate
+
+
 def fit_weights(x, y, length: int, mode: str = "infer") -> EqualizerModel:
     """Least-squares tap weights for a fixed model length.
 
@@ -103,47 +130,21 @@ def fit_weights(x, y, length: int, mode: str = "infer") -> EqualizerModel:
     else:
         a = a[:-1]
         targets = y[length + 1 :]
-
-    # Center design columns and targets by their means over the rows
-    # actually regressed on, so noiseless FIR data is recovered exactly;
-    # the leftover offsets fold into the stored mean_y below.
-    col_means = a.mean(axis=0)
-    target_mean = float(targets.mean())
-    ac = a - col_means
-    tc = targets - target_mean
-    gram = ac.T @ ac
-    rhs = ac.T @ tc
-    degenerate = bool(np.linalg.matrix_rank(gram) < length + 1)
-    if degenerate:
-        load = _JITTER * max(np.trace(gram), 1.0)
-        gram = gram + load * np.eye(length + 1)
-    weights = np.linalg.solve(gram, rhs)
-    residuals = tc - ac @ weights
+    weights, mean_y, training_mse, degenerate = _centered_lstsq(a, targets)
     return EqualizerModel(
         length=length,
         weights=weights,
         mean_x=mean_x,
-        mean_y=target_mean - float(weights @ col_means),
-        training_mse=float(np.mean(residuals**2)),
+        mean_y=mean_y,
+        training_mse=training_mse,
         mode=mode,
         degenerate=degenerate,
     )
 
 
-def _estimate_window(model: EqualizerModel, x: np.ndarray, n: int) -> float:
-    if not 0 <= n < x.size:
-        raise ValueError(f"index {n} outside series of length {x.size}")
-    if n < model.length:
-        raise ValueError(
-            f"insufficient history: index {n} needs {model.length} past samples"
-        )
-    window = x[n - model.length : n + 1][::-1]
-    return model.mean_y + float(model.weights @ (window - model.mean_x))
-
-
 def infer(model: EqualizerModel, x, n: int) -> float:
     """Estimate the concurrent target ``y[n]`` from ``x[n-L .. n]``."""
-    return _estimate_window(model, np.asarray(x, dtype=float), n)
+    return float(estimate_series(model, x, [n])[0])
 
 
 def predict_next(model: EqualizerModel, x, n: int) -> float:
@@ -152,18 +153,36 @@ def predict_next(model: EqualizerModel, x, n: int) -> float:
     Same window arithmetic as :func:`infer`; meaningful when the weights
     were fitted in ``predict`` mode.
     """
-    return _estimate_window(model, np.asarray(x, dtype=float), n)
+    return float(estimate_series(model, x, [n])[0])
+
+
+def _window_span(idx: np.ndarray, n: int, length: int) -> tuple[slice, np.ndarray]:
+    """Check window-end indices into a series of ``n`` samples; return the
+    slice of samples their windows read and each index's row within it."""
+    outside = idx[(idx < 0) | (idx >= n)]
+    if outside.size:
+        raise ValueError(f"index {outside[0]} outside series of length {n}")
+    first = int(idx.min())
+    if first < length:
+        raise ValueError(
+            f"insufficient history: index {first} needs {length} past samples "
+            "for a full window"
+        )
+    return slice(first - length, int(idx.max()) + 1), idx - first
 
 
 def estimate_series(model: EqualizerModel, x, indices) -> np.ndarray:
-    """Vectorized window estimates at several window-end indices."""
+    """Window estimates at several window-end indices.
+
+    Only the span of ``x`` that the requested windows read is centered, so
+    one index costs O(L) and every index O(n).
+    """
     x = np.asarray(x, dtype=float)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
         return np.zeros(0)
-    if idx.min() < model.length or idx.max() >= x.size:
-        raise ValueError("some indices lack a full window")
-    rows = _windows(x - model.mean_x, model.length)[idx - model.length]
+    span, at = _window_span(idx, x.size, model.length)
+    rows = _windows(x[span] - model.mean_x, model.length)[at]
     return model.mean_y + rows @ model.weights
 
 
@@ -245,7 +264,7 @@ def lms_update(model: EqualizerModel, x, y, n: int, step: float) -> EqualizerMod
         raise ValueError("LMS step must be positive")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    err = y[n] - _estimate_window(model, x, n)
+    err = y[n] - infer(model, x, n)
     window = x[n - model.length : n + 1][::-1]
     with np.errstate(over="ignore", invalid="ignore"):
         weights = model.weights + step * err * (window - model.mean_x)

@@ -22,12 +22,17 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .equalizer import EqualizerModel, estimate_series, model_from_dict, model_to_dict
+from .equalizer import (
+    EqualizerModel,
+    _solve_loaded,
+    estimate_series,
+    model_from_dict,
+    model_to_dict,
+)
 
 FUSION_MODES = ("mrc_inverse_mse", "mrc_lmmse", "equal_gain", "selective")
 
 _ALPHA_TOL = 1e-9
-_JITTER = 1e-10
 
 
 @dataclass(frozen=True)
@@ -119,12 +124,7 @@ def mrc_weights_lmmse(predictions, y):
     if p.shape[1] == 0:
         raise ValueError("need at least one sample to estimate moments")
     n = p.shape[1]
-    gram = (p @ p.T) / n
-    rhs = (p @ y) / n
-    degenerate = bool(np.linalg.matrix_rank(gram) < p.shape[0])
-    if degenerate:
-        gram = gram + _JITTER * max(np.trace(gram), 1.0) * np.eye(p.shape[0])
-    return np.linalg.solve(gram, rhs), degenerate
+    return _solve_loaded((p @ p.T) / n, (p @ y) / n)
 
 
 def equal_gain_weights(n_channels: int) -> np.ndarray:
@@ -149,17 +149,11 @@ def fuse(model: FusionModel, inputs: Sequence, n: int) -> float:
     ``inputs[m]`` is the full input series of channel ``m``; each branch
     forms its own window estimate and the weighted sum is returned.
     """
-    if len(inputs) != len(model.channels):
-        raise ValueError("need one input series per channel")
-    total = 0.0
-    for alpha, (name, eq), x in zip(model.alphas, model.channels, inputs):
-        est = estimate_series(eq, x, [n])[0]
-        total += alpha * est
-    return float(total)
+    return float(fuse_series(model, inputs, [n])[0])
 
 
 def fuse_series(model: FusionModel, inputs: Sequence, indices) -> np.ndarray:
-    """Vectorized :func:`fuse` over several window-end indices."""
+    """Combined estimates at several window-end indices."""
     if len(inputs) != len(model.channels):
         raise ValueError("need one input series per channel")
     idx = np.asarray(indices, dtype=np.int64)

@@ -103,13 +103,6 @@ def recover_source_input(
     return DiscreteDistribution(clipped / clipped.sum())
 
 
-def _lenient_source(p_y: DiscreteDistribution, channel: Channel) -> np.ndarray:
-    """Channel inversion that clips any negativity (per-pixel small samples)."""
-    raw = np.linalg.solve(channel.matrix, p_y.probs)
-    clipped = np.maximum(raw, 0.0)
-    return clipped / clipped.sum()
-
-
 def build_image_scorer(pixels, channel: Channel, smooth: bool = False) -> ScoreTable:
     """Score table learned from noisy pixels alone (no labels involved).
 
@@ -166,16 +159,7 @@ def score_dataset(dataset: ImageDataset, table: ScoreTable) -> list:
     evaluation only."""
     if dataset.alphabet_size > table.scores.size:
         raise ValueError("score table does not cover the dataset's alphabet")
-    totals = table.scores[dataset.images].sum(axis=1)
-    labels = dataset.labels
-    return [
-        ScoredItem(
-            index=i,
-            score=float(totals[i]),
-            label=None if labels is None else int(labels[i]),
-        )
-        for i in range(dataset.n_images)
-    ]
+    return _scored_items(table.scores[dataset.images].sum(axis=1), dataset.labels)
 
 
 def score_dataset_per_pixel(
@@ -195,21 +179,23 @@ def score_dataset_per_pixel(
     per_pixel = np.zeros((n_pix, channel.n_outputs))
     for j in range(n_pix):
         p_y = estimator(dataset.images[:, j], channel.n_outputs)
-        p_x = _lenient_source(p_y, channel)
-        if (p_x > 0).sum() < 2:
+        p_x = recover_source_input(p_y, channel, tol=np.inf)
+        if (p_x.probs > 0).sum() < 2:
             continue  # constant pixel: no direction to detect
-        dtm = build_dtm(channel, DiscreteDistribution(p_x))
-        table = score_table(solve_coupling(dtm), dtm)
-        per_pixel[j] = table.scores
+        dtm = build_dtm(channel, p_x)
+        per_pixel[j] = score_table(solve_coupling(dtm), dtm).scores
     totals = per_pixel[np.arange(n_pix)[None, :], dataset.images].sum(axis=1)
-    labels = dataset.labels
+    return _scored_items(totals, dataset.labels)
+
+
+def _scored_items(totals: np.ndarray, labels: Optional[np.ndarray]) -> list:
     return [
         ScoredItem(
             index=i,
-            score=float(totals[i]),
+            score=float(score),
             label=None if labels is None else int(labels[i]),
         )
-        for i in range(n)
+        for i, score in enumerate(totals)
     ]
 
 

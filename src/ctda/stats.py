@@ -267,10 +267,14 @@ def load_channel(path) -> Channel:
         return channel_from_dict(json.load(fh))
 
 
-def save_channel(channel: Channel, path) -> None:
+def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(channel_to_dict(channel), fh, indent=2)
+        json.dump(obj, fh, indent=2)
         fh.write("\n")
+
+
+def save_channel(channel: Channel, path) -> None:
+    _write_json(path, channel_to_dict(channel))
 
 
 def load_distribution(path) -> DiscreteDistribution:
@@ -279,6 +283,4 @@ def load_distribution(path) -> DiscreteDistribution:
 
 
 def save_distribution(dist: DiscreteDistribution, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(distribution_to_dict(dist), fh, indent=2)
-        fh.write("\n")
+    _write_json(path, distribution_to_dict(dist))

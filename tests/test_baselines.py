@@ -143,6 +143,11 @@ class TestFitBayes:
         with pytest.raises(ValueError, match="noise"):
             fit_bayes(x, np.ones(10), 0, noise_variance=-1.0)
 
+    def test_negative_lag_rejected_before_solving(self):
+        x = np.ones((1, 10))
+        with pytest.raises(ValueError, match="lag must be >= 0"):
+            fit_bayes(x, np.ones(10), -1, noise_variance=1.0)
+
 
 class TestPredict:
     def test_affine_evaluation(self):
@@ -169,6 +174,18 @@ class TestPredict:
         model = LinearModel([1.0, 1.0], 0.0, 0, 0.0)
         with pytest.raises(ValueError, match="channels"):
             predict(model, np.ones((3, 10)), 2)
+
+    def test_series_channel_count_checked(self):
+        model = LinearModel([1.0, 1.0], 0.0, 0, 0.0)
+        with pytest.raises(ValueError, match="covers 2 channels, got 3"):
+            predict_series(model, np.ones((3, 10)), [2, 5])
+
+    def test_series_names_the_bad_index(self):
+        model = LinearModel([1.0, 1.0], 0.0, 1, 0.0)
+        with pytest.raises(ValueError, match="index 0 needs 1 past samples"):
+            predict_series(model, np.ones((1, 10)), [5, 0])
+        with pytest.raises(ValueError, match="index 10 outside series of length 10"):
+            predict_series(model, np.ones((1, 10)), [5, 10])
 
     def test_series_matches_pointwise(self):
         rng = np.random.default_rng(9)
@@ -237,6 +254,19 @@ class TestSerialization:
     def test_type_key(self):
         model = LinearModel([1.0], 0.0, 0, 0.0, method="ols")
         assert linear_model_to_dict(model)["type"] == "ols"
+
+    def test_degenerate_flag_round_trips(self):
+        # two identical channels make the design rank deficient
+        x = np.random.default_rng(14).standard_normal(60)
+        model = fit_ols(np.vstack([x, x]), 2.0 * x, 0)
+        assert model.degenerate
+        again = linear_model_from_dict(json.loads(json.dumps(linear_model_to_dict(model))))
+        assert again.degenerate
+
+    def test_files_without_degenerate_flag_load(self):
+        blob = linear_model_to_dict(LinearModel([1.0], 0.0, 0, 0.0, degenerate=True))
+        del blob["degenerate"]
+        assert not linear_model_from_dict(blob).degenerate
 
     def test_missing_key(self):
         with pytest.raises(ValueError, match="missing"):

@@ -155,6 +155,38 @@ class TestTopLevel:
             )
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("infer", "--top-k", "-1"),
+            ("fit", "--max-length", "-1"),
+            ("baseline", "--lag", "-1"),
+            ("sweep", "--threads", "-1"),
+            ("sweep", "--n", "0"),
+        ],
+    )
+    def test_bad_integer_is_usage_error(self, fir_files, tmp_path, command, flag, value):
+        x, y = fir_files
+        series = ["--input", str(x), "--target", str(y)]
+        head = {
+            "infer": ["infer", "--models", str(tmp_path / "m.json"), *series],
+            "fit": ["fit", *series],
+            "baseline": ["baseline", *series],
+            "sweep": ["sweep", "--e-grid", "0.05", "--dims", "3x3"],
+        }[command]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*head, flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "infer", "baseline", "couple", "score"])
+    def test_seed_help_says_only_sweep_draws(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "just 'sweep' draws from its seed" in " ".join(capsys.readouterr().out.split())
+
 
 class TestFit:
     def test_recovers_taps_and_embeds_envelope(self, fir_files, tmp_path, capsys):

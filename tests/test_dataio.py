@@ -84,6 +84,11 @@ class TestLoadCsv:
         with pytest.raises(FileFormatError, match="increasing"):
             load_csv(p)
 
+    def test_out_of_order_after_blank_lines_names_file_line(self, tmp_path):
+        p = write(tmp_path, "a.csv", "date,value\n1,1.0\n\n\n5,2.0\n3,3.0\n")
+        with pytest.raises(FileFormatError, match="line 6: timestamps not strictly"):
+            load_csv(p)
+
     def test_bad_value(self, tmp_path):
         p = write(tmp_path, "a.csv", "date,value\n1,oops\n")
         with pytest.raises(FileFormatError, match="line 2"):
@@ -324,6 +329,23 @@ class TestApplyChannel:
         ds = ImageDataset(2, 1, 2, [[0, 1]])
         with pytest.raises(ValueError, match="symbols"):
             apply_channel_to_dataset(ds, parametric_channel(0.1), seed=0)
+
+    def test_draw_above_rounded_column_total_stays_in_alphabet(self, monkeypatch):
+        # columns 0 and 2 of this channel sum to 1 - 1.1e-16, so the largest
+        # uniform draw lies above their CDF's last level
+        channel = parametric_channel(0.0025)
+        top = np.nextafter(1.0, 0.0)
+        assert np.cumsum(channel.matrix, axis=0)[-1].min() <= top
+
+        class TopDraws:
+            def random(self, shape):
+                return np.full(shape, top)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: TopDraws())
+        out = apply_channel_to_dataset(ImageDataset(4, 1, 4, [[0, 1, 2, 3]]), channel, 0)
+        # each input's last symbol of positive probability
+        np.testing.assert_array_equal(out.images, [[2, 3, 3, 3]])
+        assert np.all(channel.matrix[out.images[0], [0, 1, 2, 3]] > 0)
 
     def test_deterministic(self):
         ds = gen_two_class_images(
