@@ -12,15 +12,16 @@ draws random numbers, the others just record the seed; JSON outputs embed
 the resolved configuration, package version and seed; identical
 invocations produce byte-identical outputs.  Exit codes: 0 success, 1
 computation or validation failure, 2 usage or I/O trouble.  ``sweep``
-parallelism is capped by the ``CTDA_THREADS`` environment variable
-(0 or unset = one worker per CPU).
+parallelism is set by ``--threads`` or the ``CTDA_THREADS`` environment
+variable (0 or unset = one worker per CPU), at most one worker per CPU and
+per grid point; its grid holds at most ``MAX_GRID_POINTS`` points.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
+import datetime as _dt
 import json
 import math
 import sys
@@ -39,9 +40,9 @@ from .coupling import (
 )
 from .dataio import (
     ALIGN_POLICIES,
+    _CHUNK_ROWS,
     FileFormatError,
     align,
-    format_timestamp,
     load_csv,
     load_images_csv,
 )
@@ -124,25 +125,37 @@ def _float_list(text: str):
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of numbers") from None
 
 
+# Largest noise grid ``sweep`` accepts; a finer one is almost surely a typo.
+MAX_GRID_POINTS = 10_001
+
+
 def _grid(text: str):
-    """Noise grid: 'start:stop:step' (stop inclusive), a comma list, or one value."""
+    """Noise grid: 'start:stop:step' (stop inclusive), a comma list, or one
+    value; at most MAX_GRID_POINTS points, counted before any is built."""
     try:
         if ":" in text:
             start, stop, step = (float(v) for v in text.split(":"))
             if step <= 0 or stop < start:
                 raise ValueError
             count = int(np.floor((stop - start) / step + 1e-9)) + 1
-            return [start + k * step for k in range(count)]
-        if "," in text:
+            if count <= MAX_GRID_POINTS:
+                return [start + k * step for k in range(count)]
+        elif "," in text:
             values = [float(v) for v in text.split(",") if v.strip()]
             if not values:
                 raise ValueError
-            return values
-        return [float(text)]
-    except ValueError:
+            count = len(values)
+            if count <= MAX_GRID_POINTS:
+                return values
+        else:
+            return [float(text)]
+    except (ValueError, OverflowError):
         raise argparse.ArgumentTypeError(
             f"{text!r} is not start:stop:step, a comma list, or a number"
         ) from None
+    raise argparse.ArgumentTypeError(
+        f"{text!r} has {count} points; at most {MAX_GRID_POINTS} are allowed"
+    )
 
 
 def _payload(args: argparse.Namespace, body: dict) -> dict:
@@ -172,18 +185,22 @@ def _load_series_bundle(args):
 
 
 def _write_predictions_csv(path, timestamps, iso, y_true, y_hat) -> None:
+    """Write ``date,y_true,y_hat,abs_err`` rows, byte for byte as ``csv.writer``
+    would (no date or float repr needs quoting), a block of rows per call."""
+    abs_err = np.abs(y_true - y_hat)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "y_true", "y_hat", "abs_err"])
-        for ts, yt, yh in zip(timestamps, y_true, y_hat):
-            writer.writerow(
-                [
-                    format_timestamp(ts, iso),
-                    repr(float(yt)),
-                    repr(float(yh)),
-                    repr(abs(float(yt) - float(yh))),
-                ]
+        fh.write("date,y_true,y_hat,abs_err\r\n")
+        for lo in range(0, len(timestamps), _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            stamps = timestamps[rows].tolist()
+            if iso:
+                dates = map(_dt.date.isoformat, map(_dt.date.fromordinal, stamps))
+            else:
+                dates = map(str, stamps)
+            columns = zip(
+                dates, y_true[rows].tolist(), y_hat[rows].tolist(), abs_err[rows].tolist()
             )
+            fh.writelines(f"{d},{a!r},{b!r},{c!r}\r\n" for d, a, b, c in columns)
 
 
 def _load_channel_arg(args):
@@ -526,7 +543,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("sweep", help="separation error across channel noise levels")
-    p.add_argument("--e-grid", type=_grid, default="0:0.25:0.025")
+    p.add_argument(
+        "--e-grid",
+        type=_grid,
+        default="0:0.25:0.025",
+        help=f"start:stop:step, a comma list or one value; at most {MAX_GRID_POINTS} points",
+    )
     p.add_argument("--p-a", type=_float_list, default="0.7,0.1,0.1,0.1")
     p.add_argument("--p-b", type=_float_list, default="0.1,0.1,0.1,0.7")
     p.add_argument("--n", type=_positive_int, default=100, help="images per class")

@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import math
 import os
 from dataclasses import dataclass
+from itertools import chain, compress, count, islice
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,8 +54,8 @@ class TimeSeries:
             raise ValueError("timestamps and values must be 1-D and equal length")
         if ts.size == 0:
             raise ValueError(f"series {self.name!r} is empty")
-        if ts.size > 1 and np.any(np.diff(ts) <= 0):
-            at = int(np.flatnonzero(np.diff(ts) <= 0)[0])
+        if np.any(not_after := ts[1:] <= ts[:-1]):  # np.diff can overflow
+            at = int(np.flatnonzero(not_after)[0])
             raise ValueError(
                 f"series {self.name!r}: timestamps not strictly increasing "
                 f"at position {at + 1}"
@@ -71,27 +74,81 @@ def format_timestamp(ts: int, iso: bool) -> str:
     return str(int(ts))
 
 
-def _parse_time_cell(cell: str, line: int):
-    """Return (ordinal_or_int, is_iso) for one date cell."""
-    text = cell.strip()
-    try:
-        return int(text), False
-    except ValueError:
-        pass
-    try:
-        return _dt.date.fromisoformat(text).toordinal(), True
-    except ValueError:
-        raise FileFormatError(
-            f"line {line}: cannot parse {cell!r} as an integer or ISO date"
-        ) from None
+_CHUNK_ROWS = 1024  # CSV rows converted per bulk step; bounds what is held at once
+
+
+def _parse_times(cells: list, iso: Optional[bool]):
+    """Stripped time cells as ``(int64 timestamps, iso)``, all of kind ``iso``
+    (None: the first cell's).  Raises ValueError or OverflowError for a cell
+    of another kind, e.g. a ``YYYYMMDD`` date, which reads as an integer."""
+    if iso is None:
+        try:
+            int(cells[0])
+            iso = False
+        except ValueError:
+            iso = True
+    if not iso:
+        return np.array(list(map(int, cells)), dtype=np.int64), False
+    if any(map(str.isdigit, cells)):
+        raise ValueError("integer cell among ISO dates")
+    dates = map(_dt.date.fromisoformat, cells)
+    return np.array(list(map(_dt.date.toordinal, dates)), dtype=np.int64), True
+
+
+def _raise_first_bad_row(path, records, t_idx: int, v_idx: int, earlier, iso):
+    """Raise the error of the first rejected row of ``(line, row)`` ``records``,
+    which run from the first chunk the bulk conversion rejected to the end of
+    the file; ``earlier`` holds the timestamps accepted before, of kind
+    ``iso``.  Never returns.  An out-of-order row is reported only when no
+    later row fails another check."""
+    seen = set(earlier.tolist())
+    last = int(earlier[-1]) if earlier.size else None
+    out_of_order = None
+    for line, row in records:
+        if not "".join(row).strip():
+            continue
+        where = f"{path}: line {line}"
+        if len(row) <= max(t_idx, v_idx):
+            raise FileFormatError(f"{where}: too few columns")
+        cell = row[t_idx]
+        text = cell.strip()
+        try:
+            ts, row_iso = int(text), False
+        except ValueError:
+            try:
+                ts, row_iso = _dt.date.fromisoformat(text).toordinal(), True
+            except ValueError:
+                raise FileFormatError(
+                    f"{where}: cannot parse {cell!r} as an integer or ISO date"
+                ) from None
+        if not -(2**63) <= ts < 2**63:
+            raise FileFormatError(f"{where}: timestamp {text!r} outside the 64-bit range")
+        if iso is not None and row_iso != iso:
+            raise FileFormatError(f"{where}: mixed integer and ISO-date timestamps")
+        iso = row_iso
+        if ts in seen:
+            raise FileFormatError(f"{where}: duplicate timestamp {text!r}")
+        seen.add(ts)
+        try:
+            value = float(row[v_idx])
+        except ValueError:
+            raise FileFormatError(f"{where}: cannot parse value {row[v_idx]!r}") from None
+        if not math.isfinite(value):
+            raise FileFormatError(f"{where}: non-finite value {row[v_idx]!r}")
+        if out_of_order is None and last is not None and ts <= last:
+            out_of_order = line
+        last = ts
+    raise FileFormatError(f"{path}: line {out_of_order}: timestamps not strictly increasing")
 
 
 def load_csv(path, time_column: str = "date", value_column: str = "value") -> TimeSeries:
     """Load one time series from a two-column CSV file.
 
     The series name is the file stem.  Duplicate or out-of-order timestamps,
-    non-numeric or non-finite values, and missing columns are all rejected
-    with the offending line number.
+    non-numeric or non-finite values, integer timestamps outside 64 bits and
+    missing columns are all rejected with the offending line number.  Each
+    chunk of records is converted a column per call; a row scan only finds
+    the line to report.
     """
     name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -110,51 +167,31 @@ def load_csv(path, time_column: str = "date", value_column: str = "value") -> Ti
                 f"{time_column!r}/{value_column!r}"
             ) from None
 
-        times: list[int] = []
-        values: list[float] = []
-        out_of_order = None  # file line of the first row not after its predecessor
-        iso = False
-        seen: dict[int, str] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue  # stray blank line
-            if len(row) <= max(t_idx, v_idx):
-                raise FileFormatError(f"{path}: line {line_no}: too few columns")
-            try:
-                ts, row_iso = _parse_time_cell(row[t_idx], line_no)
-            except FileFormatError as exc:
-                raise FileFormatError(f"{path}: {exc}") from None
-            if times and row_iso != iso:
-                raise FileFormatError(
-                    f"{path}: line {line_no}: mixed integer and ISO-date timestamps"
-                )
-            iso = row_iso
-            if ts in seen:
-                raise FileFormatError(
-                    f"{path}: line {line_no}: duplicate timestamp {row[t_idx].strip()!r}"
-                )
-            seen[ts] = row[t_idx]
-            try:
-                val = float(row[v_idx])
-            except ValueError:
-                raise FileFormatError(
-                    f"{path}: line {line_no}: cannot parse value {row[v_idx]!r}"
-                ) from None
-            if not np.isfinite(val):
-                raise FileFormatError(
-                    f"{path}: line {line_no}: non-finite value {row[v_idx]!r}"
-                )
-            if out_of_order is None and times and ts <= times[-1]:
-                out_of_order = line_no
-            times.append(ts)
-            values.append(val)
+        times, values, iso = [], [], None
+        tail = np.empty(0, dtype=np.int64)  # last accepted timestamp
+        line = 2  # file line of the chunk's first record
+        while raw := list(islice(reader, _CHUNK_ROWS)):
+            rows = list(compress(raw, map(str.strip, map("".join, raw))))  # drop blanks
+            if rows:
+                try:
+                    cells = list(map(str.strip, map(itemgetter(t_idx), rows)))
+                    ts, chunk_iso = _parse_times(cells, iso)
+                    vs = np.array(list(map(float, map(itemgetter(v_idx), rows))))
+                    run = np.concatenate((tail, ts))
+                    ok = bool(np.isfinite(vs).all() and (run[1:] > run[:-1]).all())
+                except (IndexError, ValueError, OverflowError):
+                    ok = False
+                if not ok:
+                    earlier = np.concatenate(times) if times else tail
+                    records = zip(count(line), chain(raw, reader))
+                    _raise_first_bad_row(path, records, t_idx, v_idx, earlier, iso)
+                times.append(ts)
+                values.append(vs)
+                iso, tail = chunk_iso, ts[-1:]
+            line += len(raw)
     if not times:
         raise FileFormatError(f"{path}: no data rows")
-    if out_of_order is not None:
-        raise FileFormatError(
-            f"{path}: line {out_of_order}: timestamps not strictly increasing"
-        )
-    return TimeSeries(name, np.asarray(times), np.asarray(values), iso_dates=iso)
+    return TimeSeries(name, np.concatenate(times), np.concatenate(values), iso_dates=iso)
 
 
 def save_csv(series: TimeSeries, path, time_column="date", value_column="value") -> None:

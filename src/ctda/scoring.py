@@ -143,13 +143,15 @@ def _max_variance_direction(solution, dtm, pixels, alphabet):
     subspace = optimal_directions(dtm, solution)
     if subspace.shape[1] < 2:
         return solution
-    counts = np.stack(
-        [np.bincount(img, minlength=alphabet) for img in pixels]
-    ).astype(float)
+    n = pixels.shape[0]
+    # One bincount over every image: image i's symbols land in bins i*K .. i*K+K-1.
+    offset = pixels + alphabet * np.arange(n)[:, None]
+    counts = np.bincount(offset.ravel(), minlength=n * alphabet)
+    counts = counts.reshape(n, alphabet).astype(float)
     r = counts[:, dtm.output_symbols] / np.sqrt(dtm.p_y.probs)
     r -= r.mean(axis=0)
     image = dtm.matrix @ subspace  # (Ky, k): output images of the tied basis
-    form = image.T @ ((r.T @ r) / pixels.shape[0]) @ image
+    form = image.T @ ((r.T @ r) / n) @ image
     eigvals, eigvecs = np.linalg.eigh(form)
     return replace_direction(solution, dtm, subspace @ eigvecs[:, -1])
 
@@ -249,11 +251,16 @@ def _curve_point(
     )
 
 
-def resolve_threads(requested: int = 0) -> int:
+def resolve_threads(requested: int = 0, points: Optional[int] = None) -> int:
     """Worker count for sweeps: explicit, else CTDA_THREADS, else one per CPU
-    (0 means auto at either level)."""
+    (0 means auto at either level).
+
+    Given a sweep's grid size ``points``, the count is also capped at the
+    points and at the CPU count: more workers than either would only wait.
+    """
     if requested < 0:
         raise ValueError("thread count cannot be negative")
+    cpus = os.cpu_count() or 1
     count = requested
     if count == 0:
         env = os.environ.get("CTDA_THREADS", "0")
@@ -263,9 +270,8 @@ def resolve_threads(requested: int = 0) -> int:
             raise ValueError(f"CTDA_THREADS={env!r} is not an integer") from None
         if count < 0:
             raise ValueError("CTDA_THREADS cannot be negative")
-    if count == 0:
-        count = os.cpu_count() or 1
-    return count
+    count = count or cpus
+    return count if points is None else min(count, points, cpus)
 
 
 def error_vs_noise_curve(
@@ -282,12 +288,13 @@ def error_vs_noise_curve(
 
     Each grid point gets its own corpus and channel noise, deterministically
     derived from ``seed`` and the point's position (seed XOR index), so the
-    curve is reproducible regardless of the number of worker threads.
+    curve is reproducible regardless of the number of worker threads (at
+    most the grid points and the CPU count; see ``resolve_threads``).
     """
     grid = [float(e) for e in e_grid]
     if not grid:
         raise ValueError("empty noise grid")
-    workers = min(resolve_threads(threads), len(grid))
+    workers = resolve_threads(threads, len(grid))
     args = [
         (i, e, seed, dist_a, dist_b, width, height, n_per_class)
         for i, e in enumerate(grid)

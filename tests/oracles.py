@@ -7,6 +7,8 @@ agreement between the two is evidence, not tautology.
 
 from __future__ import annotations
 
+import csv
+import datetime
 import itertools
 import math
 
@@ -191,3 +193,68 @@ def online_inverse_mse_loop(estimates, y, window: int, initial):
             alphas = np.array([v / sum(inv) for v in inv])
         rows.append(alphas)
     return np.array(rows), np.array(fused)
+
+
+def load_csv_loop(path, time_column: str = "date", value_column: str = "value"):
+    """Read a ``date,value`` series file one row at a time.
+
+    Returns ``(timestamps, values, iso)`` as lists and a flag, or raises
+    ValueError with the message the loader gives: each row is checked for
+    columns, time cell (an integer, else an ISO date; integers must fit in
+    64 bits), mixed kinds, duplicate, value and finiteness, and the first
+    out-of-order row is reported after the last row.  Blank and
+    whitespace-only records are skipped; lines count csv records.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        if time_column not in header or value_column not in header:
+            raise ValueError(
+                f"{path}: header {header!r} lacks columns "
+                f"{time_column!r}/{value_column!r}"
+            )
+        t_idx, v_idx = header.index(time_column), header.index(value_column)
+        times, values, iso, seen, out_of_order = [], [], False, {}, None
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            where = f"{path}: line {line_no}"
+            if len(row) <= max(t_idx, v_idx):
+                raise ValueError(f"{where}: too few columns")
+            text = row[t_idx].strip()
+            try:
+                ts, row_iso = int(text), False
+            except ValueError:
+                try:
+                    ts, row_iso = datetime.date.fromisoformat(text).toordinal(), True
+                except ValueError:
+                    raise ValueError(
+                        f"{where}: cannot parse {row[t_idx]!r} as an integer or ISO date"
+                    ) from None
+            if not -(2**63) <= ts < 2**63:
+                raise ValueError(f"{where}: timestamp {text!r} outside the 64-bit range")
+            if times and row_iso != iso:
+                raise ValueError(f"{where}: mixed integer and ISO-date timestamps")
+            iso = row_iso
+            if ts in seen:
+                raise ValueError(f"{where}: duplicate timestamp {text!r}")
+            seen[ts] = row[t_idx]
+            try:
+                val = float(row[v_idx])
+            except ValueError:
+                raise ValueError(f"{where}: cannot parse value {row[v_idx]!r}") from None
+            if not math.isfinite(val):
+                raise ValueError(f"{where}: non-finite value {row[v_idx]!r}")
+            if out_of_order is None and times and ts <= times[-1]:
+                out_of_order = line_no
+            times.append(ts)
+            values.append(val)
+    if not times:
+        raise ValueError(f"{path}: no data rows")
+    if out_of_order is not None:
+        raise ValueError(f"{path}: line {out_of_order}: timestamps not strictly increasing")
+    return times, values, iso

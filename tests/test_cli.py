@@ -3,6 +3,8 @@ in-process through ``main(argv)`` so exit codes and printed output stay
 observable without spawning interpreters."""
 
 import argparse
+import csv
+import datetime
 import json
 import warnings
 
@@ -10,7 +12,15 @@ import numpy as np
 import pytest
 
 from ctda import __version__
-from ctda.cli import _dims, _float_list, _grid, build_parser, main
+from ctda.cli import (
+    MAX_GRID_POINTS,
+    _dims,
+    _float_list,
+    _grid,
+    _write_predictions_csv,
+    build_parser,
+    main,
+)
 from ctda.coupling import build_dtm, solve_coupling
 from ctda.dataio import (
     ImageDataset,
@@ -104,6 +114,22 @@ class TestParserHelpers:
         with pytest.raises(argparse.ArgumentTypeError):
             _grid(bad)
 
+    def test_grid_at_the_cap_is_built(self):
+        assert len(_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+
+    @pytest.mark.parametrize(
+        "text",
+        [f"0:{MAX_GRID_POINTS}:1", "0:1:1e-9", ",".join(["0.1"] * (MAX_GRID_POINTS + 1))],
+    )
+    def test_grid_above_the_cap_is_rejected(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match=f"at most {MAX_GRID_POINTS}"):
+            _grid(text)
+
+    @pytest.mark.parametrize("bad", ["0:inf:1", "0:1e308:1e-308", "nan:1:0.1"])
+    def test_grid_with_no_finite_count_is_rejected(self, bad):
+        with pytest.raises(argparse.ArgumentTypeError, match="start:stop:step"):
+            _grid(bad)
+
     def test_dims(self):
         assert _dims("19x19") == (19, 19)
         assert _dims("4X3") == (4, 3)  # case-insensitive separator
@@ -127,6 +153,36 @@ class TestParserHelpers:
         assert args.dims == (19, 19)
         assert args.p_a == [0.7, 0.1, 0.1, 0.1]
         assert args.p_b == [0.1, 0.1, 0.1, 0.7]
+
+
+def csv_writer_predictions(path, timestamps, iso, y_true, y_hat):
+    """The predictions file as ``csv.writer`` writes it, one row at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date", "y_true", "y_hat", "abs_err"])
+        for ts, yt, yh in zip(timestamps, y_true, y_hat):
+            date = (
+                datetime.date.fromordinal(int(ts)).isoformat() if iso else str(int(ts))
+            )
+            writer.writerow(
+                [date, repr(float(yt)), repr(float(yh)), repr(abs(float(yt) - float(yh)))]
+            )
+
+
+class TestPredictionsCsv:
+    @pytest.mark.parametrize("iso", [False, True])
+    def test_bytes_match_csv_writer(self, tmp_path, iso):
+        rng = np.random.default_rng(3)
+        n = 2500  # more than two blocks of rows
+        start = datetime.date(2014, 1, 1).toordinal() if iso else -7
+        timestamps = start + np.cumsum(rng.integers(1, 4, n))
+        y_true = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        y_hat = y_true + rng.standard_normal(n)
+        y_hat[:4] = [y_true[0], -0.0, 1e308, -5e-324]  # zero, signed zero, extremes
+        ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+        _write_predictions_csv(ours, timestamps, iso, y_true, y_hat)
+        csv_writer_predictions(reference, timestamps, iso, y_true, y_hat)
+        assert ours.read_bytes() == reference.read_bytes()
 
 
 class TestTopLevel:
@@ -251,6 +307,20 @@ class TestFit:
         )
         assert rc == 2
         assert "bad.csv" in capsys.readouterr().err
+
+    def test_timestamp_beyond_int64_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("date,value\n1,1.0\n99999999999999999999,2.0\n")
+        tgt = tmp_path / "y.csv"
+        write_series(tgt, np.arange(10.0))
+        rc = main(
+            ["fit", "--input", str(bad), "--target", str(tgt),
+             "--out", str(tmp_path / "m.json")]
+        )
+        assert rc == 2
+        assert "line 3: timestamp '99999999999999999999' outside the 64-bit range" in (
+            capsys.readouterr().err
+        )
 
     def test_duplicate_series_names_exit_1(self, fir_files, tmp_path, capsys):
         x, y = fir_files
@@ -723,6 +793,13 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--e-grid", "0.05", "--n", "3", "--dims", "3x3",
                   "--seed", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_too_fine_grid_is_usage_error(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--e-grid", "0:1:1e-9", "--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
 

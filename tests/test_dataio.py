@@ -1,8 +1,14 @@
 import datetime
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ctda import dataio
 from ctda.dataio import (
     FileFormatError,
     ImageDataset,
@@ -26,7 +32,7 @@ from ctda.stats import (
     parametric_channel,
 )
 
-from oracles import naive_fir
+from oracles import load_csv_loop, naive_fir
 
 
 def write(tmp_path, name, text):
@@ -47,6 +53,10 @@ class TestTimeSeries:
     def test_non_finite_value(self):
         with pytest.raises(ValueError, match="non-finite"):
             TimeSeries("s", [1, 2], [1.0, np.inf])
+
+    def test_int64_extremes_are_increasing(self):
+        s = TimeSeries("s", [-(2**63), 2**63 - 1], [1.0, 2.0])
+        assert s.timestamps.tolist() == [-(2**63), 2**63 - 1]
 
     def test_empty(self):
         with pytest.raises(ValueError, match="empty"):
@@ -129,6 +139,40 @@ class TestLoadCsv:
         with pytest.raises(FileFormatError, match="line 2"):
             load_csv(p)
 
+    @pytest.mark.parametrize(
+        "cell", ["99999999999999999999", "-9223372036854775809", "9223372036854775808"]
+    )
+    def test_timestamp_beyond_int64_rejected(self, tmp_path, cell):
+        p = write(tmp_path, "a.csv", f"date,value\n1,1.0\n{cell},2.0\n")
+        with pytest.raises(
+            FileFormatError, match=f"line 3: timestamp '{cell}' outside the 64-bit range"
+        ):
+            load_csv(p)
+
+    def test_int64_limits_accepted(self, tmp_path):
+        p = write(
+            tmp_path, "a.csv", "date,value\n-9223372036854775808,1\n9223372036854775807,2\n"
+        )
+        assert load_csv(p).timestamps.tolist() == [-(2**63), 2**63 - 1]
+
+    def test_basic_iso_date_among_iso_dates_is_mixed(self, tmp_path):
+        # 20140103 reads as an integer before it reads as a date
+        p = write(tmp_path, "a.csv", "date,value\n2014-01-02,1\n20140103,2\n")
+        with pytest.raises(FileFormatError, match="line 3: mixed"):
+            load_csv(p)
+
+    def test_error_after_an_accepted_chunk_names_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "_CHUNK_ROWS", 2)
+        p = write(tmp_path, "a.csv", "date,value\n1,1\n2,2\n\n3,3\n2,4\n")
+        with pytest.raises(FileFormatError, match="line 6: duplicate timestamp '2'"):
+            load_csv(p)
+
+    def test_later_bad_value_beats_earlier_out_of_order_row(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "_CHUNK_ROWS", 2)
+        p = write(tmp_path, "a.csv", "date,value\n1,1\n5,2\n3,3\n7,4\n8,x\n")
+        with pytest.raises(FileFormatError, match="line 6: cannot parse value 'x'"):
+            load_csv(p)
+
     def test_round_trip(self, tmp_path):
         s = TimeSeries("fx", [735000, 735001], [1.25, 1.5], iso_dates=True)
         path = tmp_path / "fx.csv"
@@ -137,6 +181,89 @@ class TestLoadCsv:
         np.testing.assert_array_equal(again.timestamps, s.timestamps)
         np.testing.assert_array_equal(again.values, s.values)
         assert again.iso_dates
+
+
+ORIGIN = datetime.date(2014, 1, 1).toordinal()
+HEADERS = ["date,value", "value,date", "date,value,note", "note,date,value", " date , value "]
+ODD_TIME_CELLS = [
+    "", "whenever", "2014-13-01", "+7", "1_000", "2014-W02-3",
+    "99999999999999999999", "-9223372036854775809", "9223372036854775807",
+]
+ODD_VALUE_CELLS = ["nan", "inf", "-inf", "1e400", "oops", "", " 2.5 ", "1_0.5", '"1,5"']
+BLANK_RECORDS = ["", "   ", " ,  ", "\t,"]
+
+
+def chance(draw, percent):
+    return draw(st.integers(0, 99)) < percent
+
+
+@st.composite
+def series_texts(draw):
+    """CSV texts near the ``date,value`` format, some well formed, some not."""
+    header = draw(st.sampled_from(HEADERS))
+    names = [h.strip() for h in header.split(",")]
+    t_idx, v_idx = names.index("date"), names.index("value")
+    iso = draw(st.booleans())
+    bad = draw(st.sampled_from([0, 0, 5, 20]))  # percent of rows with a defect
+    jumble = draw(st.sampled_from([0, 10, 25]))  # percent of rows out of order
+    t = draw(st.integers(-3, 3))
+    lines = [header]
+    for _ in range(draw(st.integers(0, 12))):
+        if chance(draw, 15):
+            lines.append(draw(st.sampled_from(BLANK_RECORDS)))
+        if chance(draw, jumble):
+            t += draw(st.sampled_from([-10, -2, 0, 1]))
+        else:
+            t += draw(st.integers(1, 3))
+        row_iso = iso != chance(draw, bad // 2)  # mixed kinds
+        time = datetime.date.fromordinal(ORIGIN + t).isoformat() if row_iso else str(t)
+        if row_iso and chance(draw, bad):
+            time = time.replace("-", "")  # YYYYMMDD also reads as an integer
+        if chance(draw, bad):
+            time = draw(st.sampled_from(ODD_TIME_CELLS))
+        value = repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+        if chance(draw, bad):
+            value = draw(st.sampled_from(ODD_VALUE_CELLS))
+        cells = ["n"] * len(names)
+        cells[t_idx] = f" {time} " if chance(draw, 20) else time
+        cells[v_idx] = value
+        if chance(draw, 20):
+            k = draw(st.integers(0, len(cells) - 1))
+            cells[k] = f'"{cells[k]}"'  # quoted cell
+        if chance(draw, 10):
+            cells.append("extra")
+        if chance(draw, bad):
+            cells = cells[: draw(st.integers(0, len(cells) - 1))]  # too few columns
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+class TestLoadCsvMatchesLoop:
+    """The bulk reader against the row loop in ``tests/oracles.py``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=series_texts(), chunk=st.sampled_from([1, 2, 3, 5, 1024]))
+    def test_same_series_or_same_error(self, text, chunk):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            try:
+                expected = load_csv_loop(path)
+            except ValueError as exc:
+                expected = str(exc)
+            with mock.patch.object(dataio, "_CHUNK_ROWS", chunk):
+                try:
+                    s = load_csv(path)
+                    got = (s.timestamps.tolist(), s.values.tolist(), s.iso_dates)
+                except FileFormatError as exc:
+                    got = str(exc)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            times, values, iso = expected
+            assert got[0] == times and got[2] == iso
+            assert np.asarray(got[1]).tobytes() == np.asarray(values, dtype=float).tobytes()
 
 
 class TestAlign:

@@ -1,9 +1,18 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
 from ctda.dataio import ImageDataset, apply_channel_to_dataset, gen_two_class_images
-from ctda.coupling import ScoreTable
+from ctda.coupling import (
+    ScoreTable,
+    build_dtm,
+    optimal_directions,
+    replace_direction,
+    score_table,
+    solve_coupling,
+)
 from ctda.scoring import (
     CurvePoint,
     ScoredItem,
@@ -21,6 +30,7 @@ from ctda.scoring import (
 from ctda.stats import (
     Channel,
     DiscreteDistribution,
+    empirical_distribution,
     identity_channel,
     parametric_channel,
     uniform_distribution,
@@ -131,6 +141,25 @@ class TestBuildImageScorer:
         ds = gen_two_class_images(101, 100, 19, 19, DIST_A, DIST_B)
         table = build_image_scorer(ds.images, parametric_channel(0.0))
         assert separation_error(score_dataset(ds, table)) <= 0.01
+
+    def test_noiseless_tie_break_matches_per_image_bincount_loop(self):
+        pixels = gen_two_class_images(5, 60, 4, 4, DIST_A, DIST_B).images
+        channel = parametric_channel(0.0)
+        p_y = empirical_distribution(pixels.reshape(-1), 4)
+        dtm = build_dtm(channel, recover_source_input(p_y, channel))
+        solution = solve_coupling(dtm)
+        assert solution.degenerate_subspace
+        # the tie-break's variance form, counting each image's symbols in turn
+        subspace = optimal_directions(dtm, solution)
+        counts = np.stack([np.bincount(img, minlength=4) for img in pixels]).astype(float)
+        r = counts[:, dtm.output_symbols] / np.sqrt(dtm.p_y.probs)
+        r -= r.mean(axis=0)
+        image = dtm.matrix @ subspace
+        form = image.T @ ((r.T @ r) / pixels.shape[0]) @ image
+        psi = subspace @ np.linalg.eigh(form)[1][:, -1]
+        expected = score_table(replace_direction(solution, dtm, psi), dtm)
+        table = build_image_scorer(pixels, channel)
+        assert table.scores.tobytes() == expected.scores.tobytes()
 
     def test_single_live_symbol_rejected(self):
         ds = ImageDataset(3, 3, 4, np.zeros((10, 9), dtype=int))
@@ -348,6 +377,22 @@ class TestResolveThreads:
         monkeypatch.setenv("CTDA_THREADS", "-2")
         with pytest.raises(ValueError):
             resolve_threads(0)
+
+
+    def test_sweep_workers_capped_by_cpus_and_points(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.delenv("CTDA_THREADS", raising=False)
+        assert resolve_threads(64, points=100) == 4
+        assert resolve_threads(3, points=2) == 2
+        assert resolve_threads(0, points=100) == 4
+        assert resolve_threads(0, points=3) == 3
+        monkeypatch.setenv("CTDA_THREADS", "1000")
+        assert resolve_threads(0, points=50) == 4
+        assert resolve_threads(2, points=50) == 2
+
+    def test_unknown_cpu_count_gives_one_sweep_worker(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_threads(8, points=10) == 1
 
 
 class TestCsvOutputs:
