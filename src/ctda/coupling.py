@@ -67,14 +67,62 @@ class Dtm:
                 raise ValueError(f"{what} symbol map must be increasing within the alphabet")
         if in_syms.size != self.p_x.size or out_syms.size != self.p_y.size:
             raise ValueError("symbol maps must cover the kept alphabets")
-        # Contract checks: sqrt(p_x) maps to sqrt(p_y), top singular value 1.
-        resid = b @ np.sqrt(self.p_x.probs) - np.sqrt(self.p_y.probs)
-        if np.max(np.abs(resid)) > _SUM_TOL:
-            raise ValueError("matrix does not carry sqrt(p_x) to sqrt(p_y)")
-        sigma = np.linalg.svd(b, compute_uv=False)
+        sigma = _dtm_singular_values(b, self.p_x.probs, self.p_y.probs)
         object.__setattr__(self, "singular_values", sigma)
-        if abs(sigma[0] - 1.0) > _SIGMA_TOL:
-            raise ValueError(f"top singular value {sigma[0]!r} differs from 1")
+
+
+def _matvec(m, v):
+    """``m @ v`` for each row of ``v``, as one matrix-vector product per row,
+    so a stack rounds exactly as the single products do."""
+    return np.matmul(m, v[..., None])[..., 0]
+
+
+def _groups(mask):
+    """Rows of the boolean matrix ``mask`` grouped by pattern, in order of
+    first appearance: ``(rows, columns the pattern selects)`` pairs."""
+    patterns, first, inverse = np.unique(
+        mask, axis=0, return_index=True, return_inverse=True
+    )
+    inverse = inverse.reshape(-1)  # numpy 2.0.0 gives it the ndim of the mask
+    for g in np.argsort(first):
+        yield np.flatnonzero(inverse == g), np.flatnonzero(patterns[g])
+
+
+def _support_blocks(matrix, p_x):
+    """Split the marginals ``p_x`` (rows, Kx) by input support and the
+    outputs it reaches.
+
+    Yields ``(rows, keep_x, keep_y, w, px, py)``: the rows that share both,
+    the channel block ``w`` they keep, and their kept input and output
+    marginals.  Dropped outputs are unreachable from every kept input, so
+    removing their all-zero rows leaves the columns stochastic.  ``px`` is
+    C-ordered, as one row alone is: the layout of the DTMs and bases built
+    from it decides how their products round.
+    """
+    for rows, keep_x in _groups(p_x > 0):
+        w = matrix[:, keep_x]
+        px = np.ascontiguousarray(p_x[rows][:, keep_x])
+        py_full = _matvec(w, px)
+        for sub, keep_y in _groups(py_full > 0):
+            yield rows[sub], keep_x, keep_y, w[keep_y], px[sub], py_full[sub][:, keep_y]
+
+
+def _dtm_matrix(w, px, py):
+    """``diag(p_y)^(-1/2) W diag(p_x)^(1/2)`` for each row of ``px`` / ``py``."""
+    return w * np.sqrt(px)[..., None, :] / np.sqrt(py)[..., :, None]
+
+
+def _dtm_singular_values(b, px, py):
+    """Singular values of each matrix of ``b``, once it is checked to carry
+    ``sqrt(p_x)`` to ``sqrt(p_y)`` with a top singular value of 1."""
+    resid = _matvec(b, np.sqrt(px)) - np.sqrt(py)
+    if np.max(np.abs(resid)) > _SUM_TOL:
+        raise ValueError("matrix does not carry sqrt(p_x) to sqrt(p_y)")
+    sigma = np.linalg.svd(b, compute_uv=False)
+    off = np.abs(sigma[..., 0] - 1.0) > _SIGMA_TOL
+    if np.any(off):
+        raise ValueError(f"top singular value {sigma[..., 0][off].flat[0]!r} differs from 1")
+    return sigma
 
 
 def build_dtm(channel: Channel, p_x: DiscreteDistribution) -> Dtm:
@@ -87,22 +135,13 @@ def build_dtm(channel: Channel, p_x: DiscreteDistribution) -> Dtm:
         raise ValueError(
             f"marginal has {p_x.size} symbols, channel expects {channel.n_inputs}"
         )
-    keep_x = np.flatnonzero(p_x.probs > 0)
+    ((_, keep_x, keep_y, w, px, py),) = _support_blocks(channel.matrix, p_x.probs[None])
     if keep_x.size < 2:
         raise ValueError("need at least two input symbols of positive probability")
-    w = channel.matrix[:, keep_x]
-    px = p_x.probs[keep_x]
-    py_full = w @ px
-    keep_y = np.flatnonzero(py_full > 0)
-    # Dropped outputs are unreachable from every kept input, so removing
-    # their all-zero rows leaves the columns stochastic.
-    w = w[keep_y]
-    py = py_full[keep_y]
-    b = w * np.sqrt(px)[None, :] / np.sqrt(py)[:, None]
     return Dtm(
-        matrix=b,
-        p_x=DiscreteDistribution(px),
-        p_y=DiscreteDistribution(py),
+        matrix=_dtm_matrix(w, px[0], py[0]),
+        p_x=DiscreteDistribution(px[0]),
+        p_y=DiscreteDistribution(py[0]),
         input_symbols=keep_x,
         output_symbols=keep_y,
         input_alphabet=channel.n_inputs,
@@ -137,35 +176,50 @@ class CouplingSolution:
         object.__setattr__(self, "psi_y", py)
         if s.ndim != 1 or np.any(np.diff(s) > _SIGMA_TOL) or np.any(s < -_SIGMA_TOL):
             raise ValueError("singular values must be nonnegative and descending")
-        if abs(np.linalg.norm(px) - 1.0) > _UNIT_TOL:
-            raise ValueError("psi_x must be a unit vector")
-        if abs(np.linalg.norm(py) - self.second_singular_value) > _SIGMA_TOL:
-            raise ValueError("psi_y norm must equal the attained singular value")
-        if _leading_sign(px) < 0:
-            raise ValueError("sign convention: leading non-zero entry of psi_x > 0")
+        _check_direction(px, py, self.second_singular_value)
 
 
-def _leading_sign(v: np.ndarray) -> float:
-    """Sign of the first entry of ``v`` above ``_SIGN_TOL`` in magnitude
-    (+1 when there is none); directions are normalised to a positive one."""
-    lead = v[np.abs(v) > _SIGN_TOL]
-    return -1.0 if lead.size and lead[0] < 0 else 1.0
+def _check_direction(psi_x, psi_y, sigma2) -> None:
+    """Each ``psi_x`` is a unit vector with a positive leading entry, and its
+    image ``psi_y`` has norm ``sigma2``."""
+    if np.any(np.abs(np.linalg.norm(psi_x, axis=-1) - 1.0) > _UNIT_TOL):
+        raise ValueError("psi_x must be a unit vector")
+    if np.any(np.abs(np.linalg.norm(psi_y, axis=-1) - sigma2) > _SIGMA_TOL):
+        raise ValueError("psi_y norm must equal the attained singular value")
+    if np.any(_leading_sign(psi_x) < 0):
+        raise ValueError("sign convention: leading non-zero entry of psi_x > 0")
 
 
-def _complement_svd(dtm: Dtm):
-    """``(basis, s, vt)``: columns of ``basis`` span the complement of
-    ``v = sqrt(p_x)``, and ``s``, ``vt`` come from the SVD of ``B @ basis``.
+def _leading_sign(v: np.ndarray) -> np.ndarray:
+    """Sign of the first entry of each row of ``v`` above ``_SIGN_TOL`` in
+    magnitude (+1 where there is none), shaped to multiply ``v``; directions
+    are normalised to a positive one."""
+    lead = np.abs(v) > _SIGN_TOL
+    first = np.take_along_axis(v, lead.argmax(axis=-1)[..., None], axis=-1)
+    return np.where(lead.any(axis=-1, keepdims=True) & (first < 0), -1.0, 1.0)
+
+
+def _complement_svd(b, px):
+    """``(basis, s, vt)`` for each DTM ``b`` with input marginal ``px``:
+    columns of ``basis`` span the complement of ``v = sqrt(p_x)``, and ``s``,
+    ``vt`` come from the SVD of ``B @ basis``.
 
     Householder construction: the reflector sending ``v`` to ``-e_0`` has
     its remaining columns orthonormal and orthogonal to ``v``; stable here
     because ``v`` (a square-rooted pmf) has a positive first entry.
     """
-    u = np.sqrt(dtm.p_x.probs)
-    u[0] += 1.0
-    u /= np.linalg.norm(u)
-    basis = (np.eye(u.size) - 2.0 * np.outer(u, u))[:, 1:]
-    _, s, vt = np.linalg.svd(dtm.matrix @ basis)
+    u = np.sqrt(px)
+    u[..., 0] += 1.0
+    u /= np.sqrt(_matvec(u[..., None, :], u))  # one dot per row, as np.linalg.norm
+    basis = (np.eye(u.shape[-1]) - 2.0 * (u[..., :, None] * u[..., None, :]))[..., 1:]
+    _, s, vt = np.linalg.svd(b @ basis)
     return basis, s, vt
+
+
+def _direction(basis, vt):
+    """The sign-normalised top direction ``basis @ vt[0]`` of each complement SVD."""
+    psi = _matvec(basis, vt[..., 0, :])
+    return _leading_sign(psi) * psi
 
 
 def solve_coupling(dtm: Dtm) -> CouplingSolution:
@@ -177,16 +231,15 @@ def solve_coupling(dtm: Dtm) -> CouplingSolution:
     valid probability perturbation.  The sign is fixed by making the first
     non-negligible entry of ``psi_x`` positive.
     """
-    basis, s, vt = _complement_svd(dtm)
+    basis, s, vt = _complement_svd(dtm.matrix, dtm.p_x.probs)
     sigma2 = float(s[0])
-    psi_x = basis @ vt[0]
-    psi_x = _leading_sign(psi_x) * psi_x
+    psi_x = _direction(basis, vt)
     degenerate = int(np.sum(np.abs(dtm.singular_values - sigma2) < _SIGMA_TOL)) > 1
     return CouplingSolution(
         singular_values=dtm.singular_values,
         second_singular_value=sigma2,
         psi_x=psi_x,
-        psi_y=dtm.matrix @ psi_x,
+        psi_y=_matvec(dtm.matrix, psi_x),
         degenerate_subspace=degenerate,
     )
 
@@ -201,7 +254,7 @@ def optimal_directions(dtm: Dtm, solution: CouplingSolution) -> np.ndarray:
     equally valid ``psi_x``, and callers may break the tie with outside
     information).
     """
-    basis, s, vt = _complement_svd(dtm)
+    basis, s, vt = _complement_svd(dtm.matrix, dtm.p_x.probs)
     tied = np.abs(s - solution.second_singular_value) < _SIGMA_TOL
     return basis @ vt[tied].T
 
@@ -223,7 +276,7 @@ def replace_direction(solution: CouplingSolution, dtm: Dtm, psi_x) -> CouplingSo
         singular_values=solution.singular_values,
         second_singular_value=solution.second_singular_value,
         psi_x=psi,
-        psi_y=dtm.matrix @ psi,
+        psi_y=_matvec(dtm.matrix, psi),
         degenerate_subspace=solution.degenerate_subspace,
     )
 
@@ -299,6 +352,17 @@ class ScoreTable:
             raise ValueError("dropped symbols outside the alphabet")
 
 
+def _scores(psi_y, py):
+    """Scores ``psi_y / sqrt(p_y)`` of each row, checked to be mean-zero
+    under ``p_y`` and finite."""
+    scores = psi_y / np.sqrt(py)
+    if np.any(np.abs(np.sum(py * scores, axis=-1)) > 1e-9):
+        raise ValueError("scores are not mean-zero under the output marginal")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
+    return scores
+
+
 def score_table(solution: CouplingSolution, dtm: Dtm) -> ScoreTable:
     """Per-symbol scores ``f(y) = psi_y(y) / sqrt(p_y(y))``.
 
@@ -309,12 +373,23 @@ def score_table(solution: CouplingSolution, dtm: Dtm) -> ScoreTable:
     if solution.psi_y.size != dtm.p_y.size:
         raise ValueError("solution does not belong to this Dtm")
     scores = np.zeros(dtm.output_alphabet)
-    scores[dtm.output_symbols] = solution.psi_y / np.sqrt(dtm.p_y.probs)
-    mean = float(dtm.p_y.probs @ scores[dtm.output_symbols])
-    if abs(mean) > 1e-9:
-        raise ValueError("scores are not mean-zero under the output marginal")
+    scores[dtm.output_symbols] = _scores(solution.psi_y, dtm.p_y.probs)
     dropped = np.setdiff1d(np.arange(dtm.output_alphabet), dtm.output_symbols)
     return ScoreTable(scores=scores, dropped_outputs=dropped)
+
+
+def _coupling_scores(w, px, py):
+    """Score rows for a stack of DTMs sharing the channel block ``w``: the
+    formulas and contract checks of ``build_dtm``, ``solve_coupling`` and
+    ``score_table``, one stacked call each, for the kept marginals ``px``
+    (m, Kx) and ``py`` (m, Ky)."""
+    b = _dtm_matrix(w, px, py)
+    _dtm_singular_values(b, px, py)
+    basis, s, vt = _complement_svd(b, px)
+    psi_x = _direction(basis, vt)
+    psi_y = _matvec(b, psi_x)
+    _check_direction(psi_x, psi_y, s[..., 0])
+    return _scores(psi_y, py)
 
 
 def sequence_score(table: ScoreTable, symbols) -> float:

@@ -18,6 +18,8 @@ import csv
 import datetime as _dt
 import math
 import os
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice
 from operator import itemgetter
@@ -75,6 +77,21 @@ def format_timestamp(ts: int, iso: bool) -> str:
 
 
 _CHUNK_ROWS = 1024  # CSV rows converted per bulk step; bounds what is held at once
+
+
+@contextmanager
+def _reading(path):
+    """Open ``path`` as UTF-8 CSV text.  Undecodable bytes and csv-level
+    failures (such as a cell over ``csv.field_size_limit()``) become a
+    FileFormatError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise FileFormatError(f"{path}: not UTF-8 text (byte 0x{byte:02x})") from None
+    except csv.Error as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 def _parse_times(cells: list, iso: Optional[bool]):
@@ -151,7 +168,7 @@ def load_csv(path, time_column: str = "date", value_column: str = "value") -> Ti
     the line to report.
     """
     name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _reading(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -382,17 +399,20 @@ def apply_channel_to_dataset(dataset: ImageDataset, channel: Channel, seed: int)
         )
     rng = np.random.default_rng(seed)
     # Inverse-CDF sampling per pixel: column cum[x] is the output CDF for
-    # input symbol x, and u in [0, 1) picks the first level above u.  Levels
-    # at a column's total are set to inf: a total rounded below 1 may be <= u.
+    # input symbol x, and u in [0, 1) picks the first level above u, i.e.
+    # counts the levels at or below u.  Levels at a column's total are set to
+    # inf: a total rounded below 1 may be <= u.  The last level is always inf.
     cum = np.cumsum(channel.matrix, axis=0).T  # (Kx, Ky)
     cum[cum == cum[:, -1:]] = np.inf
     u = rng.random(dataset.images.shape)
-    noisy = np.sum(cum[dataset.images] <= u[..., None], axis=-1)
+    noisy = np.zeros(u.shape, dtype=np.int64)
+    for level in cum[:, :-1].T:
+        noisy += level[dataset.images] <= u
     return ImageDataset(
         dataset.width,
         dataset.height,
         channel.n_outputs,
-        noisy.astype(np.int64),
+        noisy,
         None if dataset.labels is None else dataset.labels.copy(),
     )
 
@@ -407,52 +427,24 @@ def load_images_csv(
 
     When the geometry is unknown the images are treated as 1 x n_pixels
     strips; the alphabet defaults to the largest pixel value + 1 (but at
-    least 2 symbols).
+    least 2 symbols).  A file of plain integer rows is parsed by numpy in
+    one call; any other file (blank labels, blank or quoted cells, errors)
+    is read a row at a time, which also finds the line to report.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with _reading(path) as fh:
+        n_pixels = _images_header(path, csv.reader(fh))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FileFormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if not header or header[0] != "label" or len(header) < 2:
-            raise FileFormatError(
-                f"{path}: expected header 'label,p0,...'; got {header!r}"
-            )
-        n_pixels = len(header) - 1
-        rows = []
-        labels: list[int] = []
-        blank_labels = 0
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != n_pixels + 1:
-                raise FileFormatError(
-                    f"{path}: line {line_no}: expected {n_pixels + 1} cells, "
-                    f"got {len(row)}"
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                body = np.loadtxt(
+                    _plain_lines(fh), delimiter=",", comments=None, dtype=np.int64, ndmin=2
                 )
-            cell = row[0].strip()
-            if cell:
-                try:
-                    labels.append(int(cell))
-                except ValueError:
-                    raise FileFormatError(
-                        f"{path}: line {line_no}: bad label {row[0]!r}"
-                    ) from None
-            else:
-                blank_labels += 1
-            try:
-                rows.append([int(c) for c in row[1:]])
-            except ValueError:
-                raise FileFormatError(
-                    f"{path}: line {line_no}: non-integer pixel value"
-                ) from None
-    if not rows:
-        raise FileFormatError(f"{path}: no data rows")
-    if blank_labels and labels:
-        raise FileFormatError(f"{path}: mix of labeled and unlabeled rows")
-    images = np.asarray(rows, dtype=np.int64)
+        except ValueError:
+            body = np.empty((0, 0), dtype=np.int64)
+    if body.shape[0] and body.shape[1] == n_pixels + 1:
+        labels, images = body[:, 0].copy(), np.ascontiguousarray(body[:, 1:])
+    else:
+        labels, images = _read_image_rows(path)
     if width is None or height is None:
         width, height = n_pixels, 1
     if width * height != n_pixels:
@@ -461,13 +453,83 @@ def load_images_csv(
         )
     if alphabet_size is None:
         alphabet_size = max(2, int(images.max()) + 1) if images.size else 2
-    return ImageDataset(
-        width,
-        height,
-        alphabet_size,
-        images,
-        np.asarray(labels, dtype=np.int64) if labels else None,
-    )
+    return ImageDataset(width, height, alphabet_size, images, labels)
+
+
+# numpy's integer parser reads some cells that int() rejects: it takes
+# U+001C..U+001F for spaces, and some non-ASCII letters for digits.
+_NOT_INT_SPACES = "\x1c\x1d\x1e\x1f"
+
+
+def _plain_lines(fh):
+    """The lines of ``fh``, raising ValueError at the first one that numpy's
+    parser might read differently from ``int``, or that may hold a cell the
+    csv reader refuses as too long."""
+    limit = csv.field_size_limit()
+    for line in fh:
+        if (
+            not line.isascii()
+            or any(c in line for c in _NOT_INT_SPACES)
+            or len(line) > limit and max(map(len, line.split(","))) > limit
+        ):
+            raise ValueError("line for the row reader")
+        yield line
+
+
+def _images_header(path, reader) -> int:
+    """Pixel count declared by the ``label,p0,...`` header row of ``reader``."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FileFormatError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    if not header or header[0] != "label" or len(header) < 2:
+        raise FileFormatError(f"{path}: expected header 'label,p0,...'; got {header!r}")
+    return len(header) - 1
+
+
+def _read_image_rows(path):
+    """``(labels or None, images)`` of an image file, read a row at a time;
+    raises FileFormatError naming the line of the first bad row."""
+    with _reading(path) as fh:
+        reader = csv.reader(fh)
+        n_pixels = _images_header(path, reader)
+        rows = []
+        labels: list[int] = []
+        blank_labels = 0
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            where = f"{path}: line {line_no}"
+            if len(row) != n_pixels + 1:
+                raise FileFormatError(
+                    f"{where}: expected {n_pixels + 1} cells, got {len(row)}"
+                )
+            cell = row[0].strip()
+            if cell:
+                try:
+                    label = int(cell)
+                except ValueError:
+                    raise FileFormatError(f"{where}: bad label {row[0]!r}") from None
+                if not -(2**63) <= label < 2**63:
+                    raise FileFormatError(f"{where}: label {row[0]!r} outside the 64-bit range")
+                labels.append(label)
+            else:
+                blank_labels += 1
+            try:
+                values = [int(c) for c in row[1:]]
+            except ValueError:
+                raise FileFormatError(f"{where}: non-integer pixel value") from None
+            if min(values) < -(2**63) or max(values) >= 2**63:
+                bad = next(c for c, v in zip(row[1:], values) if not -(2**63) <= v < 2**63)
+                raise FileFormatError(f"{where}: pixel value {bad!r} outside the 64-bit range")
+            rows.append(values)
+    if not rows:
+        raise FileFormatError(f"{path}: no data rows")
+    if blank_labels and labels:
+        raise FileFormatError(f"{path}: mix of labeled and unlabeled rows")
+    labels = np.asarray(labels, dtype=np.int64) if labels else None
+    return labels, np.asarray(rows, dtype=np.int64)
 
 
 def save_images_csv(dataset: ImageDataset, path) -> None:

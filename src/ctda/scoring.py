@@ -20,6 +20,8 @@ import numpy as np
 
 from .coupling import (
     ScoreTable,
+    _coupling_scores,
+    _support_blocks,
     build_dtm,
     optimal_directions,
     replace_direction,
@@ -31,6 +33,7 @@ from .dataio import ImageDataset, apply_channel_to_dataset, gen_two_class_images
 from .stats import (
     Channel,
     DiscreteDistribution,
+    _smoothed,
     empirical_distribution,
     parametric_channel,
     smoothed_distribution,
@@ -86,12 +89,17 @@ def recover_source_input(
     smaller negatives (sampling noise) are clipped and the result
     renormalized.
     """
+    return DiscreteDistribution(_recover(p_y.probs, channel, tol))
+
+
+def _recover(p_y: np.ndarray, channel: Channel, tol: float) -> np.ndarray:
+    """``recover_source_input`` for each row of ``p_y`` (..., Ky)."""
     if channel.n_inputs != channel.n_outputs:
         raise ValueError("source recovery needs a square channel")
-    if p_y.size != channel.n_outputs:
+    if p_y.shape[-1] != channel.n_outputs:
         raise ValueError("marginal does not match the channel's output alphabet")
     try:
-        raw = np.linalg.solve(channel.matrix, p_y.probs)
+        raw = np.linalg.solve(channel.matrix, p_y[..., None])[..., 0]
     except np.linalg.LinAlgError:
         raise ValueError("channel is not invertible") from None
     if np.any(raw < -tol):
@@ -100,7 +108,7 @@ def recover_source_input(
             f"{float(raw.min())!r} below -{tol}"
         )
     clipped = np.maximum(raw, 0.0)
-    return DiscreteDistribution(clipped / clipped.sum())
+    return clipped / clipped.sum(axis=-1, keepdims=True)
 
 
 def build_image_scorer(pixels, channel: Channel, smooth: bool = False) -> ScoreTable:
@@ -143,15 +151,11 @@ def _max_variance_direction(solution, dtm, pixels, alphabet):
     subspace = optimal_directions(dtm, solution)
     if subspace.shape[1] < 2:
         return solution
-    n = pixels.shape[0]
-    # One bincount over every image: image i's symbols land in bins i*K .. i*K+K-1.
-    offset = pixels + alphabet * np.arange(n)[:, None]
-    counts = np.bincount(offset.ravel(), minlength=n * alphabet)
-    counts = counts.reshape(n, alphabet).astype(float)
+    counts = _symbol_counts(pixels, alphabet).astype(float)
     r = counts[:, dtm.output_symbols] / np.sqrt(dtm.p_y.probs)
     r -= r.mean(axis=0)
     image = dtm.matrix @ subspace  # (Ky, k): output images of the tied basis
-    form = image.T @ ((r.T @ r) / n) @ image
+    form = image.T @ ((r.T @ r) / pixels.shape[0]) @ image
     eigvals, eigvecs = np.linalg.eigh(form)
     return replace_direction(solution, dtm, subspace @ eigvecs[:, -1])
 
@@ -164,6 +168,14 @@ def score_dataset(dataset: ImageDataset, table: ScoreTable) -> list:
     return _scored_items(table.scores[dataset.images].sum(axis=1), dataset.labels)
 
 
+def _symbol_counts(rows: np.ndarray, alphabet: int) -> np.ndarray:
+    """``(len(rows), alphabet)`` counts of each row's symbols, from one
+    bincount: row i's symbols land in bins i*K .. i*K+K-1."""
+    n = rows.shape[0]
+    offset = rows + alphabet * np.arange(n)[:, None]
+    return np.bincount(offset.ravel(), minlength=n * alphabet).reshape(n, alphabet)
+
+
 def score_dataset_per_pixel(
     dataset: ImageDataset, channel: Channel, smooth: bool = True
 ) -> list:
@@ -172,21 +184,31 @@ def score_dataset_per_pixel(
     Useful when pixel statistics vary across the image.  Per-pixel sample
     sizes are small, so marginals are smoothed by default and inversion
     negativity is clipped rather than rejected; a pixel whose recovered
-    source has fewer than two live symbols contributes nothing.
+    source has fewer than two live symbols contributes nothing.  All pixels
+    are solved in one stacked pass per support pattern.
     """
-    n, n_pix = dataset.images.shape
+    images = dataset.images
+    n, n_pix = images.shape
     if n == 0:
         raise ValueError("empty dataset")
-    estimator = smoothed_distribution if smooth else empirical_distribution
-    per_pixel = np.zeros((n_pix, channel.n_outputs))
-    for j in range(n_pix):
-        p_y = estimator(dataset.images[:, j], channel.n_outputs)
-        p_x = recover_source_input(p_y, channel, tol=np.inf)
-        if (p_x.probs > 0).sum() < 2:
-            continue  # constant pixel: no direction to detect
-        dtm = build_dtm(channel, p_x)
-        per_pixel[j] = score_table(solve_coupling(dtm), dtm).scores
-    totals = per_pixel[np.arange(n_pix)[None, :], dataset.images].sum(axis=1)
+    k = channel.n_outputs
+    # Pixels are checked in order: the first one holding a symbol outside the
+    # channel's outputs fails after every earlier pixel has been solved.
+    outside = np.flatnonzero((images >= k).any(axis=0))
+    stop = int(outside[0]) if outside.size else n_pix
+    tables = np.zeros((n_pix, k))
+    if stop:
+        p_y = _symbol_counts(images[:, :stop].T, k) / n
+        if smooth:
+            p_y = _smoothed(p_y, n)
+        p_x = _recover(p_y, channel, tol=np.inf)
+        for rows, keep_x, keep_y, w, px, py in _support_blocks(channel.matrix, p_x):
+            if keep_x.size >= 2:  # else a constant pixel: no direction to detect
+                tables[np.ix_(rows, keep_y)] = _coupling_scores(w, px, py)
+    if outside.size:
+        column = images[:, stop]
+        raise ValueError(f"symbol {int(column[column >= k][0])} outside alphabet of size {k}")
+    totals = tables[np.arange(n_pix)[None, :], images].sum(axis=1)
     return _scored_items(totals, dataset.labels)
 
 

@@ -162,10 +162,15 @@ def smoothed_distribution(samples, alphabet_size: int) -> DiscreteDistribution:
     if s.size == 0:
         raise ValueError("cannot estimate a distribution from no samples")
     base = empirical_distribution(s, alphabet_size)
-    n, k = s.size, alphabet_size
+    return DiscreteDistribution(_smoothed(base.probs, s.size))
+
+
+def _smoothed(freqs, n: int):
+    """Add ``1/(n*K)`` to each count behind the frequencies ``freqs`` (..., K)
+    of ``n`` samples, and renormalise."""
+    k = freqs.shape[-1]
     alpha = 1.0 / (n * k)
-    probs = (base.probs * n + alpha) / (n + k * alpha)
-    return DiscreteDistribution(probs)
+    return (freqs * n + alpha) / (n + k * alpha)
 
 
 def channel_output(channel: Channel, dist: DiscreteDistribution) -> DiscreteDistribution:

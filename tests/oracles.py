@@ -258,3 +258,111 @@ def load_csv_loop(path, time_column: str = "date", value_column: str = "value"):
     if out_of_order is not None:
         raise ValueError(f"{path}: line {out_of_order}: timestamps not strictly increasing")
     return times, values, iso
+
+
+def load_images_csv_loop(path):
+    """Read a ``label,p0,p1,...`` image file one row at a time.
+
+    Returns ``(labels, images)`` as lists (``labels`` is None when every
+    label cell is blank), or raises ValueError with the message the loader
+    gives.  Blank, whitespace-only and comma-only records are skipped; lines
+    count csv records; labels and pixels must fit in 64 bits.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        if not header or header[0] != "label" or len(header) < 2:
+            raise ValueError(f"{path}: expected header 'label,p0,...'; got {header!r}")
+        width = len(header)
+        labels, images, blank = [], [], 0
+        for line_no, row in enumerate(reader, start=2):
+            if all(not cell.strip() for cell in row):
+                continue
+            where = f"{path}: line {line_no}"
+            if len(row) != width:
+                raise ValueError(f"{where}: expected {width} cells, got {len(row)}")
+            if row[0].strip():
+                try:
+                    label = int(row[0].strip())
+                except ValueError:
+                    raise ValueError(f"{where}: bad label {row[0]!r}") from None
+                if not -(2**63) <= label < 2**63:
+                    raise ValueError(f"{where}: label {row[0]!r} outside the 64-bit range")
+                labels.append(label)
+            else:
+                blank += 1
+            pixels = []
+            for cell in row[1:]:
+                try:
+                    pixels.append(int(cell))
+                except ValueError:
+                    raise ValueError(f"{where}: non-integer pixel value") from None
+            for cell, value in zip(row[1:], pixels):
+                if not -(2**63) <= value < 2**63:
+                    raise ValueError(f"{where}: pixel value {cell!r} outside the 64-bit range")
+            images.append(pixels)
+    if not images:
+        raise ValueError(f"{path}: no data rows")
+    if blank and labels:
+        raise ValueError(f"{path}: mix of labeled and unlabeled rows")
+    return (labels or None), images
+
+
+def per_pixel_scores_loop(images, channel_matrix, smooth: bool):
+    """Per-image score totals with one score table per pixel, one pixel at a
+    time, from the textbook formulas.
+
+    For pixel j: its (optionally add-1/(nK)-smoothed) output marginal, the
+    source recovered by solving against the square channel with negatives
+    clipped, the DTM over the live symbols, the top direction orthogonal to
+    sqrt(p_x) from a Householder complement and an SVD, signed so its first
+    entry above 1e-9 is positive, and scores psi_y / sqrt(p_y).  A pixel
+    with fewer than two live source symbols scores 0.
+    """
+    images = np.asarray(images)
+    w_full = np.asarray(channel_matrix, dtype=float)
+    n, n_pix = images.shape
+    k_out, k_in = w_full.shape
+    tables = np.zeros((n_pix, k_out))
+    for j in range(n_pix):
+        column = images[:, j]
+        outside = column[(column < 0) | (column >= k_out)]
+        if outside.size:
+            raise ValueError(f"symbol {int(outside[0])} outside alphabet of size {k_out}")
+        p_y = np.bincount(column, minlength=k_out) / n
+        if smooth:
+            alpha = 1.0 / (n * k_out)
+            p_y = (p_y * n + alpha) / (n + k_out * alpha)
+        if k_in != k_out:
+            raise ValueError("source recovery needs a square channel")
+        try:
+            raw = np.linalg.solve(w_full, p_y)
+        except np.linalg.LinAlgError:
+            raise ValueError("channel is not invertible") from None
+        clipped = np.maximum(raw, 0.0)
+        p_x = clipped / clipped.sum()
+        keep_x = np.flatnonzero(p_x > 0)
+        if keep_x.size < 2:
+            continue
+        w = w_full[:, keep_x]
+        px = p_x[keep_x]
+        py_full = w @ px
+        keep_y = np.flatnonzero(py_full > 0)
+        w = w[keep_y]
+        py = py_full[keep_y]
+        b = w * np.sqrt(px)[None, :] / np.sqrt(py)[:, None]
+        u = np.sqrt(px)
+        u[0] += 1.0
+        u /= np.linalg.norm(u)
+        basis = (np.eye(u.size) - 2.0 * np.outer(u, u))[:, 1:]
+        _, _, vt = np.linalg.svd(b @ basis)
+        psi_x = basis @ vt[0]
+        lead = psi_x[np.abs(psi_x) > 1e-9]
+        if lead.size and lead[0] < 0:
+            psi_x = -psi_x
+        tables[j, keep_y] = (b @ psi_x) / np.sqrt(py)
+    return tables[np.arange(n_pix)[None, :], images].sum(axis=1)

@@ -809,3 +809,48 @@ class TestSweep:
                    "--out", str(tmp_path / "curve.csv")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestBadInputFilesExit2:
+    """Malformed input files are I/O trouble: exit 2 with the file named."""
+
+    def run_on(self, command, path, tmp_path):
+        if command == "fit":
+            tgt = tmp_path / "y.csv"
+            write_series(tgt, np.arange(10.0))
+            argv = ["fit", "--input", str(path), "--target", str(tgt)]
+        else:
+            argv = ["score", "--images", str(path), "--channel-e", "0.05"]
+        return main(argv + ["--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("text, message", [
+        ("label,p0,p1\n0,1,99999999999999999999\n",
+         "line 2: pixel value '99999999999999999999' outside the 64-bit range"),
+        ("label,p0,p1\n0,1,0\n99999999999999999999,1,0\n",
+         "line 3: label '99999999999999999999' outside the 64-bit range"),
+    ], ids=["pixel", "label"])
+    def test_image_cell_beyond_int64(self, tmp_path, capsys, text, message):
+        path = tmp_path / "big.csv"
+        path.write_text(text)
+        assert self.run_on("score", path, tmp_path) == 2
+        assert f"big.csv: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text", [
+        ("fit", "date,value\n1,1.0\n2," + "2" * 140_000 + "\n"),
+        ("score", "label,p0\n0,1\n1," + "0" * 140_000 + "\n"),
+    ], ids=["fit", "score"])
+    def test_oversized_cell(self, tmp_path, capsys, command, text):
+        path = tmp_path / "wide.csv"
+        path.write_text(text)
+        assert self.run_on(command, path, tmp_path) == 2
+        assert "wide.csv: field larger than field limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text", [
+        ("fit", "date,value\n1,1.0\n2,2.0\n3,caf\xe9\n"),
+        ("score", "label,p0\n0,1\n1,caf\xe9\n"),
+    ], ids=["fit", "score"])
+    def test_latin1_file(self, tmp_path, capsys, command, text):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(text.encode("latin-1"))
+        assert self.run_on(command, path, tmp_path) == 2
+        assert "latin.csv: not UTF-8 text" in capsys.readouterr().err

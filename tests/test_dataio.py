@@ -1,5 +1,6 @@
 import datetime
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -32,7 +33,7 @@ from ctda.stats import (
     parametric_channel,
 )
 
-from oracles import load_csv_loop, naive_fir
+from oracles import load_csv_loop, load_images_csv_loop, naive_fir
 
 
 def write(tmp_path, name, text):
@@ -527,3 +528,139 @@ class TestImagesCsv:
         p = write(tmp_path, "im.csv", "label,p0,p1\n0,1\n")
         with pytest.raises(FileFormatError, match="cells"):
             load_images_csv(p)
+
+
+class TestImagesCsvInputErrors:
+    @pytest.mark.parametrize("cell", ["99999999999999999999", "-9223372036854775809"])
+    def test_pixel_beyond_int64_rejected(self, tmp_path, cell):
+        p = write(tmp_path, "im.csv", f"label,p0,p1\n0,1,0\n1,0,{cell}\n")
+        with pytest.raises(
+            FileFormatError, match=f"im.csv: line 3: pixel value '{cell}' outside the 64-bit range"
+        ):
+            load_images_csv(p, alphabet_size=2)
+
+    def test_label_beyond_int64_rejected(self, tmp_path):
+        p = write(tmp_path, "im.csv", "label,p0\n99999999999999999999,1\n")
+        with pytest.raises(
+            FileFormatError,
+            match="line 2: label '99999999999999999999' outside the 64-bit range",
+        ):
+            load_images_csv(p)
+
+    def test_int64_limits_accepted(self, tmp_path):
+        p = write(tmp_path, "im.csv", "label,p0\n-9223372036854775808,1\n9223372036854775807,0\n")
+        ds = load_images_csv(p)
+        assert ds.labels.tolist() == [-(2**63), 2**63 - 1]
+
+    @pytest.mark.parametrize("cell", ["\x1c3", "3\x1f", "\u01fe", "\u0763"])
+    def test_cells_numpy_misreads_are_rejected(self, tmp_path, cell):
+        # numpy's integer parser reads these as 3 or as garbage digits.
+        p = tmp_path / "im.csv"
+        p.write_text(f"label,p0\n0,{cell}\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match="line 2: non-integer pixel value"):
+            load_images_csv(p)
+
+    def test_oversized_cell_rejected_naming_file(self, tmp_path):
+        p = write(tmp_path, "im.csv", "label,p0\n0," + "0" * 200_000 + "\n")
+        with pytest.raises(FileFormatError, match="im.csv: field larger than field limit"):
+            load_images_csv(p)
+
+    def test_oversized_series_cell_rejected_naming_file(self, tmp_path):
+        p = write(tmp_path, "s.csv", "date,value\n1," + "1" * 200_000 + "\n")
+        with pytest.raises(FileFormatError, match="s.csv: field larger than field limit"):
+            load_csv(p)
+
+    def test_long_rows_of_short_cells_parse(self, tmp_path):
+        p = write(tmp_path, "im.csv", "label," + ",".join(f"p{i}" for i in range(70_000))
+                  + "\n1," + ",".join(["1"] * 70_000) + "\n")
+        assert load_images_csv(p).images.shape == (1, 70_000)
+
+    @pytest.mark.parametrize("loader, text", [
+        (load_images_csv, "label,p0\n0,1\n1,0 \xe9\n"),
+        (load_csv, "date,value\n1,1.0\n2,2.0 \xe9\n"),
+    ], ids=["images", "series"])
+    def test_latin1_file_rejected_naming_file(self, tmp_path, loader, text):
+        p = tmp_path / "latin.csv"
+        p.write_bytes(text.encode("latin-1"))
+        with pytest.raises(FileFormatError, match="latin.csv: not UTF-8 text"):
+            loader(p)
+
+    def test_empty_body_warns_nothing(self, tmp_path):
+        p = write(tmp_path, "im.csv", "label,p0\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FileFormatError, match="no data rows"):
+                load_images_csv(p)
+
+
+ODD_PIXEL_CELLS = [
+    "", " ", " 3", "3 ", "+3", "03", "\t3", "-0", "1_000", "\uff13", "\u0663", "\u01fe",
+    "\x1c3", "\x0b3", "3.0", "1e3", "x", '"3"', '"1,2"', "#3",
+    "99999999999999999999", "-9223372036854775809", "9223372036854775807",
+]
+ODD_IMAGE_RECORDS = ["", "   ", ",", " , ", "#", "#1,2"]
+
+
+@st.composite
+def image_texts(draw):
+    """CSV texts near the ``label,p0,...`` format, some well formed, some not;
+    in some, one cell of an otherwise plain file is odd."""
+    n_pixels = draw(st.integers(1, 4))
+    header = ",".join(["label"] + [f"p{i}" for i in range(n_pixels)])
+    if chance(draw, 5):
+        header = draw(st.sampled_from(["id,p0", "label", " label , p0 "]))
+    labeled = draw(st.booleans())
+    bad = draw(st.sampled_from([0, 0, 5, 20]))  # percent of rows with a defect
+    records = []
+    for _ in range(draw(st.integers(0, 8))):
+        if chance(draw, 15):
+            records.append([draw(st.sampled_from(ODD_IMAGE_RECORDS))])
+        label = str(draw(st.integers(-2, 3))) if labeled != chance(draw, bad // 2) else ""
+        cells = [label] + [str(draw(st.integers(0, 5))) for _ in range(n_pixels)]
+        if chance(draw, bad):
+            k = draw(st.integers(0, n_pixels))
+            cells[k] = draw(st.sampled_from(ODD_PIXEL_CELLS))
+        if chance(draw, bad):
+            cells = cells[: draw(st.integers(0, n_pixels))] if chance(draw, 50) else cells + ["1"]
+        records.append(cells)
+    if any(records) and chance(draw, 30):
+        cells = draw(st.sampled_from([cells for cells in records if cells]))
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(ODD_PIXEL_CELLS))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [header] + [",".join(cells) for cells in records]
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+class TestLoadImagesCsvMatchesLoop:
+    """The numpy-parsed reader against the row loop in ``tests/oracles.py``."""
+
+    @staticmethod
+    def assert_same(text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "im.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            try:
+                expected = load_images_csv_loop(path)
+            except ValueError as exc:
+                expected = str(exc)
+            try:
+                ds = load_images_csv(path)
+                got = (None if ds.labels is None else ds.labels.tolist(), ds.images.tolist())
+            except FileFormatError as exc:
+                got = str(exc)
+        assert got == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=image_texts())
+    def test_same_images_or_same_error(self, text):
+        self.assert_same(text)
+
+    @pytest.mark.parametrize("cell", ODD_PIXEL_CELLS)
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_one_odd_cell_in_a_plain_file(self, cell, newline):
+        rows = ["label,p0,p1", "0,1,2", f"1,{cell},0", "1,3,3"]
+        self.assert_same(newline.join(rows) + newline)
+
+    @pytest.mark.parametrize("record", ODD_IMAGE_RECORDS)
+    def test_one_odd_record_in_a_plain_file(self, record):
+        self.assert_same(f"label,p0,p1\n0,1,2\n{record}\n1,3,3\n")

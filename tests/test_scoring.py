@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from ctda.dataio import ImageDataset, apply_channel_to_dataset, gen_two_class_images
@@ -36,7 +38,7 @@ from ctda.stats import (
     uniform_distribution,
 )
 
-from oracles import naive_separation_error
+from oracles import naive_separation_error, per_pixel_scores_loop
 
 DIST_A = DiscreteDistribution([0.7, 0.1, 0.1, 0.1])
 DIST_B = DiscreteDistribution([0.1, 0.1, 0.1, 0.7])
@@ -419,3 +421,93 @@ class TestCsvOutputs:
         save_scores_csv(items, p1)
         save_scores_csv(items, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def random_square_channel(rng, k):
+    """Column-stochastic k x k matrix, some entries zero, diagonal kept live."""
+    w = rng.random((k, k)) * (rng.random((k, k)) > 0.25) + np.eye(k) * rng.random()
+    return Channel(w / w.sum(axis=0))
+
+
+@st.composite
+def per_pixel_cases(draw):
+    """A corpus and a square channel: pixels constant, uniform, or skewed
+    enough that channel inversion clips part of their support."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", 0.0, 0.05, 0.2]))
+    if kind == "random":
+        channel = random_square_channel(rng, draw(st.integers(2, 5)))
+    else:
+        channel = parametric_channel(kind)
+    k = channel.n_outputs
+    n, n_pix = draw(st.integers(1, 30)), draw(st.integers(1, 8))
+    columns = []
+    for _ in range(n_pix):
+        style = draw(st.sampled_from(["constant", "uniform", "skewed"]))
+        if style == "constant":
+            columns.append(np.full(n, rng.integers(k)))
+        elif style == "uniform":
+            columns.append(rng.integers(0, k, n))
+        else:
+            p = np.full(k, 0.02 / k)
+            p[rng.integers(k)] += 0.98
+            columns.append(rng.choice(k, n, p=p / p.sum()))
+    return ImageDataset(n_pix, 1, k, np.column_stack(columns)), channel
+
+
+class TestPerPixelMatchesLoop:
+    """The stacked per-pixel pass against the one-pixel-at-a-time loop in
+    ``tests/oracles.py``, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=per_pixel_cases(), smooth=st.booleans())
+    def test_same_totals_bit_for_bit(self, case, smooth):
+        dataset, channel = case
+        try:
+            expected = per_pixel_scores_loop(dataset.images, channel.matrix, smooth)
+        except ValueError as exc:
+            expected = str(exc)
+        try:
+            items = score_dataset_per_pixel(dataset, channel, smooth=smooth)
+            got = np.array([item.score for item in items])
+        except ValueError as exc:
+            got = str(exc)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("e", [0.0, 0.2])
+    def test_clipped_supports_and_constant_pixels(self, e):
+        # At e = 0.2 inverting the channel clips one or two source symbols of
+        # every pixel here; at e = 0 the constant pixel has one live symbol
+        # and is skipped.
+        rng = np.random.default_rng(4)
+        skewed = rng.choice(4, size=(60, 3), p=[0.97, 0.01, 0.01, 0.01])
+        images = np.hstack([skewed, np.full((60, 1), 3), rng.integers(0, 4, (60, 2))])
+        channel = parametric_channel(e)
+        ds = ImageDataset(6, 1, 4, images)
+        expected = per_pixel_scores_loop(images, channel.matrix, False)
+        got = np.array([i.score for i in score_dataset_per_pixel(ds, channel, smooth=False)])
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("channel, message", [
+        (Channel([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]]), "square"),
+        (Channel([[0.5, 0.5], [0.5, 0.5]]), "not invertible"),
+        (identity_channel(2), "symbol 3 outside alphabet of size 2"),
+    ], ids=["non-square", "singular", "outside-alphabet"])
+    def test_same_error_as_loop(self, channel, message):
+        images = np.array([[0, 1, 3], [1, 0, 2], [1, 1, 0]])
+        ds = ImageDataset(3, 1, 4, images)
+        with pytest.raises(ValueError, match=message) as got:
+            score_dataset_per_pixel(ds, channel)
+        with pytest.raises(ValueError) as expected:
+            per_pixel_scores_loop(images, channel.matrix, True)
+        assert str(got.value) == str(expected.value)
+
+    def test_outside_symbol_in_first_pixel_beats_channel_errors(self):
+        images = np.array([[3, 1], [1, 0]])
+        ds = ImageDataset(2, 1, 4, images)
+        channel = Channel([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
+        with pytest.raises(ValueError, match="symbol 3 outside alphabet of size 3"):
+            score_dataset_per_pixel(ds, channel)
