@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import datetime as _dt
-import json
 import math
 import sys
 
@@ -40,8 +38,8 @@ from .coupling import (
 )
 from .dataio import (
     ALIGN_POLICIES,
-    _CHUNK_ROWS,
-    FileFormatError,
+    _date_cells,
+    _write_csv,
     align,
     load_csv,
     load_images_csv,
@@ -69,6 +67,8 @@ from .scoring import (
 )
 from .stats import (
     DiscreteDistribution,
+    FileFormatError,
+    _read_json,
     _write_json,
     load_channel,
     load_distribution,
@@ -185,27 +185,14 @@ def _load_series_bundle(args):
 
 
 def _write_predictions_csv(path, timestamps, iso, y_true, y_hat) -> None:
-    """Write ``date,y_true,y_hat,abs_err`` rows, byte for byte as ``csv.writer``
-    would (no date or float repr needs quoting), a block of rows per call."""
-    abs_err = np.abs(y_true - y_hat)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("date,y_true,y_hat,abs_err\r\n")
-        for lo in range(0, len(timestamps), _CHUNK_ROWS):
-            rows = slice(lo, lo + _CHUNK_ROWS)
-            stamps = timestamps[rows].tolist()
-            if iso:
-                dates = map(_dt.date.isoformat, map(_dt.date.fromordinal, stamps))
-            else:
-                dates = map(str, stamps)
-            columns = zip(
-                dates, y_true[rows].tolist(), y_hat[rows].tolist(), abs_err[rows].tolist()
-            )
-            fh.writelines(f"{d},{a!r},{b!r},{c!r}\r\n" for d, a, b, c in columns)
+    """Write ``date,y_true,y_hat,abs_err`` rows."""
+    _write_csv(
+        path, ["date", "y_true", "y_hat", "abs_err"],
+        _date_cells(timestamps, iso), y_true, y_hat, np.abs(y_true - y_hat),
+    )
 
 
 def _load_channel_arg(args):
-    if (args.channel is None) == (args.channel_e is None):
-        raise ValueError("give exactly one of --channel or --channel-e")
     if args.channel is not None:
         return load_channel(args.channel)
     return parametric_channel(args.channel_e)
@@ -243,12 +230,11 @@ def _initial_alphas(mode, models, est, y_eval):
 
 
 def cmd_infer(args) -> None:
-    with open(args.models, "r", encoding="utf-8") as fh:
-        stored = json.load(fh)
-    try:
-        bank = {c["name"]: model_from_dict(c["model"]) for c in stored["channels"]}
-    except (KeyError, TypeError) as exc:
-        raise FileFormatError(f"{args.models}: malformed model file ({exc})") from exc
+    bank = _read_json(
+        args.models,
+        lambda obj: {c["name"]: model_from_dict(c["model"]) for c in obj["channels"]},
+        "model file",
+    )
 
     names, timestamps, xs, y, iso = _load_series_bundle(args)
     missing = [n for n in bank if n not in names]

@@ -16,22 +16,19 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import io
 import math
 import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice
+from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .stats import Channel, DiscreteDistribution
-
-
-class FileFormatError(ValueError):
-    """A data file exists but cannot be parsed as its declared format."""
+from .stats import Channel, DiscreteDistribution, FileFormatError
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,13 +67,37 @@ class TimeSeries:
         return int(self.timestamps.size)
 
 
-def format_timestamp(ts: int, iso: bool) -> str:
-    if iso:
-        return _dt.date.fromordinal(int(ts)).isoformat()
-    return str(int(ts))
-
-
 _CHUNK_ROWS = 1024  # CSV rows converted per bulk step; bounds what is held at once
+
+
+def _blocks(column):
+    """``column`` as lists of at most ``_CHUNK_ROWS`` Python scalars."""
+    if isinstance(column, np.ndarray):
+        for lo in range(0, len(column), _CHUNK_ROWS):
+            yield column[lo : lo + _CHUNK_ROWS].tolist()
+    else:
+        cells = iter(column)
+        while block := list(islice(cells, _CHUNK_ROWS)):
+            yield block
+
+
+def _date_cells(timestamps: np.ndarray, iso: bool):
+    """Date cells of ``timestamps``: the integers, or lazily their ISO dates."""
+    if not iso:
+        return timestamps
+    ordinals = chain.from_iterable(_blocks(timestamps))
+    return map(_dt.date.isoformat, map(_dt.date.fromordinal, ordinals))
+
+
+def _write_csv(path, header: Sequence[str], *columns) -> None:
+    """Write ``header`` and a row per position of ``columns`` as ``csv.writer``
+    would.  No body cell needs quoting (numbers, dates, blank labels) and ``str``
+    of a float is its ``repr``, so body rows come from one template."""
+    template = ",".join(["%s"] * len(header)) + "\r\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for block in zip(*map(_blocks, columns)):
+            fh.writelines(map(template.__mod__, zip(*block)))
 
 
 @contextmanager
@@ -212,11 +233,8 @@ def load_csv(path, time_column: str = "date", value_column: str = "value") -> Ti
 
 
 def save_csv(series: TimeSeries, path, time_column="date", value_column="value") -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([time_column, value_column])
-        for ts, val in zip(series.timestamps, series.values):
-            writer.writerow([format_timestamp(ts, series.iso_dates), repr(float(val))])
+    dates = _date_cells(series.timestamps, series.iso_dates)
+    _write_csv(path, [time_column, value_column], dates, series.values)
 
 
 ALIGN_POLICIES = ("inner", "forward_fill")
@@ -432,6 +450,8 @@ def load_images_csv(
     is read a row at a time, which also finds the line to report.
     """
     with _reading(path) as fh:
+        if not fh.seekable():  # a pipe: keep its text for the row reader
+            fh = io.StringIO(fh.read(), newline="")
         n_pixels = _images_header(path, csv.reader(fh))
         try:
             with warnings.catch_warnings():
@@ -441,10 +461,11 @@ def load_images_csv(
                 )
         except ValueError:
             body = np.empty((0, 0), dtype=np.int64)
-    if body.shape[0] and body.shape[1] == n_pixels + 1:
-        labels, images = body[:, 0].copy(), np.ascontiguousarray(body[:, 1:])
-    else:
-        labels, images = _read_image_rows(path)
+        if body.shape[0] and body.shape[1] == n_pixels + 1:
+            labels, images = body[:, 0].copy(), np.ascontiguousarray(body[:, 1:])
+        else:
+            fh.seek(0)
+            labels, images = _read_image_rows(path, fh)
     if width is None or height is None:
         width, height = n_pixels, 1
     if width * height != n_pixels:
@@ -488,42 +509,42 @@ def _images_header(path, reader) -> int:
     return len(header) - 1
 
 
-def _read_image_rows(path):
-    """``(labels or None, images)`` of an image file, read a row at a time;
-    raises FileFormatError naming the line of the first bad row."""
-    with _reading(path) as fh:
-        reader = csv.reader(fh)
-        n_pixels = _images_header(path, reader)
-        rows = []
-        labels: list[int] = []
-        blank_labels = 0
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            where = f"{path}: line {line_no}"
-            if len(row) != n_pixels + 1:
-                raise FileFormatError(
-                    f"{where}: expected {n_pixels + 1} cells, got {len(row)}"
-                )
-            cell = row[0].strip()
-            if cell:
-                try:
-                    label = int(cell)
-                except ValueError:
-                    raise FileFormatError(f"{where}: bad label {row[0]!r}") from None
-                if not -(2**63) <= label < 2**63:
-                    raise FileFormatError(f"{where}: label {row[0]!r} outside the 64-bit range")
-                labels.append(label)
-            else:
-                blank_labels += 1
+def _read_image_rows(path, fh):
+    """``(labels or None, images)`` of the image file ``path`` open as ``fh``,
+    read a row at a time; raises FileFormatError naming the line of the first
+    bad row."""
+    reader = csv.reader(fh)
+    n_pixels = _images_header(path, reader)
+    rows = []
+    labels: list[int] = []
+    blank_labels = 0
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        where = f"{path}: line {line_no}"
+        if len(row) != n_pixels + 1:
+            raise FileFormatError(
+                f"{where}: expected {n_pixels + 1} cells, got {len(row)}"
+            )
+        cell = row[0].strip()
+        if cell:
             try:
-                values = [int(c) for c in row[1:]]
+                label = int(cell)
             except ValueError:
-                raise FileFormatError(f"{where}: non-integer pixel value") from None
-            if min(values) < -(2**63) or max(values) >= 2**63:
-                bad = next(c for c, v in zip(row[1:], values) if not -(2**63) <= v < 2**63)
-                raise FileFormatError(f"{where}: pixel value {bad!r} outside the 64-bit range")
-            rows.append(values)
+                raise FileFormatError(f"{where}: bad label {row[0]!r}") from None
+            if not -(2**63) <= label < 2**63:
+                raise FileFormatError(f"{where}: label {row[0]!r} outside the 64-bit range")
+            labels.append(label)
+        else:
+            blank_labels += 1
+        try:
+            values = [int(c) for c in row[1:]]
+        except ValueError:
+            raise FileFormatError(f"{where}: non-integer pixel value") from None
+        if min(values) < -(2**63) or max(values) >= 2**63:
+            bad = next(c for c, v in zip(row[1:], values) if not -(2**63) <= v < 2**63)
+            raise FileFormatError(f"{where}: pixel value {bad!r} outside the 64-bit range")
+        rows.append(values)
     if not rows:
         raise FileFormatError(f"{path}: no data rows")
     if blank_labels and labels:
@@ -533,9 +554,6 @@ def _read_image_rows(path):
 
 
 def save_images_csv(dataset: ImageDataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"p{i}" for i in range(dataset.n_pixels)])
-        for i in range(dataset.n_images):
-            label = "" if dataset.labels is None else int(dataset.labels[i])
-            writer.writerow([label] + [int(v) for v in dataset.images[i]])
+    header = ["label"] + [f"p{i}" for i in range(dataset.n_pixels)]
+    labels = repeat("", dataset.n_images) if dataset.labels is None else dataset.labels
+    _write_csv(path, header, labels, *dataset.images.T)

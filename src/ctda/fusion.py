@@ -204,7 +204,9 @@ def online_alpha_update(model: FusionModel, squared_errors, window: int) -> Fusi
     ``squared_errors[m]`` holds channel ``m``'s past squared estimation
     errors, oldest first.  Only the last ``window`` entries count; if fewer
     are available they are all used (with a warning).  With no completed
-    errors at all the model is returned unchanged.
+    errors at all the model is returned unchanged.  The histories may differ
+    in length, which the ``(M, n)`` array of ``online_inverse_mse_weights``
+    cannot hold, so this keeps its own body.
     """
     if model.mode != "mrc_inverse_mse":
         raise ValueError("online weight updates require mrc_inverse_mse fusion")

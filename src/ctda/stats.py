@@ -17,6 +17,10 @@ import numpy as np
 PROB_TOL = 1e-12
 
 
+class FileFormatError(ValueError):
+    """A data file exists but cannot be parsed as its declared format."""
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
     """Probability mass function over the symbols ``0 .. K-1``.
@@ -267,9 +271,18 @@ def distribution_from_dict(obj: dict) -> DiscreteDistribution:
     return DiscreteDistribution(probs)
 
 
-def load_channel(path) -> Channel:
+def _read_json(path, parse, what: str):
+    """``parse`` of the JSON object in ``path``; any failure to decode or
+    parse it is a FileFormatError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return channel_from_dict(json.load(fh))
+        try:
+            return parse(json.load(fh))
+        except Exception as exc:
+            raise FileFormatError(f"{path}: malformed {what} ({exc})") from exc
+
+
+def load_channel(path) -> Channel:
+    return _read_json(path, channel_from_dict, "channel file")
 
 
 def _write_json(path, obj) -> None:
@@ -283,8 +296,7 @@ def save_channel(channel: Channel, path) -> None:
 
 
 def load_distribution(path) -> DiscreteDistribution:
-    with open(path, "r", encoding="utf-8") as fh:
-        return distribution_from_dict(json.load(fh))
+    return _read_json(path, distribution_from_dict, "distribution file")
 
 
 def save_distribution(dist: DiscreteDistribution, path) -> None:

@@ -6,6 +6,7 @@ import argparse
 import csv
 import datetime
 import json
+import os
 import warnings
 
 import numpy as np
@@ -854,3 +855,61 @@ class TestBadInputFilesExit2:
         path.write_bytes(text.encode("latin-1"))
         assert self.run_on(command, path, tmp_path) == 2
         assert "latin.csv: not UTF-8 text" in capsys.readouterr().err
+
+    MODEL_WITHOUT_LENGTH = {"weights": [1.0], "mean_x": 0.0, "mean_y": 0.0,
+                            "training_mse": 1.0, "validation_mse": 1.0, "mode": "infer"}
+    JSON_DEFECTS = {
+        "syntax": lambda good: json.dumps(good)[:-1].encode(),
+        "latin1": lambda good: json.dumps({**good, "note": "caf\xe9"},
+                                          ensure_ascii=False).encode("latin-1"),
+    }
+
+    @pytest.mark.parametrize("defect", ["syntax", "latin1", "missing-key"])
+    @pytest.mark.parametrize("flag", ["--models", "--channel", "--source"])
+    def test_malformed_json_file(self, tmp_path, capsys, flag, defect):
+        tgt, x = tmp_path / "y.csv", tmp_path / "x.csv"
+        write_series(tgt, np.arange(10.0))
+        write_series(x, np.arange(10.0) ** 2)
+        good, missing = {
+            "--models": ({"channels": []}, {"channels": [
+                {"name": "x", "model": self.MODEL_WITHOUT_LENGTH}]}),
+            "--channel": ({"outputs": 2, "inputs": 2, "matrix": [[1, 0], [0, 1]]},
+                          {"outputs": 2, "inputs": 2}),
+            "--source": ({"probs": [0.25] * 4}, {"prob": [0.25] * 4}),
+        }[flag]
+        path = tmp_path / "bad.json"
+        if defect == "missing-key":
+            path.write_text(json.dumps(missing))
+        else:
+            path.write_bytes(self.JSON_DEFECTS[defect](good))
+        argv = {
+            "--models": ["infer", "--models", str(path), "--input", str(x),
+                         "--target", str(tgt)],
+            "--channel": ["couple", "--channel", str(path)],
+            "--source": ["couple", "--channel-e", "0.1", "--source", str(path)],
+        }[flag]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        what = {"--models": "model", "--channel": "channel", "--source": "distribution"}
+        assert f"bad.json: malformed {what[flag]} file" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+class TestPipedInput:
+    def test_unlabeled_images_from_a_pipe(self, tmp_path, capsys):
+        clean = gen_two_class_images(3, 20, 4, 4, DIST_A, DIST_B)
+        noisy = apply_channel_to_dataset(clean, parametric_channel(0.05), seed=4)
+        on_disk = tmp_path / "unlabeled.csv"
+        save_images_csv(ImageDataset(4, 4, 4, noisy.images), on_disk)
+        flags = ["--channel-e", "0.05", "--mode", "per_pixel"]
+        assert main(["score", "--images", str(on_disk), *flags,
+                     "--out", str(tmp_path / "disk.csv")]) == 0
+        read_fd, write_fd = os.pipe()
+        try:
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(on_disk.read_bytes())  # well under a pipe buffer
+            rc = main(["score", "--images", f"/dev/fd/{read_fd}", *flags,
+                       "--out", str(tmp_path / "pipe.csv")])
+        finally:
+            os.close(read_fd)
+        assert rc == 0, capsys.readouterr().err
+        assert (tmp_path / "pipe.csv").read_bytes() == (tmp_path / "disk.csv").read_bytes()

@@ -1,6 +1,9 @@
+import csv
 import datetime
+import os
 import tempfile
 import warnings
+from itertools import repeat
 from pathlib import Path
 from unittest import mock
 
@@ -24,6 +27,7 @@ from ctda.dataio import (
     save_images_csv,
     split,
 )
+from ctda.scoring import CurvePoint, ScoredItem, save_curve_csv, save_scores_csv
 from ctda.stats import (
     Channel,
     DiscreteDistribution,
@@ -664,3 +668,172 @@ class TestLoadImagesCsvMatchesLoop:
     @pytest.mark.parametrize("record", ODD_IMAGE_RECORDS)
     def test_one_odd_record_in_a_plain_file(self, record):
         self.assert_same(f"label,p0,p1\n0,1,2\n{record}\n1,3,3\n")
+
+
+def piped(text):
+    """``text`` written into a fresh pipe and closed; returns the ``/dev/fd/N``
+    path of the read end and that descriptor, which the caller closes."""
+    data = text.encode("utf-8")
+    assert len(data) < 60_000, "must fit the pipe buffer, or the write blocks"
+    read_fd, write_fd = os.pipe()
+    with os.fdopen(write_fd, "wb") as fh:
+        fh.write(data)
+    return f"/dev/fd/{read_fd}", read_fd
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+class TestPipedImages:
+    """An image file read from a pipe gives what the same file on disk gives,
+    on the numpy path and on the row reader's path."""
+
+    @staticmethod
+    def load(text, tmp_path):
+        on_disk = write(tmp_path, "im.csv", text)
+        path, fd = piped(text)
+        try:
+            results = []
+            for source in (on_disk, path):
+                try:
+                    ds = load_images_csv(source)
+                    labels = None if ds.labels is None else ds.labels.tolist()
+                    results.append((labels, ds.images.tolist()))
+                except FileFormatError as exc:
+                    results.append(str(exc).replace(str(source), "<file>"))
+        finally:
+            os.close(fd)
+        return results
+
+    @pytest.mark.parametrize("text", [
+        "label,p0,p1\n0,1,2\n1,3,0\n",  # numpy path
+        "label,p0,p1\n,1,2\n,3,0\n",  # blank labels: row reader
+        "label,p0,p1\r\n0,1,2\r\n\r\n1,3,0\r\n",
+    ], ids=["labeled", "unlabeled", "crlf-blank-line"])
+    def test_same_dataset(self, tmp_path, text):
+        from_disk, from_pipe = self.load(text, tmp_path)
+        assert not isinstance(from_pipe, str)
+        assert from_pipe == from_disk
+
+    @pytest.mark.parametrize("text, message", [
+        ("label,p0,p1\n0,1,2\n1,x,0\n", "<file>: line 3: non-integer pixel value"),
+        ("label,p0,p1\n,1,2\n,3,0,4\n", "<file>: line 3: expected 3 cells, got 4"),
+    ], ids=["bad-pixel", "cell-count"])
+    def test_same_error(self, tmp_path, text, message):
+        assert self.load(text, tmp_path) == [message, message]
+
+    def test_oversized_cell(self, tmp_path):
+        limit = csv.field_size_limit(100)  # a cell over the default fills the pipe
+        try:
+            results = self.load("label,p0\n0,1\n1," + "0" * 200 + "\n", tmp_path)
+        finally:
+            csv.field_size_limit(limit)
+        assert results == ["<file>: field larger than field limit (100)"] * 2
+
+    @pytest.mark.parametrize("cell", ODD_PIXEL_CELLS)
+    def test_odd_cell(self, tmp_path, cell):
+        from_disk, from_pipe = self.load(f"label,p0,p1\n0,1,2\n1,{cell},0\n", tmp_path)
+        assert from_pipe == from_disk
+
+
+# --- the CSV writer ------------------------------------------------------------
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e308, -1e308, 0.1,
+                  1 / 3, 2.0**53 + 2, 123456789.0, float("inf"), float("-inf")]
+INT64_EDGES = [2**63 - 1, -(2**63 - 1), -(2**63), 0, -1]
+COLUMN_KINDS = ["float", "float_list", "int", "date", "iso_date", "blank", "label"]
+
+
+def csv_writer_file(path, header, rows):
+    """The reference: ``csv.writer`` writing Python cells a row at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def writer_column(kind, n, rng):
+    """``(column as passed to _write_csv, the cells csv.writer is given)``."""
+    if kind in ("float", "float_list"):
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        special = rng.random(n) < 0.3
+        values[special] = rng.choice(SPECIAL_FLOATS, int(special.sum()))
+        cells = [float(v) for v in values]
+        return (values if kind == "float" else cells), cells
+    if kind == "blank":
+        return repeat("", n), [""] * n
+    if kind in ("int", "label"):
+        values = rng.integers(-(2**63), 2**63 - 1, n, endpoint=True)
+        edge = rng.random(n) < 0.3
+        values[edge] = rng.choice(INT64_EDGES, int(edge.sum()))
+        return values, [int(v) for v in values]
+    ordinals = rng.integers(1, datetime.date.max.toordinal(), n, endpoint=True)
+    iso = kind == "iso_date"
+    cells = [datetime.date.fromordinal(int(t)).isoformat() if iso else int(t) for t in ordinals]
+    return dataio._date_cells(ordinals, iso), cells
+
+
+class TestWriteCsv:
+    """``_write_csv`` writes the bytes ``csv.writer`` writes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=4).filter(
+            lambda kinds: kinds != ["blank"]  # csv.writer quotes a lone blank cell
+        ),
+        header_cells=st.lists(st.text(alphabet=' ,"\'ab;é\r\n', max_size=5), max_size=4),
+        n=st.sampled_from([0, 1, 2, 7, 1023, 1024, 1025]),
+        chunk=st.sampled_from([1, 3, 1024]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_match_csv_writer(self, kinds, header_cells, n, chunk, seed):
+        rng = np.random.default_rng(seed)
+        header = (header_cells + [f"c{i}" for i in range(len(kinds))])[: len(kinds)]
+        columns, cells = zip(*(writer_column(kind, n, rng) for kind in kinds))
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, reference = Path(tmp) / "ours.csv", Path(tmp) / "reference.csv"
+            with mock.patch.object(dataio, "_CHUNK_ROWS", chunk):
+                dataio._write_csv(ours, header, *columns)
+            csv_writer_file(reference, header, zip(*cells))
+            assert ours.read_bytes() == reference.read_bytes()
+
+    def test_empty_score_and_curve_files_hold_the_header(self, tmp_path):
+        save_scores_csv([], tmp_path / "scores.csv")
+        save_curve_csv([], tmp_path / "curve.csv")
+        assert (tmp_path / "scores.csv").read_bytes() == b"index,label,score\r\n"
+        assert (tmp_path / "curve.csv").read_bytes() == b"e,error_probability,n_images,seed\r\n"
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1024])
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025])
+    def test_public_writers(self, tmp_path, n, chunk):
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        values[: min(n, 4)] = [-0.0, 5e-324, 1e16, 1e308][: min(n, 4)]
+        stamps = np.cumsum(rng.integers(1, 4, n)) + datetime.date(1999, 12, 30).toordinal()
+        images = rng.integers(0, 4, (n, 3))
+        labels = rng.integers(-(2**63), 2**63 - 1, n, endpoint=True)
+        scored = [ScoredItem(i, float(v), None if i % 2 else int(labels[i]))
+                  for i, v in enumerate(values)]
+        points = [CurvePoint(float(v), abs(float(v)), i, 2**63 - 1 - i)
+                  for i, v in enumerate(values)]
+        dates = [datetime.date.fromordinal(int(t)).isoformat() for t in stamps]
+        cases = [
+            (lambda p: save_csv(TimeSeries("s", stamps, values), p, "t ,\"x\"", "v"),
+             ["t ,\"x\"", "v"], zip(stamps.tolist(), values.tolist())),
+            (lambda p: save_csv(TimeSeries("s", stamps, values, iso_dates=True), p),
+             ["date", "value"], zip(dates, values.tolist())),
+            (lambda p: save_images_csv(ImageDataset(3, 1, 4, images, labels), p),
+             ["label", "p0", "p1", "p2"], ([int(l), *r] for l, r in zip(labels, images.tolist()))),
+            (lambda p: save_images_csv(ImageDataset(1, 3, 4, images), p),
+             ["label", "p0", "p1", "p2"], (["", *r] for r in images.tolist())),
+            (lambda p: save_scores_csv(scored, p),
+             ["index", "label", "score"],
+             ([s.index, "" if s.label is None else s.label, s.score] for s in scored)),
+            (lambda p: save_curve_csv(points, p),
+             ["e", "error_probability", "n_images", "seed"],
+             ([p.e, p.error_probability, p.n_images, p.seed] for p in points)),
+        ]
+        for k, (write_ours, header, rows) in enumerate(cases):
+            ours, reference = tmp_path / f"ours{k}.csv", tmp_path / f"ref{k}.csv"
+            with mock.patch.object(dataio, "_CHUNK_ROWS", chunk):
+                write_ours(ours)
+            csv_writer_file(reference, header, rows)
+            assert ours.read_bytes() == reference.read_bytes(), k
