@@ -89,9 +89,11 @@ def _solve_loaded(gram: np.ndarray, rhs: np.ndarray, penalty: float = 0.0):
     return np.linalg.solve(gram + penalty * eye, rhs), degenerate
 
 
-def _centered_lstsq(a: np.ndarray, targets: np.ndarray, penalty: float = 0.0):
-    """Affine least squares of ``targets`` on the columns of ``a`` (ridge
-    ``penalty`` on the slopes); returns ``(coef, intercept, mse, degenerate)``.
+def _centered_system(a: np.ndarray, targets: np.ndarray):
+    """Affine least squares of ``targets`` on the columns of ``a``: returns
+    ``solve(penalty=0.0) -> (coef, intercept, mse, degenerate)``, a ridge
+    ``penalty`` on the slopes.  The centred design and its Gram matrix are
+    built once, however many penalties are solved.
 
     Columns and targets are centered by their means over the rows actually
     regressed on, so noiseless affine data is recovered exactly.
@@ -100,10 +102,15 @@ def _centered_lstsq(a: np.ndarray, targets: np.ndarray, penalty: float = 0.0):
     target_mean = float(targets.mean())
     ac = a - col_means
     tc = targets - target_mean
-    coef, degenerate = _solve_loaded(ac.T @ ac, ac.T @ tc, penalty)
-    residuals = tc - ac @ coef
-    intercept = target_mean - float(coef @ col_means)
-    return coef, intercept, float(np.mean(residuals**2)), degenerate
+    gram, rhs = ac.T @ ac, ac.T @ tc
+
+    def solve(penalty: float = 0.0):
+        coef, degenerate = _solve_loaded(gram, rhs, penalty)
+        residuals = tc - ac @ coef
+        intercept = target_mean - float(coef @ col_means)
+        return coef, intercept, float(np.mean(residuals**2)), degenerate
+
+    return solve
 
 
 def fit_weights(x, y, length: int, mode: str = "infer") -> EqualizerModel:
@@ -130,7 +137,7 @@ def fit_weights(x, y, length: int, mode: str = "infer") -> EqualizerModel:
     else:
         a = a[:-1]
         targets = y[length + 1 :]
-    weights, mean_y, training_mse, degenerate = _centered_lstsq(a, targets)
+    weights, mean_y, training_mse, degenerate = _centered_system(a, targets)()
     return EqualizerModel(
         length=length,
         weights=weights,
@@ -195,6 +202,114 @@ def _validation_mse(model: EqualizerModel, x, y, start: int) -> float:
     return float(np.mean((y[start:] - est) ** 2))
 
 
+def _lagged_sums(xc: np.ndarray, yc: np.ndarray, first: int, last: int, taps: int,
+                 shift: int):
+    """Sums over the windows of ``taps`` samples ending at ``first .. last``
+    (newest sample first) paired with targets ``yc[end + shift]``: the Gram
+    matrix, column sums, right-hand side, target sum, target sum of squares
+    and row count."""
+    a = np.ascontiguousarray(_windows(xc[first - taps + 1 : last + 1], taps - 1))
+    t = yc[first + shift : last + 1 + shift]
+    return a.T @ a, a.sum(axis=0), a.T @ t, float(t.sum()), float(t @ t), t.size
+
+
+def _mse_bounds(xc, yc, c, last, max_length, shift, held=None):
+    """Bounds ``(lo, hi)`` on the MSE that each length ``0 .. max_length``
+    gets when fitted the direct way: training MSE, or with ``held`` (the
+    validation rows' sums) the held-out MSE.  ``xc`` is the input centred by
+    its training mean, ``yc`` the target minus ``c``, and ``last`` the final
+    training window end.
+
+    One lag-``max_length`` Gram over the window ends every length shares
+    (``>= max_length``) serves all lengths; length ``L`` adds the at most
+    ``max_length - L`` earlier rows only it uses and centres through the
+    sums.  Each band bounds the rounding of both computations: it scales
+    with the summed terms (column norms, target norm, ``n * eps``) and with
+    the weights' sensitivity (smallest eigenvalue), never with the MSE
+    itself.  Lengths whose rank check is degenerate or close get
+    ``(-inf, inf)``: only a direct fit can say what they score.
+    """
+    eps = np.finfo(float).eps
+    lo = np.full(max_length + 1, -np.inf)
+    hi = np.full(max_length + 1, np.inf)
+    gram_all, sums_all, rhs_all, ysum0, yy0, m0 = _lagged_sums(
+        xc, yc, max_length, last, max_length + 1, shift
+    )
+    for length in range(max_length + 1):
+        k = length + 1
+        gram, sums, rhs = gram_all[:k, :k], sums_all[:k], rhs_all[:k]
+        ysum, yy, m = ysum0, yy0, m0
+        if length < max_length:
+            eg, es, er, ey, eyy, em = _lagged_sums(xc, yc, length, max_length - 1, k, shift)
+            gram, sums, rhs = gram + eg, sums + es, rhs + er
+            ysum, yy, m = ysum + ey, yy + eyy, m + em
+        cgram = gram - np.outer(sums, sums) / m
+        crhs = rhs - sums * (ysum / m)
+        if not (np.all(np.isfinite(cgram)) and np.all(np.isfinite(crhs))):
+            continue
+        eig = np.linalg.eigvalsh(cgram)
+        trace = float(np.trace(gram))
+        eta = 4 * (m + k * k) * eps * trace  # Gram error, either computation
+        if not eig[0] > 3 * eta + 2 * k * eps * eig[-1]:
+            continue  # matrix_rank's verdict could go either way
+        w = np.linalg.solve(cgram, crhs)
+        b = (ysum - w @ sums) / m  # intercept minus c
+        # Worst-case rounding: a sum over these rows is off by at most g times
+        # the sum of its terms' magnitudes.  Below, e bounds the residual
+        # norm, r the uncentred magnitudes the direct path rounds, and dw
+        # the distance between the two computations' weights (perturbation
+        # of the normal equations by eta, eta_r over the smallest eigenvalue).
+        g = (m + k + 6) * eps
+        norm_y = np.sqrt(yy)
+        raw_y = norm_y + np.sqrt(m) * abs(c)
+        wd = np.abs(w) @ np.sqrt(np.diag(gram))
+        eta_r = 4 * g * np.sqrt(trace) * (norm_y + g * raw_y)
+        dw = 4 * (eta * np.linalg.norm(w) + eta_r) / (eig[0] - eta)
+        if held is None:
+            mse = (yy - ysum * ysum / m - 2 * (w @ crhs) + w @ cgram @ w) / m
+            e, r = 2 * (wd + norm_y), raw_y + wd
+            band = 8 * g * e * (e + r) + 2 * (g * r) ** 2 + 4 * dw * dw * (eig[-1] + eta)
+            band /= m
+        else:
+            vgram, vsums, vrhs, vysum, vyy, mv = held
+            vgram, vsums, vrhs = vgram[:k, :k], vsums[:k], vrhs[:k]
+            mse = (
+                w @ vgram @ w + 2 * b * (w @ vsums) + b * b * mv
+                - 2 * (w @ vrhs) - 2 * b * vysum + vyy
+            ) / mv
+            dv = np.sqrt(np.diag(vgram))
+            db = 2 * g * (raw_y + wd) / np.sqrt(m) + 4 * eps * (abs(b) + abs(c))
+            delta = dw * np.linalg.norm(dv) + np.sqrt(mv) * (db + dw * np.sqrt(trace / m))
+            e = np.abs(w) @ dv + np.sqrt(mv) * abs(b) + np.sqrt(vyy) + delta
+            r = e + np.sqrt(mv) * abs(c)
+            gv = (mv + 2 * k + 6) * eps
+            band = 8 * gv * e * (e + r) + 2 * (gv * r) ** 2 + 4 * e * delta + 2 * delta**2
+            band /= mv
+        if np.isfinite(mse) and np.isfinite(band):
+            lo[length], hi[length] = mse - band, mse + band
+    return lo, hi
+
+
+def _first_minimum(lo, hi, score):
+    """``(length, value)`` of the first strict minimum of ``score(length)``
+    over all lengths, calling ``score`` only where ``[lo, hi]``, which holds
+    its value, can reach the smallest upper bound."""
+    lo, hi = lo.copy(), hi.copy()
+    exact = {}
+    for length in map(int, np.flatnonzero(np.isinf(hi))):
+        # No bound: score these first, so their values tighten the others'.
+        exact[length] = score(length)
+        if np.isfinite(exact[length][0]):
+            lo[length] = hi[length] = exact[length][0]
+    reach = hi.min()
+    best, best_value = None, np.inf
+    for length in map(int, np.flatnonzero(lo <= reach)):
+        value, result = exact[length] if length in exact else score(length)
+        if value < best_value:
+            best, best_value = result, value
+    return best, best_value
+
+
 def select_length(
     x,
     y,
@@ -209,38 +324,64 @@ def select_length(
     (recording both MSEs).  ``aic`` trades training MSE against tap count,
     ``n * ln(mse) + 2 (L + 1)``, on the full data.  Ties go to the smallest
     length.
+
+    Cost: one lagged Gram pass over the series plus O(max_length**4) small
+    solves (the covariance method of linear prediction).  Every candidate
+    gets a rounding band around its Gram score; only those whose band
+    reaches the best, or whose rank check is close, are fitted the direct
+    way (:func:`fit_weights`), so the choice is the one that refitting
+    every length would make.  The winner is always fitted the direct way.
     """
     x, y = _check_series(x, y)
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
     if criterion not in ("validation", "aic"):
         raise ValueError(f"unknown selection criterion {criterion!r}")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     n = x.size
+    shift = 1 if mode == "predict" else 0
 
     if criterion == "aic":
         if n <= max_length + 1:
             raise ValueError("insufficient data for the largest candidate length")
-        best = None
-        best_aic = np.inf
-        for length in range(max_length + 1):
-            model = fit_weights(x, y, length, mode)
+        c = float(y.mean())
+        with np.errstate(all="ignore"):
+            mse_lo, mse_hi = _mse_bounds(
+                x - float(x.mean()), y - c, c, n - 1 - shift, max_length, shift
+            )
+
+        def aic(mse, length):
             # log of an exactly-zero residual is clamped rather than -inf so
             # noiseless data still selects the smallest adequate length
-            aic = n * np.log(max(model.training_mse, 1e-300)) + 2 * (length + 1)
-            if aic < best_aic:
-                best, best_aic = model, aic
+            return n * np.log(max(mse, 1e-300)) + 2 * (length + 1)
+
+        def score(length):
+            model = fit_weights(x, y, length, mode)
+            return aic(model.training_mse, length), model
+
+        lengths = range(max_length + 1)
+        best, _ = _first_minimum(
+            np.array([aic(v, k) for k, v in zip(lengths, mse_lo)]),
+            np.array([aic(v, k) for k, v in zip(lengths, mse_hi)]),
+            score,
+        )
         return dataclasses.replace(best, validation_mse=best.training_mse)
 
     split = int(0.8 * n)
     if split <= max_length + 1 or split >= n:
         raise ValueError("insufficient data for an 80/20 validation split")
-    best_length = None
-    best_val = np.inf
-    for length in range(max_length + 1):
+    c = float(y[:split].mean())
+    xc, yc = x - float(x[:split].mean()), y - c
+    with np.errstate(all="ignore"):
+        held = _lagged_sums(xc, yc, split - shift, n - 1 - shift, max_length + 1, shift)
+        lo, hi = _mse_bounds(xc, yc, c, split - 1 - shift, max_length, shift, held)
+
+    def score(length):
         candidate = fit_weights(x[:split], y[:split], length, mode)
-        val = _validation_mse(candidate, x, y, split)
-        if val < best_val:
-            best_length, best_val = length, val
+        return _validation_mse(candidate, x, y, split), length
+
+    best_length, best_val = _first_minimum(lo, hi, score)
     final = fit_weights(x, y, best_length, mode)
     return dataclasses.replace(final, validation_mse=best_val)
 

@@ -277,6 +277,11 @@ def _read_json(path, parse, what: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return parse(json.load(fh))
+        except UnicodeDecodeError as exc:
+            byte = exc.object[exc.start]
+            raise FileFormatError(
+                f"{path}: malformed {what} (not UTF-8 text, byte 0x{byte:02x})"
+            ) from exc
         except Exception as exc:
             raise FileFormatError(f"{path}: malformed {what} ({exc})") from exc
 

@@ -13,6 +13,7 @@ import itertools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def mi_from_joint(joint) -> float:
@@ -195,6 +196,12 @@ def online_inverse_mse_loop(estimates, y, window: int, initial):
     return np.array(rows), np.array(fused)
 
 
+def sliding_window_means(err, window: int):
+    """Mean of every full ``window`` along each row, one window at a time
+    through a strided view (O(M * n * window) additions)."""
+    return sliding_window_view(np.asarray(err, dtype=float), window, axis=1).mean(axis=-1)
+
+
 def load_csv_loop(path, time_column: str = "date", value_column: str = "value"):
     """Read a ``date,value`` series file one row at a time.
 
@@ -366,3 +373,79 @@ def per_pixel_scores_loop(images, channel_matrix, smooth: bool):
             psi_x = -psi_x
         tables[j, keep_y] = (b @ psi_x) / np.sqrt(py)
     return tables[np.arange(n_pix)[None, :], images].sum(axis=1)
+
+
+def _direct_tap_fit(x, y, length: int, mode: str) -> dict:
+    """One tap fit exactly as the library's direct path does it: centred
+    normal equations, diagonally loaded when rank deficient, same operations
+    in the same order.  Returns the ``model_to_dict`` fields."""
+    mean_x = float(x.mean())
+    a = sliding_window_view(x - mean_x, length + 1)[:, ::-1]
+    if mode == "infer":
+        targets = y[length:]
+    else:
+        a = a[:-1]
+        targets = y[length + 1 :]
+    col_means = a.mean(axis=0)
+    target_mean = float(targets.mean())
+    ac = a - col_means
+    tc = targets - target_mean
+    gram = ac.T @ ac
+    eye = np.eye(gram.shape[0])
+    degenerate = bool(np.linalg.matrix_rank(gram + 0.0 * eye) < gram.shape[0])
+    if degenerate:
+        gram = gram + 1e-10 * max(np.trace(gram), 1.0) * eye
+    coef = np.linalg.solve(gram + 0.0 * eye, ac.T @ tc)
+    residuals = tc - ac @ coef
+    return {
+        "length": length,
+        "weights": coef.tolist(),
+        "mean_x": mean_x,
+        "mean_y": target_mean - float(coef @ col_means),
+        "training_mse": float(np.mean(residuals**2)),
+        "validation_mse": 0.0,
+        "mode": mode,
+        "degenerate": degenerate,
+    }
+
+
+def _held_out_mse(fit: dict, x, y, start: int) -> float:
+    """MSE of a direct fit's window estimates on targets ``y[start:]``."""
+    offset = 1 if fit["mode"] == "predict" else 0
+    length = fit["length"]
+    first = start - offset
+    span = x[first - length : x.size - offset] - fit["mean_x"]
+    # a gathered copy of the windows, as the library takes them
+    rows = sliding_window_view(span, length + 1)[:, ::-1][np.arange(x.size - start)]
+    est = fit["mean_y"] + rows @ np.asarray(fit["weights"])
+    return float(np.mean((y[start:] - est) ** 2))
+
+
+def select_length_loop(x, y, max_length: int, criterion: str, mode: str) -> dict:
+    """Model-length selection by refitting every candidate from scratch.
+
+    ``validation`` fits each length on the first 80% of the samples and
+    scores it on the rest, then refits the winner on everything; ``aic``
+    scores ``n ln(max(mse, 1e-300)) + 2 (L + 1)`` on the full data.  The
+    first strict minimum wins, so ties go to the shortest length.  Returns
+    the winner's ``model_to_dict`` fields.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = x.size
+    if criterion == "aic":
+        best, best_aic = None, np.inf
+        for length in range(max_length + 1):
+            fit = _direct_tap_fit(x, y, length, mode)
+            aic = n * np.log(max(fit["training_mse"], 1e-300)) + 2 * (length + 1)
+            if aic < best_aic:
+                best, best_aic = fit, aic
+        return {**best, "validation_mse": best["training_mse"]}
+    split = int(0.8 * n)
+    best_length, best_val = None, np.inf
+    for length in range(max_length + 1):
+        fit = _direct_tap_fit(x[:split], y[:split], length, mode)
+        val = _held_out_mse(fit, x, y, split)
+        if val < best_val:
+            best_length, best_val = length, val
+    return {**_direct_tap_fit(x, y, best_length, mode), "validation_mse": best_val}

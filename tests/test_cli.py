@@ -913,3 +913,47 @@ class TestPipedInput:
             os.close(read_fd)
         assert rc == 0, capsys.readouterr().err
         assert (tmp_path / "pipe.csv").read_bytes() == (tmp_path / "disk.csv").read_bytes()
+
+
+class TestBayesSharedGram:
+    def test_default_noise_variance_matches_explicit(self, two_channel_files, tmp_path):
+        # The default noise variance is the OLS residual MSE; passing that
+        # number explicitly runs one penalised solve.  Sharing the centred
+        # Gram between the two default solves must not change a byte.
+        a, b, tgt = two_channel_files
+        series = ["--input", f"{a},{b}", "--target", str(tgt), "--lag", "3"]
+        ols = tmp_path / "ols.json"
+        assert main(["baseline", *series, "--model-out", str(ols),
+                     "--out", str(tmp_path / "ols.csv")]) == 0
+        noise = json.loads(ols.read_text())["residual_mse"]
+        runs = {"default": [], "explicit": ["--noise-var", repr(noise)]}
+        for name, extra in runs.items():
+            assert main(["baseline", *series, "--method", "bayes", *extra,
+                         "--model-out", str(tmp_path / f"{name}.json"),
+                         "--out", str(tmp_path / f"{name}.csv")]) == 0
+        assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "explicit.csv").read_bytes()
+        default, explicit = (json.loads((tmp_path / f"{n}.json").read_text()) for n in runs)
+        fields = ("coefficients", "intercept", "residual_mse", "degenerate")
+        assert [default[f] for f in fields] == [explicit[f] for f in fields]
+
+
+class TestNonUtf8Json:
+    @pytest.mark.parametrize("flag, what", [
+        ("--models", "model"), ("--channel", "channel"), ("--source", "distribution"),
+    ])
+    def test_wording_matches_csv_readers(self, tmp_path, capsys, flag, what):
+        tgt, x = tmp_path / "y.csv", tmp_path / "x.csv"
+        write_series(tgt, np.arange(10.0))
+        write_series(x, np.arange(10.0) ** 2)
+        path = tmp_path / "latin.json"
+        path.write_bytes('{"note": "caf\xe9"}'.encode("latin-1"))
+        argv = {
+            "--models": ["infer", "--models", str(path), "--input", str(x),
+                         "--target", str(tgt)],
+            "--channel": ["couple", "--channel", str(path)],
+            "--source": ["couple", "--channel-e", "0.1", "--source", str(path)],
+        }[flag]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: malformed {what} file (not UTF-8 text, byte 0xe9)" in err
+        assert "codec" not in err
