@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equalizer import _centered_system, _window_span, _windows
+from .equalizer import _centered_lstsq, _window_span, _windows
 
 METHODS = ("ols", "bayes")
 
@@ -92,7 +92,7 @@ def fit_ols(xs, y, common_lag: int) -> LinearModel:
     Rank-deficient designs (collinear channels) are diagonally loaded and
     flagged ``degenerate``.
     """
-    coef, intercept, mse, degenerate = _centered_system(*_prepare(xs, y, common_lag))()
+    coef, intercept, mse, degenerate = _centered_lstsq(*_prepare(xs, y, common_lag))
     return LinearModel(coef, intercept, common_lag, mse, "ols", degenerate)
 
 
@@ -111,12 +111,13 @@ def fit_bayes(
     """
     if prior_variance <= 0:
         raise ValueError("prior variance must be positive")
-    solve = _centered_system(*_prepare(xs, y, common_lag))
+    a, targets = _prepare(xs, y, common_lag)
     if noise_variance is None:
-        noise_variance = solve()[2]
+        noise_variance = _centered_lstsq(a, targets)[2]
     if noise_variance < 0:
         raise ValueError("noise variance cannot be negative")
-    coef, intercept, mse, degenerate = solve(noise_variance / prior_variance)
+    penalty = noise_variance / prior_variance
+    coef, intercept, mse, degenerate = _centered_lstsq(a, targets, penalty)
     return LinearModel(coef, intercept, common_lag, mse, "bayes", degenerate)
 
 

@@ -89,11 +89,9 @@ def _solve_loaded(gram: np.ndarray, rhs: np.ndarray, penalty: float = 0.0):
     return np.linalg.solve(gram + penalty * eye, rhs), degenerate
 
 
-def _centered_system(a: np.ndarray, targets: np.ndarray):
-    """Affine least squares of ``targets`` on the columns of ``a``: returns
-    ``solve(penalty=0.0) -> (coef, intercept, mse, degenerate)``, a ridge
-    ``penalty`` on the slopes.  The centred design and its Gram matrix are
-    built once, however many penalties are solved.
+def _centered_lstsq(a: np.ndarray, targets: np.ndarray, penalty: float = 0.0):
+    """Affine least squares of ``targets`` on the columns of ``a`` (ridge
+    ``penalty`` on the slopes); returns ``(coef, intercept, mse, degenerate)``.
 
     Columns and targets are centered by their means over the rows actually
     regressed on, so noiseless affine data is recovered exactly.
@@ -102,15 +100,10 @@ def _centered_system(a: np.ndarray, targets: np.ndarray):
     target_mean = float(targets.mean())
     ac = a - col_means
     tc = targets - target_mean
-    gram, rhs = ac.T @ ac, ac.T @ tc
-
-    def solve(penalty: float = 0.0):
-        coef, degenerate = _solve_loaded(gram, rhs, penalty)
-        residuals = tc - ac @ coef
-        intercept = target_mean - float(coef @ col_means)
-        return coef, intercept, float(np.mean(residuals**2)), degenerate
-
-    return solve
+    coef, degenerate = _solve_loaded(ac.T @ ac, ac.T @ tc, penalty)
+    residuals = tc - ac @ coef
+    intercept = target_mean - float(coef @ col_means)
+    return coef, intercept, float(np.mean(residuals**2)), degenerate
 
 
 def fit_weights(x, y, length: int, mode: str = "infer") -> EqualizerModel:
@@ -137,7 +130,7 @@ def fit_weights(x, y, length: int, mode: str = "infer") -> EqualizerModel:
     else:
         a = a[:-1]
         targets = y[length + 1 :]
-    weights, mean_y, training_mse, degenerate = _centered_system(a, targets)()
+    weights, mean_y, training_mse, degenerate = _centered_lstsq(a, targets)
     return EqualizerModel(
         length=length,
         weights=weights,
@@ -224,11 +217,56 @@ def _mse_bounds(xc, yc, c, last, max_length, shift, held=None):
     (``>= max_length``) serves all lengths; length ``L`` adds the at most
     ``max_length - L`` earlier rows only it uses and centres through the
     sums.  Each band bounds the rounding of both computations: it scales
-    with the summed terms (column norms, target norm, ``n * eps``) and with
-    the weights' sensitivity (smallest eigenvalue), never with the MSE
-    itself.  Lengths whose rank check is degenerate or close get
+    with the summed terms (column norms, target norm, row count times eps)
+    and with the weights' sensitivity (smallest eigenvalue), never with the
+    MSE itself.  Lengths whose rank check is degenerate or close get
     ``(-inf, inf)``: only a direct fit can say what they score.
     """
+    # Where the band comes from.  u = eps / 2.  A sum or dot product of n
+    # terms, in any order, is off by at most gamma_n = n u / (1 - n u) times
+    # the sum of its terms' magnitudes (Higham, "Accuracy and Stability of
+    # Numerical Algorithms", 2nd ed., sec. 3.1).  By Cauchy-Schwarz each such
+    # magnitude sum is at most a product of column norms d_i = sqrt(G_ii),
+    # target norms and sqrt(rows).  Every constant below is at least twice
+    # what its term needs; that slack absorbs the second-order terms.
+    # - eta: per computation, the 2-norm distance from the exact centred Gram
+    #   C to the matrix whose exact eigenvalues and solution it returns.
+    #   Forming and centring the Gram errs by at most (3 gamma_(m+1) + 5 u)
+    #   d_i d_j per entry, so (1.5 m + 4) eps trace(G) in norm.  LAPACK's
+    #   eigen, SVD and LU solvers add a backward error p(k) u |C| that it
+    #   bounds only as "modest" (O(k^3) times the pivot growth for LU in the
+    #   worst case); 4 (m + k^2) eps trace(G) takes p(k) <= 8 k^2 + 5 m.
+    #   That is an assumption, which tests/test_select_length.py checks at
+    #   the benchmark's size (n = 20,000, max_length = 40).
+    # - rank: matrix_rank calls the direct Gram full rank when its smallest
+    #   singular value exceeds k eps times its largest; both lie within
+    #   2 eta of eig[0] and eig[-1] (Weyl), hence the test below.
+    # - eta_r: per computation, the right-hand side's error, 3 gamma_(m+1)
+    #   d_i |yc| per entry, plus in the direct path the target mean's error
+    #   (gamma_m raw_y / sqrt(m), raw_y counting the offset c) times the sum
+    #   of the rounded centred column (gamma_m sqrt(m) d_i).
+    # - dw: a solution of (C + E) w = rhs + f, |E| <= eta, |f| <= eta_r, lies
+    #   within (eta |w| + eta_r) / lambda_min(C) of the exact one.  Summing
+    #   both computations' distances, with lambda_min(C) >= eig[0] - eta,
+    #   bounds their weights' distance by 2 (eta |w| + eta_r) / (eig[0] - 2 eta).
+    # - db: each intercept sums m targets and m-row columns
+    #   (gamma_(m+k) (raw_y + wd) / sqrt(m)) and rounds one subtraction
+    #   (u (|b| + |c|)); the weights' distance moves it by at most
+    #   dw |mean column| <= dw sqrt(trace / m).
+    # - training band, on m times the MSE: the training MSE is stationary in
+    #   the weights, so the two fits' exact scores differ by at most
+    #   dw^2 lambda_max(C), and the direct path's rounded target mean adds
+    #   m (gamma_m r / sqrt(m))^2, with r = raw_y + wd.  Evaluating either
+    #   score errs by at most gamma_(m+k+2) e^2, e = 2 (wd + |yc|).
+    # - held-out band, on mv times the MSE: e bounds either fit's residual
+    #   norm on the held rows and r adds the offset the direct path's
+    #   uncentred estimates carry.  The quadratic form here errs by
+    #   gamma_(mv+2k+8) e^2 (its six sums' magnitudes add up to e^2).  The
+    #   direct path errs by at most gamma_(k+1) 2 r per residual in norm, so
+    #   by gv e r + (gv r)^2 + gamma_(mv+1) e^2 in the sum of squares.  The
+    #   score is linear in the parameters here: the two fits' residuals
+    #   differ by at most delta in norm, so their sums of squares by
+    #   2 e delta + delta^2.
     eps = np.finfo(float).eps
     lo = np.full(max_length + 1, -np.inf)
     hi = np.full(max_length + 1, np.inf)
@@ -249,25 +287,19 @@ def _mse_bounds(xc, yc, c, last, max_length, shift, held=None):
             continue
         eig = np.linalg.eigvalsh(cgram)
         trace = float(np.trace(gram))
-        eta = 4 * (m + k * k) * eps * trace  # Gram error, either computation
+        eta = 4 * (m + k * k) * eps * trace
         if not eig[0] > 3 * eta + 2 * k * eps * eig[-1]:
             continue  # matrix_rank's verdict could go either way
         w = np.linalg.solve(cgram, crhs)
         b = (ysum - w @ sums) / m  # intercept minus c
-        # Worst-case rounding: a sum over these rows is off by at most g times
-        # the sum of its terms' magnitudes.  Below, e bounds the residual
-        # norm, r the uncentred magnitudes the direct path rounds, and dw
-        # the distance between the two computations' weights (perturbation
-        # of the normal equations by eta, eta_r over the smallest eigenvalue).
         g = (m + k + 6) * eps
-        norm_y = np.sqrt(yy)
-        raw_y = norm_y + np.sqrt(m) * abs(c)
+        raw_y = np.sqrt(yy) + np.sqrt(m) * abs(c)
         wd = np.abs(w) @ np.sqrt(np.diag(gram))
-        eta_r = 4 * g * np.sqrt(trace) * (norm_y + g * raw_y)
-        dw = 4 * (eta * np.linalg.norm(w) + eta_r) / (eig[0] - eta)
+        eta_r = 4 * g * np.sqrt(trace) * (np.sqrt(yy) + g * raw_y)
+        dw = 2 * (eta * np.linalg.norm(w) + eta_r) / (eig[0] - 2 * eta)
         if held is None:
             mse = (yy - ysum * ysum / m - 2 * (w @ crhs) + w @ cgram @ w) / m
-            e, r = 2 * (wd + norm_y), raw_y + wd
+            e, r = 2 * (wd + np.sqrt(yy)), raw_y + wd
             band = 8 * g * e * (e + r) + 2 * (g * r) ** 2 + 4 * dw * dw * (eig[-1] + eta)
             band /= m
         else:

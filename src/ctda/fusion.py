@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .equalizer import (
     EqualizerModel,
@@ -225,27 +226,6 @@ def online_alpha_update(model: FusionModel, squared_errors, window: int) -> Fusi
     return dataclasses.replace(model, alphas=mrc_weights_inverse_mse(mses))
 
 
-def _window_means(err: np.ndarray, window: int) -> np.ndarray:
-    """Mean of every full ``window`` along the rows of ``err``, in O(M * n).
-
-    Cut each row into blocks of ``window`` samples.  A window starting
-    mid-block is the suffix sum of that block plus the prefix sum of the
-    next (the van Herk / Gil-Werman scheme, applied to sums).  Nothing is
-    subtracted, so one huge error cannot wipe out later windows.
-    """
-    m, n = err.shape
-    if n < window:
-        return err[:, :0]
-    blocks = -(-n // window)
-    padded = np.zeros((m, blocks, window))
-    padded.reshape(m, -1)[:, :n] = err
-    prefix = np.cumsum(padded, axis=2).reshape(m, -1)
-    suffix = np.cumsum(padded[:, :, ::-1], axis=2)[:, :, ::-1].reshape(m, -1)
-    starts = np.arange(n - window + 1)
-    mid_block = np.where(starts % window, prefix[:, window - 1 : n], 0.0)
-    return (suffix[:, : n - window + 1] + mid_block) / window
-
-
 def online_inverse_mse_weights(squared_errors, window: int, initial) -> np.ndarray:
     """Inverse-MSE weights refreshed after every sample from a trailing window.
 
@@ -256,7 +236,7 @@ def online_inverse_mse_weights(squared_errors, window: int, initial) -> np.ndarr
     ``window`` errors of samples ``0 .. i - 1`` (all of them while fewer
     exist, with one warning).  Row ``n`` holds the final weights.  This is
     :func:`online_alpha_update` applied after every sample, computed in one
-    vectorized pass of O(M * n) additions for any window.
+    vectorized pass of at most ``M * n * window`` additions.
     """
     err = np.asarray(squared_errors, dtype=float)
     if err.ndim != 2:
@@ -277,7 +257,12 @@ def online_inverse_mse_weights(squared_errors, window: int, initial) -> np.ndarr
         )
     # Rows 1 .. short average every error so far; later rows a full window.
     warm = np.cumsum(err[:, :short], axis=1) / np.arange(1, short + 1)
-    mses = np.concatenate([warm, _window_means(err, window)], axis=1).T
+    full = (
+        sliding_window_view(err, window, axis=1).mean(axis=-1)
+        if n >= window
+        else err[:, :0]
+    )
+    mses = np.concatenate([warm, full], axis=1).T
     rows = np.vstack([initial, mrc_weights_inverse_mse(mses)])
     _check_weights(rows, "mrc_inverse_mse")
     return rows

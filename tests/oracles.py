@@ -196,12 +196,6 @@ def online_inverse_mse_loop(estimates, y, window: int, initial):
     return np.array(rows), np.array(fused)
 
 
-def sliding_window_means(err, window: int):
-    """Mean of every full ``window`` along each row, one window at a time
-    through a strided view (O(M * n * window) additions)."""
-    return sliding_window_view(np.asarray(err, dtype=float), window, axis=1).mean(axis=-1)
-
-
 def load_csv_loop(path, time_column: str = "date", value_column: str = "value"):
     """Read a ``date,value`` series file one row at a time.
 

@@ -915,11 +915,10 @@ class TestPipedInput:
         assert (tmp_path / "pipe.csv").read_bytes() == (tmp_path / "disk.csv").read_bytes()
 
 
-class TestBayesSharedGram:
+class TestBayesDefaultNoise:
     def test_default_noise_variance_matches_explicit(self, two_channel_files, tmp_path):
         # The default noise variance is the OLS residual MSE; passing that
-        # number explicitly runs one penalised solve.  Sharing the centred
-        # Gram between the two default solves must not change a byte.
+        # number explicitly must give the same bytes as leaving it out.
         a, b, tgt = two_channel_files
         series = ["--input", f"{a},{b}", "--target", str(tgt), "--lag", "3"]
         ols = tmp_path / "ols.json"

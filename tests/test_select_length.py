@@ -2,6 +2,7 @@
 tests hold it to the choice that refitting every length from scratch makes
 (``oracles.select_length_loop``), down to the bytes of the saved model."""
 
+import functools
 import json
 
 import numpy as np
@@ -54,13 +55,9 @@ def test_matches_refitting_every_length(criterion, mode, case):
     assert json.dumps(got) == json.dumps(want)
 
 
-@pytest.mark.parametrize("mode", MODES)
-@settings(max_examples=60, deadline=None)
-@given(case=selection_inputs())
-def test_every_bounded_direct_score_lies_in_its_band(mode, case):
-    # The lemma the selection rests on: a candidate that gets a finite band
-    # scores inside it when fitted the direct way.
-    x, y, max_length = case
+def assert_bands_hold(x, y, max_length, mode):
+    """The lemma the selection rests on: a candidate that gets a finite band
+    scores inside it when fitted the direct way."""
     n, shift = x.size, int(mode == "predict")
     split = int(0.8 * n)
     c = float(y[:split].mean())
@@ -80,6 +77,53 @@ def test_every_bounded_direct_score_lies_in_its_band(mode, case):
         if np.isfinite(train_hi[length]):
             model = equalizer.fit_weights(x, y, length, mode)
             assert train_lo[length] <= model.training_mse <= train_hi[length]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=60, deadline=None)
+@given(case=selection_inputs())
+def test_every_bounded_direct_score_lies_in_its_band(mode, case):
+    assert_bands_hold(*case, mode)
+
+
+# The benchmark's size: series_batch fits 20,000 rows with --max-length 40.
+# The bands' solver constants are assumptions (see equalizer._mse_bounds),
+# so they are checked here at that size too, on white and near-unit-root
+# inputs, with and without a large offset.
+BENCH_ROWS, BENCH_MAX_LENGTH = 20_000, 40
+BENCH_CASES = [("white", 0.0), ("white", 1e3), ("white", 1e6), ("ar999", 0.0),
+               ("ar999", 1e6)]
+
+
+@functools.lru_cache(maxsize=None)
+def benchmark_scale_series(kind, offset):
+    rng = np.random.default_rng(12)
+    drive = rng.standard_normal(BENCH_ROWS)
+    if kind == "ar999":
+        x = np.empty(BENCH_ROWS)
+        x[0] = drive[0]
+        for t in range(1, BENCH_ROWS):
+            x[t] = 0.999 * x[t - 1] + drive[t]
+    else:
+        x = drive
+    y = np.convolve(x, [0.9, -0.4, 0.25])[:BENCH_ROWS] + 0.5 * rng.standard_normal(BENCH_ROWS)
+    return x + offset, y - offset
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("kind, offset", BENCH_CASES)
+def test_bands_hold_at_benchmark_scale(kind, offset, mode):
+    assert_bands_hold(*benchmark_scale_series(kind, offset), BENCH_MAX_LENGTH, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("criterion", CRITERIA)
+@pytest.mark.parametrize("kind, offset", BENCH_CASES)
+def test_matches_refitting_at_benchmark_scale(kind, offset, criterion, mode):
+    x, y = benchmark_scale_series(kind, offset)
+    got = model_to_dict(select_length(x, y, BENCH_MAX_LENGTH, criterion, mode))
+    want = select_length_loop(x, y, BENCH_MAX_LENGTH, criterion, mode)
+    assert json.dumps(got) == json.dumps(want)
 
 
 @pytest.fixture
