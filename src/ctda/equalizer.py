@@ -227,17 +227,19 @@ def _mse_bounds(xc, yc, c, last, max_length, shift, held=None):
     # the sum of its terms' magnitudes (Higham, "Accuracy and Stability of
     # Numerical Algorithms", 2nd ed., sec. 3.1).  By Cauchy-Schwarz each such
     # magnitude sum is at most a product of column norms d_i = sqrt(G_ii),
-    # target norms and sqrt(rows).  Every constant below is at least twice
-    # what its term needs; that slack absorbs the second-order terms.
-    # - eta: per computation, the 2-norm distance from the exact centred Gram
-    #   C to the matrix whose exact eigenvalues and solution it returns.
-    #   Forming and centring the Gram errs by at most (3 gamma_(m+1) + 5 u)
-    #   d_i d_j per entry, so (1.5 m + 4) eps trace(G) in norm.  LAPACK's
-    #   eigen, SVD and LU solvers add a backward error p(k) u |C| that it
-    #   bounds only as "modest" (O(k^3) times the pivot growth for LU in the
-    #   worst case); 4 (m + k^2) eps trace(G) takes p(k) <= 8 k^2 + 5 m.
-    #   That is an assumption, which tests/test_select_length.py checks at
-    #   the benchmark's size (n = 20,000, max_length = 40).
+    # target norms and sqrt(rows).  Every constant below but eta is at least
+    # twice what its term needs; that slack absorbs the second-order terms.
+    # - eta: per computation, the largest 2-norm distance from the exact
+    #   centred Gram C to a matrix whose exact eigenvalues, singular values
+    #   or solution it returns.  Forming and centring the Gram errs by at
+    #   most (3 gamma_(m+1) + 5 u) d_i d_j per entry, so (3 m + 8) u trace(G)
+    #   in norm (the d_i d_j matrix has Frobenius norm trace(G)).  LAPACK's
+    #   eigen, SVD and LU routines add a backward error p(k) u |C| with p
+    #   only called "modestly growing" in the LAPACK Users' Guide (the LU
+    #   worst case is O(k^3) times the pivot growth).  eta = 8 (m + k^2) u
+    #   trace(G) leaves p(k) <= 5 m + 8 k^2 - 8.  That is an assumption,
+    #   checked by tests/test_select_length.py at the benchmark's size
+    #   (n = 20,000, max_length = 40).
     # - rank: matrix_rank calls the direct Gram full rank when its smallest
     #   singular value exceeds k eps times its largest; both lie within
     #   2 eta of eig[0] and eig[-1] (Weyl), hence the test below.
