@@ -87,8 +87,8 @@ def test_every_bounded_direct_score_lies_in_its_band(mode, case):
 
 
 # The benchmark's size: series_batch fits 20,000 rows with --max-length 40.
-# The bands' solver constants are assumptions (see equalizer._mse_bounds),
-# so they are checked here at that size too, on white and near-unit-root
+# The band's solver constant is an assumption (see equalizer._mse_bounds),
+# so it is checked here at that size too, on white and near-unit-root
 # inputs, with and without a large offset.
 BENCH_ROWS, BENCH_MAX_LENGTH = 20_000, 40
 BENCH_CASES = [("white", 0.0), ("white", 1e3), ("white", 1e6), ("ar999", 0.0),
