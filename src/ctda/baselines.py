@@ -109,14 +109,16 @@ def fit_bayes(
     prior_variance`` on the centered design.  When ``noise_variance`` is
     omitted, the OLS residual variance of the same design is used.
     """
-    if prior_variance <= 0:
+    if not prior_variance > 0:  # NaN fails too; +inf is the flat prior, i.e. OLS
         raise ValueError("prior variance must be positive")
     a, targets = _prepare(xs, y, common_lag)
     if noise_variance is None:
         noise_variance = _centered_lstsq(a, targets)[2]
-    if noise_variance < 0:
-        raise ValueError("noise variance cannot be negative")
+    if not 0 <= noise_variance < np.inf:
+        raise ValueError("noise variance must be finite and nonnegative")
     penalty = noise_variance / prior_variance
+    if not np.isfinite(penalty):
+        raise ValueError("noise variance / prior variance overflows; raise the prior variance")
     coef, intercept, mse, degenerate = _centered_lstsq(a, targets, penalty)
     return LinearModel(coef, intercept, common_lag, mse, "bayes", degenerate)
 

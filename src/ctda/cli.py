@@ -44,7 +44,7 @@ from .dataio import (
     load_csv,
     load_images_csv,
 )
-from .equalizer import estimate_series, model_from_dict, model_to_dict, select_length
+from .equalizer import _estimate_targets, _lead, model_from_dict, model_to_dict, select_length
 from .fusion import (
     FUSION_MODES,
     FusionModel,
@@ -138,24 +138,21 @@ def _grid(text: str):
             if step <= 0 or stop < start:
                 raise ValueError
             count = int(np.floor((stop - start) / step + 1e-9)) + 1
-            if count <= MAX_GRID_POINTS:
-                return [start + k * step for k in range(count)]
-        elif "," in text:
-            values = [float(v) for v in text.split(",") if v.strip()]
-            if not values:
+            points = (start + k * step for k in range(count))  # lazy: built once counted
+        else:  # one value is a one-item comma list
+            points = [float(v) for v in text.split(",") if v.strip()]
+            count = len(points)
+            if not count:
                 raise ValueError
-            count = len(values)
-            if count <= MAX_GRID_POINTS:
-                return values
-        else:
-            return [float(text)]
     except (ValueError, OverflowError):
         raise argparse.ArgumentTypeError(
             f"{text!r} is not start:stop:step, a comma list, or a number"
         ) from None
-    raise argparse.ArgumentTypeError(
-        f"{text!r} has {count} points; at most {MAX_GRID_POINTS} are allowed"
-    )
+    if count > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} has {count} points; at most {MAX_GRID_POINTS} are allowed"
+        )
+    return list(points)
 
 
 def _payload(args: argparse.Namespace, body: dict) -> dict:
@@ -257,18 +254,12 @@ def cmd_infer(args) -> None:
 
     models = [m for _, m in channels]
     inputs = [series_by_name[name] for name, _ in channels]
-    offsets = [1 if m.mode == "predict" else 0 for m in models]
-    start = max(m.length + off for m, off in zip(models, offsets))
+    start = max(m.length + _lead(m.mode) for m in models)
     n = y.size
     if start >= n:
         raise ValueError("aligned series are too short to score a single sample")
     targets = np.arange(start, n)
-    est = np.vstack(
-        [
-            estimate_series(m, x, targets - off)
-            for m, x, off in zip(models, inputs, offsets)
-        ]
-    )
+    est = np.vstack([_estimate_targets(m, x, targets) for m, x in zip(models, inputs)])
     y_eval = y[targets]
 
     alphas, degenerate = _initial_alphas(args.fusion, models, est, y_eval)
@@ -352,22 +343,19 @@ def cmd_couple(args) -> None:
     table = score_table(solution, dtm)
     payload = _payload(args, solution_to_dict(solution, table))
     if args.delta > 0:
-        plus = perturb_distribution(dtm.p_x, solution.psi_x, args.delta, +1)
-        minus = perturb_distribution(dtm.p_x, solution.psi_x, args.delta, -1)
-        full_plus = np.zeros(dtm.input_alphabet)
-        full_minus = np.zeros(dtm.input_alphabet)
-        full_plus[dtm.input_symbols] = plus.probs
-        full_minus[dtm.input_symbols] = minus.probs
-        payload["perturbation"] = {
-            "delta": args.delta,
-            "p_x_plus": full_plus.tolist(),
-            "p_x_minus": full_minus.tolist(),
-            "local_mi": local_mi_approx(
-                np.array([0.5, 0.5]),
-                np.vstack([solution.psi_x, -solution.psi_x]),
-                args.delta,
-            ),
-        }
+        perturbation = {"delta": args.delta}
+        for sign, key in ((+1, "p_x_plus"), (-1, "p_x_minus")):
+            full = np.zeros(dtm.input_alphabet)
+            full[dtm.input_symbols] = perturb_distribution(
+                dtm.p_x, solution.psi_x, args.delta, sign
+            ).probs
+            perturbation[key] = full.tolist()
+        perturbation["local_mi"] = local_mi_approx(
+            np.array([0.5, 0.5]),
+            np.vstack([solution.psi_x, -solution.psi_x]),
+            args.delta,
+        )
+        payload["perturbation"] = perturbation
     _write_json(args.out, payload)
     print(
         f"second_singular_value={solution.second_singular_value:.6g} "
@@ -556,10 +544,7 @@ def main(argv=None) -> int:
         parser.error("infer: --online-window needs --fusion mrc_inverse_mse")
     try:
         args.func(args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FileFormatError, OSError) as exc:  # FileFormatError is a ValueError: catch it first
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, np.linalg.LinAlgError) as exc:

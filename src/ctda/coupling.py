@@ -319,12 +319,14 @@ def local_mi_approx(p_u, psis, delta: float) -> float:
     information between ``U`` and one observation is ``delta / 2`` times
     the ``P_U``-average of ``||psi_u||^2``, up to ``o(delta)``.
     """
-    pu = p_u.probs if isinstance(p_u, DiscreteDistribution) else np.asarray(p_u, float)
+    pu = (p_u if isinstance(p_u, DiscreteDistribution) else DiscreteDistribution(p_u)).probs
     rows = np.atleast_2d(np.asarray(psis, dtype=float))
     if rows.shape[0] != pu.size:
         raise ValueError("need one direction per value of U")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("directions must be finite")
+    if not 0 <= delta < np.inf:
+        raise ValueError("delta must be finite and nonnegative")
     return float(0.5 * delta * np.sum(pu * np.sum(rows**2, axis=1)))
 
 

@@ -260,18 +260,14 @@ def align(series: Sequence[TimeSeries], policy: str = "inner"):
             shared = np.intersect1d(shared, s.timestamps, assume_unique=True)
         if shared.size == 0:
             raise ValueError("series share no timestamps under inner alignment")
-        rows = []
-        for s in series:
-            idx = np.searchsorted(s.timestamps, shared)
-            rows.append(s.values[idx])
-        return shared, np.vstack(rows)
-
-    start = max(int(s.timestamps[0]) for s in series)
-    shared = np.unique(np.concatenate([s.timestamps for s in series]))
-    shared = shared[shared >= start]
+    else:
+        start = max(int(s.timestamps[0]) for s in series)
+        shared = np.unique(np.concatenate([s.timestamps for s in series]))
+        shared = shared[shared >= start]
     rows = []
     for s in series:
-        # index of the last observation at or before each shared timestamp
+        # index of the last observation at or before each shared timestamp;
+        # under ``inner`` the exact match, as timestamps strictly increase
         idx = np.searchsorted(s.timestamps, shared, side="right") - 1
         rows.append(s.values[idx])
     return shared, np.vstack(rows)

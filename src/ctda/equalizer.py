@@ -124,12 +124,9 @@ def fit_weights(x, y, length: int, mode: str = "infer") -> EqualizerModel:
             f"insufficient data: {n} samples cannot fit length {length}"
         )
     mean_x = float(x.mean())
-    a = _windows(x - mean_x, length)
-    if mode == "infer":
-        targets = y[length:]
-    else:
-        a = a[:-1]
-        targets = y[length + 1 :]
+    shift = _lead(mode)
+    a = _windows(x - mean_x, length)[: n - length - shift]
+    targets = y[length + shift :]
     weights, mean_y, training_mse, degenerate = _centered_lstsq(a, targets)
     return EqualizerModel(
         length=length,
@@ -186,12 +183,20 @@ def estimate_series(model: EqualizerModel, x, indices) -> np.ndarray:
     return model.mean_y + rows @ model.weights
 
 
+def _lead(mode: str) -> int:
+    """Samples from a window's end to its target: 1 in ``predict`` mode."""
+    return 1 if mode == "predict" else 0
+
+
+def _estimate_targets(model: EqualizerModel, x, targets) -> np.ndarray:
+    """Estimates of ``y[targets]``; a ``predict`` model reads the window
+    ending one sample before each target."""
+    return estimate_series(model, x, np.asarray(targets) - _lead(model.mode))
+
+
 def _validation_mse(model: EqualizerModel, x, y, start: int) -> float:
     """MSE of the model on targets ``y[start:]`` (windows may reach back)."""
-    n = x.size
-    offset = 1 if model.mode == "predict" else 0
-    ends = np.arange(start, n) - offset
-    est = estimate_series(model, x, ends)
+    est = _estimate_targets(model, x, np.arange(start, x.size))
     return float(np.mean((y[start:] - est) ** 2))
 
 
@@ -325,9 +330,9 @@ def _mse_bounds(xc, yc, c, last, max_length, shift, held=None):
 
 
 def _first_minimum(lo, hi, score):
-    """``(length, value)`` of the first strict minimum of ``score(length)``
-    over all lengths, calling ``score`` only where ``[lo, hi]``, which holds
-    its value, can reach the smallest upper bound."""
+    """``(result, value)`` at the first strict minimum over all lengths of
+    ``score(length) = (value, result)``, calling ``score`` only where
+    ``[lo, hi]``, which holds its value, can reach the smallest upper bound."""
     lo, hi = lo.copy(), hi.copy()
     exact = {}
     for length in map(int, np.flatnonzero(np.isinf(hi))):
@@ -374,50 +379,41 @@ def select_length(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     n = x.size
-    shift = 1 if mode == "predict" else 0
-
-    if criterion == "aic":
-        if n <= max_length + 1:
-            raise ValueError("insufficient data for the largest candidate length")
-        c = float(y.mean())
-        with np.errstate(all="ignore"):
-            mse_lo, mse_hi = _mse_bounds(
-                x - float(x.mean()), y - c, c, n - 1 - shift, max_length, shift
-            )
-
-        def aic(mse, length):
-            # log of an exactly-zero residual is clamped rather than -inf so
-            # noiseless data still selects the smallest adequate length
-            return n * np.log(max(mse, 1e-300)) + 2 * (length + 1)
-
-        def score(length):
-            model = fit_weights(x, y, length, mode)
-            return aic(model.training_mse, length), model
-
-        lengths = range(max_length + 1)
-        best, _ = _first_minimum(
-            np.array([aic(v, k) for k, v in zip(lengths, mse_lo)]),
-            np.array([aic(v, k) for k, v in zip(lengths, mse_hi)]),
-            score,
+    shift = _lead(mode)
+    aic = criterion == "aic"
+    # Rows fitted; validation scores the rest, never none: int(0.8 n) < n.
+    split = n if aic else int(0.8 * n)
+    if split <= max_length + 1:
+        raise ValueError(
+            "insufficient data for the largest candidate length" if aic
+            else "insufficient data for an 80/20 validation split"
         )
-        return dataclasses.replace(best, validation_mse=best.training_mse)
 
-    split = int(0.8 * n)
-    if split <= max_length + 1 or split >= n:
-        raise ValueError("insufficient data for an 80/20 validation split")
+    def value(mse, length):
+        if not aic:
+            return mse
+        # log of an exactly-zero residual is clamped rather than -inf so
+        # noiseless data still selects the smallest adequate length
+        return n * np.log(max(mse, 1e-300)) + 2 * (length + 1)
+
+    def score(length):
+        model = fit_weights(x[:split], y[:split], length, mode)
+        mse = model.training_mse if aic else _validation_mse(model, x, y, split)
+        return value(mse, length), model
+
     c = float(y[:split].mean())
     xc, yc = x - float(x[:split].mean()), y - c
     with np.errstate(all="ignore"):
-        held = _lagged_sums(xc, yc, split - shift, n - 1 - shift, max_length + 1, shift)
-        lo, hi = _mse_bounds(xc, yc, c, split - 1 - shift, max_length, shift, held)
-
-    def score(length):
-        candidate = fit_weights(x[:split], y[:split], length, mode)
-        return _validation_mse(candidate, x, y, split), length
-
-    best_length, best_val = _first_minimum(lo, hi, score)
-    final = fit_weights(x, y, best_length, mode)
-    return dataclasses.replace(final, validation_mse=best_val)
+        held = None if aic else _lagged_sums(
+            xc, yc, split - shift, n - 1 - shift, max_length + 1, shift
+        )
+        bounds = _mse_bounds(xc, yc, c, split - 1 - shift, max_length, shift, held)
+    lo, hi = (np.array([value(mse, k) for k, mse in enumerate(b)]) for b in bounds)
+    best, best_value = _first_minimum(lo, hi, score)
+    if aic:
+        return dataclasses.replace(best, validation_mse=best.training_mse)
+    final = fit_weights(x, y, best.length, mode)  # the winner on all the data
+    return dataclasses.replace(final, validation_mse=best_value)
 
 
 def default_lms_step(x) -> float:

@@ -123,6 +123,8 @@ def mrc_weights_lmmse(predictions, y):
         raise ValueError("predictions must be (M, n) matching targets of length n")
     if p.shape[1] == 0:
         raise ValueError("need at least one sample to estimate moments")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(y))):
+        raise ValueError("predictions and targets must be finite")
     n = p.shape[1]
     return _solve_loaded((p @ p.T) / n, (p @ y) / n)
 

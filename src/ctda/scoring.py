@@ -10,6 +10,7 @@ to measure the separation error.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -316,14 +317,14 @@ def error_vs_noise_curve(
     if not grid:
         raise ValueError("empty noise grid")
     workers = resolve_threads(threads, len(grid))
-    args = [
-        (i, e, seed, dist_a, dist_b, width, height, n_per_class)
-        for i, e in enumerate(grid)
-    ]
+    point = functools.partial(
+        _curve_point, seed=seed, dist_a=dist_a, dist_b=dist_b, width=width,
+        height=height, n_per_class=n_per_class,
+    )
     if workers == 1:  # serial: a one-thread pool raised `images` peak RSS 60.7 -> 64.6 MB
-        return [_curve_point(*a) for a in args]
+        return list(map(point, range(len(grid)), grid))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda a: _curve_point(*a), args))
+        return list(pool.map(point, range(len(grid)), grid))
 
 
 # --- CSV output -------------------------------------------------------------

@@ -196,6 +196,31 @@ def online_inverse_mse_loop(estimates, y, window: int, initial):
     return np.array(rows), np.array(fused)
 
 
+def align_loop(series, policy: str):
+    """Put ``(timestamps, values)`` pairs on one clock, one timestamp at a
+    time.  ``inner`` keeps the timestamps every series has; ``forward_fill``
+    keeps every timestamp from the latest first one on and reads each
+    series' last value at or before it.  Returns ``(timestamps, rows)`` as
+    lists (``timestamps`` empty when ``inner`` finds none in common)."""
+    stamps = [[int(t) for t in ts] for ts, _ in series]
+    if policy == "inner":
+        shared = sorted(set(stamps[0]).intersection(*stamps[1:]))
+    else:
+        start = max(ts[0] for ts in stamps)
+        shared = sorted(t for t in set().union(*stamps) if t >= start)
+    rows = []
+    for ts, (_, values) in zip(stamps, series):
+        row = []
+        for t in shared:
+            last = None
+            for stamp, value in zip(ts, values):
+                if stamp <= t:
+                    last = float(value)
+            row.append(last)
+        rows.append(row)
+    return shared, rows
+
+
 def load_csv_loop(path, time_column: str = "date", value_column: str = "value"):
     """Read a ``date,value`` series file one row at a time.
 

@@ -271,3 +271,25 @@ class TestSerialization:
     def test_missing_key(self):
         with pytest.raises(ValueError, match="missing"):
             linear_model_from_dict({"type": "ols"})
+
+
+class TestFitBayesNonFinite:
+    x = np.random.default_rng(9).standard_normal((2, 80))
+    y = x[0] - 0.5 * x[1]
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"prior_variance": np.nan}, "prior variance"),
+        ({"noise_variance": np.nan}, "noise variance"),
+        ({"noise_variance": np.inf}, "noise variance"),
+        ({"prior_variance": np.inf, "noise_variance": np.inf}, "noise variance"),
+        ({"prior_variance": 1e-320, "noise_variance": 1.0}, "prior variance"),
+    ])
+    def test_rejected_with_the_argument_named(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            fit_bayes(self.x, self.y, 1, **kwargs)
+
+    def test_infinite_prior_variance_is_ols(self):
+        bayes = fit_bayes(self.x, self.y, 1, prior_variance=np.inf, noise_variance=1.0)
+        ols = fit_ols(self.x, self.y, 1)
+        np.testing.assert_array_equal(bayes.coefficients, ols.coefficients)
+        assert bayes.intercept == ols.intercept

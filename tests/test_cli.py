@@ -956,3 +956,15 @@ class TestNonUtf8Json:
         err = capsys.readouterr().err
         assert f"{path}: malformed {what} file (not UTF-8 text, byte 0xe9)" in err
         assert "codec" not in err
+
+
+class TestBayesNonFiniteHyperparameters:
+    @pytest.mark.parametrize("flag, name", [
+        ("--prior-var", "prior variance"), ("--noise-var", "noise variance"),
+    ])
+    def test_nan_names_the_argument(self, two_channel_files, tmp_path, capsys, flag, name):
+        a, b, tgt = two_channel_files
+        argv = ["baseline", "--input", f"{a},{b}", "--target", str(tgt),
+                "--method", "bayes", flag, "nan", "--out", str(tmp_path / "b.csv")]
+        assert main(argv) == 1
+        assert f"error: {name} must be" in capsys.readouterr().err

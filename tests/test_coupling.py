@@ -474,3 +474,21 @@ class TestSolutionValidationAndJson:
         assert blob["score"]["0"] == pytest.approx(0.8)
         assert blob["score"]["1"] == pytest.approx(-0.8)
         assert blob["degenerate_subspace"] is False
+
+
+class TestLocalMiValidation:
+    psis = np.array([[SQ2, -SQ2], [-SQ2, SQ2]])
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -1e-4])
+    def test_bad_delta(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            local_mi_approx(uniform_distribution(2), self.psis, delta)
+
+    @pytest.mark.parametrize("p_u", [[np.nan, 0.5], [-1.0, 2.0], [0.2, 0.2], [np.inf, 0.0]])
+    def test_p_u_must_be_a_distribution(self, p_u):
+        with pytest.raises(ValueError, match="probabilit"):
+            local_mi_approx(np.array(p_u), self.psis, 1e-4)
+
+    def test_non_finite_directions(self):
+        with pytest.raises(ValueError, match="finite"):
+            local_mi_approx([0.5, 0.5], [[np.nan, 0.0], [0.0, 0.0]], 1e-4)

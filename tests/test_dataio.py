@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from ctda import dataio
 from ctda.dataio import (
+    ALIGN_POLICIES,
     FileFormatError,
     ImageDataset,
     TimeSeries,
@@ -37,7 +38,7 @@ from ctda.stats import (
     parametric_channel,
 )
 
-from oracles import load_csv_loop, load_images_csv_loop, naive_fir
+from oracles import align_loop, load_csv_loop, load_images_csv_loop, naive_fir
 
 
 def write(tmp_path, name, text):
@@ -837,3 +838,31 @@ class TestWriteCsv:
                 write_ours(ours)
             csv_writer_file(reference, header, rows)
             assert ours.read_bytes() == reference.read_bytes(), k
+
+
+@st.composite
+def aligned_inputs(draw):
+    """2-4 series on one integer clock, each starting up to 20 steps after a
+    shared (possibly huge or negative) base and stepping by random gaps."""
+    base = draw(st.integers(-(10**12), 10**12))
+    series = []
+    for i in range(draw(st.integers(2, 4))):
+        gaps = draw(st.lists(st.integers(1, 4), max_size=30))
+        ts = base + draw(st.integers(0, 20)) + np.cumsum([0] + gaps)
+        values = draw(st.lists(st.floats(-1e6, 1e6), min_size=ts.size, max_size=ts.size))
+        series.append(TimeSeries(f"s{i}", ts, values))
+    return series, draw(st.sampled_from(ALIGN_POLICIES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(aligned_inputs())
+def test_align_matches_per_timestamp_scan(case):
+    series, policy = case
+    want_ts, want_rows = align_loop([(s.timestamps, s.values) for s in series], policy)
+    if not want_ts:
+        with pytest.raises(ValueError, match="no timestamps"):
+            align(series, policy)
+        return
+    ts, mat = align(series, policy)
+    assert ts.tolist() == want_ts
+    assert mat.tolist() == want_rows

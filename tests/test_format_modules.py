@@ -1,5 +1,6 @@
 """Each file format is decided in one module: within ``src/ctda`` only
-``dataio`` imports ``csv`` and only ``stats`` imports ``json``."""
+``dataio`` imports ``csv`` and only ``stats`` imports ``json``.  Likewise
+only ``equalizer`` decides what a ``predict`` model's window is offset by."""
 
 import ast
 from pathlib import Path
@@ -27,3 +28,30 @@ def test_one_module_imports_each_format(module, owner):
 def test_detects_a_format_import():
     tree = ast.parse("import numpy\nfrom json import dumps\nimport csv as c\n")
     assert list(imported_modules(tree)) == ["numpy", "json", "csv"]
+
+
+def compares_to(tree, value) -> bool:
+    """Whether any comparison in ``tree`` has the constant ``value`` as an operand."""
+    return any(
+        isinstance(node, ast.Compare)
+        and any(
+            isinstance(side, ast.Constant) and side.value == value
+            for side in (node.left, *node.comparators)
+        )
+        for node in ast.walk(tree)
+    )
+
+
+def test_one_module_compares_a_mode_to_predict():
+    comparers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if compares_to(ast.parse(path.read_text(encoding="utf-8")), "predict")
+    ]
+    assert comparers == ["equalizer.py"]
+
+
+def test_detects_a_predict_comparison():
+    assert compares_to(ast.parse('off = 1 if m.mode == "predict" else 0'), "predict")
+    assert compares_to(ast.parse('ok = "predict" != mode'), "predict")
+    assert not compares_to(ast.parse('modes = ("infer", "predict")'), "predict")

@@ -463,3 +463,12 @@ class TestSerialization:
         blob = fusion_to_dict(FusionModel((("a", passthrough()),), [1.0], "equal_gain"))
         del blob["degenerate"]
         assert not fusion_from_dict(blob).degenerate
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["predictions", "targets"])
+def test_lmmse_rejects_non_finite_inputs(bad, where):
+    preds, y = np.ones((2, 6)), np.arange(6.0)
+    (preds[1] if where == "predictions" else y)[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        mrc_weights_lmmse(preds, y)

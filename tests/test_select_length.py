@@ -178,3 +178,16 @@ def test_rank_fallback_fits_collinear_lengths_directly(fitted_lengths, criterion
     assert set(range(1, 5)) <= set(fitted_lengths)
     want = select_length_loop(x, y, 4, criterion, "infer")
     assert json.dumps(model_to_dict(model)) == json.dumps(want)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_separated_aic_scores_fit_only_the_winner_once(fitted_lengths, mode):
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(2000)
+    y = np.convolve(x, [0.9, -0.4, 0.2])[:2000] + 0.3 * rng.standard_normal(2000)
+    model = select_length(x, y, 12, "aic", mode)
+    # AIC scores the fit on all the data, which is then the model returned
+    assert fitted_lengths == [model.length]
+    assert json.dumps(model_to_dict(model)) == json.dumps(
+        select_length_loop(x, y, 12, "aic", mode)
+    )
