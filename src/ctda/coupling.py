@@ -293,8 +293,8 @@ def perturb_distribution(
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not 0 <= delta < np.inf:
+        raise ValueError("delta must be finite and nonnegative")
     psi = np.asarray(psi_x, dtype=float)
     p = p_x.probs
     if psi.shape != p.shape:

@@ -179,57 +179,101 @@ def _raise_first_bad_row(path, records, t_idx: int, v_idx: int, earlier, iso):
     raise FileFormatError(f"{path}: line {out_of_order}: timestamps not strictly increasing")
 
 
+def _series_columns(path, reader, time_column: str, value_column: str):
+    """Indices of the time and value columns in the header row of ``reader``."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FileFormatError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    try:
+        return header.index(time_column), header.index(value_column)
+    except ValueError:
+        raise FileFormatError(
+            f"{path}: header {header!r} lacks columns "
+            f"{time_column!r}/{value_column!r}"
+        ) from None
+
+
 def load_csv(path, time_column: str = "date", value_column: str = "value") -> TimeSeries:
-    """Load one time series from a two-column CSV file.
+    """Load one time series from a two-column CSV file, which may be a pipe.
 
     The series name is the file stem.  Duplicate or out-of-order timestamps,
     non-numeric or non-finite values, integer timestamps outside 64 bits and
-    missing columns are all rejected with the offending line number.  Each
-    chunk of records is converted a column per call; a row scan only finds
-    the line to report.
+    missing columns are all rejected with the offending line number.  When
+    the first data row has an integer date and the body is ASCII without
+    quotes, U+001C..U+001F or a line over ``csv.field_size_limit()``, numpy
+    parses the two columns in one call, and its result is kept if every
+    value is finite and the dates strictly increase.  Every other file (ISO
+    dates, quoted or non-ASCII cells, any error) is read by the row reader,
+    a chunk of rows at a time, which also finds the line to report.
     """
     name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     with _reading(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FileFormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        try:
-            t_idx = header.index(time_column)
-            v_idx = header.index(value_column)
-        except ValueError:
-            raise FileFormatError(
-                f"{path}: header {header!r} lacks columns "
-                f"{time_column!r}/{value_column!r}"
-            ) from None
+        if not fh.seekable():  # a pipe: keep its text to read it again
+            fh = io.StringIO(fh.read(), newline="")
+        columns = _series_columns(
+            path, csv.reader(iter(fh.readline, "")), time_column, value_column
+        )
+        parsed = _parse_plain_series(fh, fh.tell(), columns)
+        if parsed is None:
+            fh.seek(0)
+            parsed = _read_series_rows(path, fh, time_column, value_column)
+    return TimeSeries(name, *parsed)
 
-        times, values, iso = [], [], None
-        tail = np.empty(0, dtype=np.int64)  # last accepted timestamp
-        line = 2  # file line of the chunk's first record
-        while raw := list(islice(reader, _CHUNK_ROWS)):
-            rows = list(compress(raw, map(str.strip, map("".join, raw))))  # drop blanks
-            if rows:
-                try:
-                    cells = list(map(str.strip, map(itemgetter(t_idx), rows)))
-                    ts, chunk_iso = _parse_times(cells, iso)
-                    vs = np.array(list(map(float, map(itemgetter(v_idx), rows))))
-                    run = np.concatenate((tail, ts))
-                    ok = bool(np.isfinite(vs).all() and (run[1:] > run[:-1]).all())
-                except (IndexError, ValueError, OverflowError):
-                    ok = False
-                if not ok:
-                    earlier = np.concatenate(times) if times else tail
-                    records = zip(count(line), chain(raw, reader))
-                    _raise_first_bad_row(path, records, t_idx, v_idx, earlier, iso)
-                times.append(ts)
-                values.append(vs)
-                iso, tail = chunk_iso, ts[-1:]
-            line += len(raw)
+
+def _parse_plain_series(fh, body, columns):
+    """``(timestamps, values, False)`` of an integer-dated series whose body
+    starts at position ``body`` of ``fh``, parsed by numpy, or None when the
+    first data row's date is not an integer, ``_parse_plain`` rejects the
+    body, or a value is not finite or the dates do not strictly increase."""
+    try:
+        first = next(row for row in csv.reader(fh) if "".join(row).strip())
+        int(first[columns[0]])
+    except (StopIteration, IndexError, ValueError, csv.Error):
+        return None
+    rows = _parse_plain(
+        fh, body, usecols=columns, dtype=[("t", np.int64), ("v", np.float64)], ndmin=1
+    )
+    if rows is None:
+        return None
+    times, values = rows["t"], rows["v"]
+    if not (np.isfinite(values).all() and (times[1:] > times[:-1]).all()):
+        return None
+    return times, values, False
+
+
+def _read_series_rows(path, fh, time_column: str, value_column: str):
+    """``(timestamps, values, iso)`` of the series file ``path`` open as
+    ``fh``.  Each chunk of records is converted a column per call; a row scan
+    only finds the line to report."""
+    reader = csv.reader(fh)
+    t_idx, v_idx = _series_columns(path, reader, time_column, value_column)
+    times, values, iso = [], [], None
+    tail = np.empty(0, dtype=np.int64)  # last accepted timestamp
+    line = 2  # file line of the chunk's first record
+    while raw := list(islice(reader, _CHUNK_ROWS)):
+        rows = list(compress(raw, map(str.strip, map("".join, raw))))  # drop blanks
+        if rows:
+            try:
+                cells = list(map(str.strip, map(itemgetter(t_idx), rows)))
+                ts, chunk_iso = _parse_times(cells, iso)
+                vs = np.array(list(map(float, map(itemgetter(v_idx), rows))))
+                run = np.concatenate((tail, ts))
+                ok = bool(np.isfinite(vs).all() and (run[1:] > run[:-1]).all())
+            except (IndexError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                earlier = np.concatenate(times) if times else tail
+                records = zip(count(line), chain(raw, reader))
+                _raise_first_bad_row(path, records, t_idx, v_idx, earlier, iso)
+            times.append(ts)
+            values.append(vs)
+            iso, tail = chunk_iso, ts[-1:]
+        line += len(raw)
     if not times:
         raise FileFormatError(f"{path}: no data rows")
-    return TimeSeries(name, np.concatenate(times), np.concatenate(values), iso_dates=iso)
+    return np.concatenate(times), np.concatenate(values), iso
 
 
 def save_csv(series: TimeSeries, path, time_column="date", value_column="value") -> None:
@@ -441,23 +485,19 @@ def load_images_csv(
 
     When the geometry is unknown the images are treated as 1 x n_pixels
     strips; the alphabet defaults to the largest pixel value + 1 (but at
-    least 2 symbols).  A file of plain integer rows is parsed by numpy in
-    one call; any other file (blank labels, blank or quoted cells, errors)
-    is read a row at a time, which also finds the line to report.
+    least 2 symbols).  When the body is ASCII without quotes, U+001C..U+001F
+    or a line over ``csv.field_size_limit()``, numpy parses it in one call,
+    and its result is kept if its rows are as wide as the header.  Every
+    other file (blank labels, blank, quoted or non-ASCII cells, any error)
+    is read a row at a time, which also finds the line to report.  The file
+    may be a pipe.
     """
     with _reading(path) as fh:
-        if not fh.seekable():  # a pipe: keep its text for the row reader
+        if not fh.seekable():  # a pipe: keep its text to read it again
             fh = io.StringIO(fh.read(), newline="")
-        n_pixels = _images_header(path, csv.reader(fh))
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                body = np.loadtxt(
-                    _plain_lines(fh), delimiter=",", comments=None, dtype=np.int64, ndmin=2
-                )
-        except ValueError:
-            body = np.empty((0, 0), dtype=np.int64)
-        if body.shape[0] and body.shape[1] == n_pixels + 1:
+        n_pixels = _images_header(path, csv.reader(iter(fh.readline, "")))
+        body = _parse_plain(fh, fh.tell(), dtype=np.int64, ndmin=2)
+        if body is not None and body.shape[0] and body.shape[1] == n_pixels + 1:
             labels, images = body[:, 0].copy(), np.ascontiguousarray(body[:, 1:])
         else:
             fh.seek(0)
@@ -473,24 +513,40 @@ def load_images_csv(
     return ImageDataset(width, height, alphabet_size, images, labels)
 
 
-# numpy's integer parser reads some cells that int() rejects: it takes
-# U+001C..U+001F for spaces, and some non-ASCII letters for digits.
+_SCREEN_CHARS = 1 << 16  # characters read per step of the plain-text screen
+
+# numpy's number parsers read some cells that int() and float() reject: they
+# take U+001C..U+001F for spaces, and the integer parser takes some non-ASCII
+# letters for digits.
 _NOT_INT_SPACES = "\x1c\x1d\x1e\x1f"
 
 
-def _plain_lines(fh):
-    """The lines of ``fh``, raising ValueError at the first one that numpy's
-    parser might read differently from ``int``, or that may hold a cell the
-    csv reader refuses as too long."""
+def _parse_plain(fh, start, **options):
+    """``np.loadtxt(fh, **options)`` of the text from position ``start`` on,
+    or None when numpy rejects it or the text is not plain.  Plain text is
+    valid UTF-8 and ASCII, free of U+001C..U+001F and of quotes, and has no
+    line (ended by ``\\n``) over ``csv.field_size_limit()``, so no cell the
+    csv reader refuses as too long; numpy reads each of its cells as the csv
+    reader with ``int`` or ``float`` does, or rejects it.  The text is
+    screened in chunks before numpy reads it."""
     limit = csv.field_size_limit()
-    for line in fh:
-        if (
-            not line.isascii()
-            or any(c in line for c in _NOT_INT_SPACES)
-            or len(line) > limit and max(map(len, line.split(","))) > limit
-        ):
-            raise ValueError("line for the row reader")
-        yield line
+    size = max(1, min(_SCREEN_CHARS, limit))  # a line inside one chunk is short enough
+    fh.seek(start)
+    line = 0  # length of the line the chunks so far end in
+    try:
+        while chunk := fh.read(size):
+            if not chunk.isascii() or '"' in chunk or any(c in chunk for c in _NOT_INT_SPACES):
+                return None
+            end = chunk.find("\n")
+            if line + (len(chunk) if end < 0 else end) > limit:
+                return None
+            line = line + len(chunk) if end < 0 else len(chunk) - 1 - chunk.rfind("\n")
+        fh.seek(start)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(fh, delimiter=",", comments=None, **options)
+    except ValueError:  # also UnicodeDecodeError: the row reader reports it in place
+        return None
 
 
 def _images_header(path, reader) -> int:

@@ -431,8 +431,8 @@ def lms_update(model: EqualizerModel, x, y, n: int, step: float) -> EqualizerMod
     ``w[l] += step * err * (x[n - l] - mean_x)``; means and length stay
     fixed.  Non-finite results abort with an error (step too large).
     """
-    if step <= 0:
-        raise ValueError("LMS step must be positive")
+    if not 0 < step < np.inf:
+        raise ValueError("LMS step must be finite and positive")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     err = y[n] - infer(model, x, n)

@@ -42,6 +42,7 @@ from ctda.stats import (
     uniform_distribution,
 )
 from oracles import online_inverse_mse_loop
+from pipe_feeder import fed_pipe
 
 DIST_A = DiscreteDistribution([0.7, 0.1, 0.1, 0.1])
 DIST_B = DiscreteDistribution([0.1, 0.1, 0.1, 0.7])
@@ -913,6 +914,28 @@ class TestPipedInput:
             os.close(read_fd)
         assert rc == 0, capsys.readouterr().err
         assert (tmp_path / "pipe.csv").read_bytes() == (tmp_path / "disk.csv").read_bytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+class TestPipedSeriesInput:
+    def test_fit_from_pipes(self, tmp_path, capsys):
+        # 6,000 rows (over 100 KB) fill a pipe buffer, so a thread feeds them.
+        xs, y = gen_fir_series(5, 6000, [[0.7, -0.3]], noise_sigma=0.05)
+        x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
+        write_series(x_path, xs[0])
+        write_series(y_path, y)
+        flags = ["--max-length", "4"]
+        assert main(["fit", "--input", str(x_path), "--target", str(y_path), *flags,
+                     "--out", str(tmp_path / "disk.json")]) == 0
+        with fed_pipe(x_path.read_bytes()) as x_pipe, fed_pipe(y_path.read_bytes()) as y_pipe:
+            rc = main(["fit", "--input", x_pipe, "--target", y_pipe, *flags,
+                       "--out", str(tmp_path / "pipe.json")])
+        assert rc == 0, capsys.readouterr().err
+        models = [
+            [c["model"] for c in json.loads((tmp_path / name).read_text())["channels"]]
+            for name in ("disk.json", "pipe.json")
+        ]
+        assert models[0] == models[1]
 
 
 class TestBayesDefaultNoise:

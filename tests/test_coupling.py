@@ -492,3 +492,10 @@ class TestLocalMiValidation:
     def test_non_finite_directions(self):
         with pytest.raises(ValueError, match="finite"):
             local_mi_approx([0.5, 0.5], [[np.nan, 0.0], [0.0, 0.0]], 1e-4)
+
+
+class TestPerturbNonFiniteDelta:
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_rejected_naming_delta(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
+            perturb_distribution(uniform_distribution(2), np.array([SQ2, -SQ2]), delta)

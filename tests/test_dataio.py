@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctda import dataio
@@ -39,6 +39,7 @@ from ctda.stats import (
 )
 
 from oracles import align_loop, load_csv_loop, load_images_csv_loop, naive_fir
+from pipe_feeder import fed_pipe
 
 
 def write(tmp_path, name, text):
@@ -270,6 +271,208 @@ class TestLoadCsvMatchesLoop:
             times, values, iso = expected
             assert got[0] == times and got[2] == iso
             assert np.asarray(got[1]).tobytes() == np.asarray(values, dtype=float).tobytes()
+
+
+# Cells at the boundary between numpy's parser and the row reader: non-ASCII
+# digits (int() and float() read Arabic-Indic ones), numpy's extra spaces
+# U+001C..U+001F, non-finite values and integers just past int64.
+BOUNDARY_CELLS = [
+    "١٢", "Ǿ", "\x1c7", "7\x1d", "\x1e", "7\x1f", "+inf", "1e400",
+    "9223372036854775808", "-9223372036854775809", "9223372036854775807",
+]
+BOUNDARY_PADS = [
+    lambda c: f"\x0b{c}\x0c",
+    lambda c: f"\x0c {c}\x0b",
+    lambda c: f"\x1c{c}",
+    lambda c: f"{c}\x1f",
+    lambda c: c.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+]
+SMALL_FIELD_LIMIT = 40
+
+
+@st.composite
+def plain_series_texts(draw):
+    """Integer-dated ``date,value`` texts of the kind numpy's parser takes,
+    with a few boundary cells, padded cells, lone ``\\r`` line ends, a quoted
+    header, quoted notes whose commas shift numpy's columns, a cell over the
+    csv field limit, or the value read from the date column.  Returns
+    ``(text, value_column, field_limit)``."""
+    header = draw(st.sampled_from(
+        ["date,value", '"date","value"', '"date",value', "note,date,value"]
+    ))
+    value_column = "date" if chance(draw, 15) else "value"
+    limit = draw(st.sampled_from([csv.field_size_limit(), SMALL_FIELD_LIMIT]))
+    # A cell over the limit is the file's only defect: the row reader meets
+    # it when it reads its chunk, before it checks the rows before it.
+    long_cell = limit == SMALL_FIELD_LIMIT and chance(draw, 30)
+    t = draw(st.integers(-5, 5))
+    rows = []
+    for _ in range(draw(st.integers(1, 20))):
+        disorder = not long_cell and chance(draw, 5)
+        t += draw(st.integers(-2, 0)) if disorder else draw(st.integers(1, 3))
+        rows.append([str(t), repr(draw(st.floats(allow_nan=False, allow_infinity=False)))])
+    if long_cell:
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 1))] = "1" * (limit + 1)
+    else:
+        for _ in range(draw(st.integers(0, 2))):
+            row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 1))
+            if chance(draw, 50):
+                rows[row][col] = draw(st.sampled_from(BOUNDARY_PADS))(rows[row][col])
+            else:
+                rows[row][col] = draw(st.sampled_from(BOUNDARY_CELLS))
+    if header.startswith("note"):
+        # '"n,<date>,0.5,n"' gives numpy's split the date and another value
+        note = draw(st.sampled_from(["n", '"1,2"', '"n,{},0.5,n"']))
+        rows = [[note.format(cells[0])] + cells for cells in rows]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [header] + [",".join(cells) for cells in rows]
+    return newline.join(lines) + (newline if draw(st.booleans()) else ""), value_column, limit
+
+
+def loop_outcome(path, value_column="value"):
+    """What ``tests/oracles.py`` reads from ``path``, in ``load_outcome``'s form."""
+    try:
+        times, values, iso = load_csv_loop(path, "date", value_column)
+    except ValueError as exc:
+        return str(exc)
+    except csv.Error as exc:  # the loader names the file for a csv-level failure
+        return f"{path}: {exc}"
+    return times, np.asarray(values, dtype=float).tobytes(), iso
+
+
+def load_outcome(source, value_column="value"):
+    """``load_csv``'s series as lists and bytes, or its error message."""
+    try:
+        s = load_csv(source, "date", value_column)
+    except FileFormatError as exc:
+        return str(exc)
+    return s.timestamps.tolist(), s.values.tobytes(), s.iso_dates
+
+
+class TestLoadCsvBoundaryMatchesLoop:
+    """The reader against the row loop on files at the boundary of numpy's
+    accept path."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=plain_series_texts())
+    @example(case=('note,date,value\n"n,1,0.5,n",1,2.5\n"n,3,0.5,n",3,-1.0\n', "value", None))
+    @example(case=("date,value\n1,2.5\n2,\u01fe\n", "value", None))
+    @example(case=("date,value\n1,\x1c2.5\n2,\x0b3\x0c\n", "value", None))
+    @example(case=("date,value\n\u0661,2.5\n2,3\n", "value", None))
+    @example(case=("date,value\n1,+inf\n", "value", None))
+    @example(case=("date,value\n1,1e400\n", "value", None))
+    @example(case=("date,value\n9223372036854775808,1\n", "value", None))
+    @example(case=("date,value\n1," + "1" * 41 + "\n", "value", SMALL_FIELD_LIMIT))
+    @example(case=("date,value\r1,2.5\r2,3\r", "value", None))
+    @example(case=("date,value\n1,2\n3,4\n", "date", None))
+    def test_same_series_or_same_error(self, case):
+        text, value_column, limit = case
+        limit = csv.field_size_limit() if limit is None else limit
+        old_limit = csv.field_size_limit(limit)
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "s.csv"
+                path.write_text(text, encoding="utf-8", newline="")
+                assert load_outcome(path, value_column) == loop_outcome(path, value_column)
+        finally:
+            csv.field_size_limit(old_limit)
+
+
+def benchmark_shaped_series(rows, seed=1):
+    """An integer-dated series file's text as the benchmark writes it, with
+    values spread over ten decades, and its values."""
+    rng = np.random.default_rng(seed)
+    values = (rng.standard_normal(rows) * 10.0 ** rng.integers(-5, 5, rows)).tolist()
+    lines = ["date,value"] + [f"{t},{v!r}" for t, v in enumerate(values)]
+    return "\n".join(lines) + "\n", values
+
+
+def iso_series(rows):
+    start = datetime.date(2000, 1, 1).toordinal()
+    lines = ["date,value"] + [
+        f"{datetime.date.fromordinal(start + 2 * t).isoformat()},{t / 7!r}" for t in range(rows)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+class TestLoadCsvPaths:
+    """Which reader a file reaches."""
+
+    def test_integer_file_never_reaches_the_row_reader(self, tmp_path):
+        text, values = benchmark_shaped_series(20_000)
+        p = write(tmp_path, "x1.csv", text)
+        with mock.patch.object(dataio, "_read_series_rows", side_effect=AssertionError), \
+                mock.patch.object(dataio, "_raise_first_bad_row", side_effect=AssertionError):
+            s = load_csv(p)
+        assert s.timestamps.tolist() == list(range(20_000))
+        assert s.values.tobytes() == np.array(values).tobytes()
+        assert not s.iso_dates
+
+    def test_iso_file_never_reaches_numpy(self, tmp_path):
+        p = write(tmp_path, "fx.csv", iso_series(4_000))  # several screen chunks long
+        with mock.patch.object(np, "loadtxt", side_effect=AssertionError), \
+                mock.patch.object(dataio, "_parse_plain", side_effect=AssertionError):
+            s = load_csv(p)
+        assert s.iso_dates and len(s) == 4_000
+
+    @pytest.mark.parametrize("loader, head, message", [
+        (load_csv, "date,value\n1,1.5\n2,x\n", "line 3: cannot parse value 'x'"),
+        (load_images_csv, "label,p0\n0,1\n1,x\n", "line 3: non-integer pixel value"),
+    ], ids=["series", "images"])
+    def test_bad_row_far_before_undecodable_byte(self, tmp_path, loader, head, message):
+        # The row reader stops at the bad row before it decodes the bad byte.
+        p = tmp_path / "f.csv"
+        p.write_bytes(head.encode() + b"3,1\n" * 50_000 + b"\xe9\n")
+        with pytest.raises(FileFormatError, match=message):
+            loader(p)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+class TestPipedSeries:
+    """A series read from a pipe, fed by a thread so it may exceed the pipe
+    buffer, gives what the same file on disk gives, on numpy's path and on
+    the row reader's."""
+
+    @staticmethod
+    def outcomes(tmp_path, text):
+        on_disk = tmp_path / "s.csv"
+        on_disk.write_bytes(text.encode("utf-8"))
+        with fed_pipe(text.encode("utf-8")) as pipe:
+            results = [load_outcome(on_disk), load_outcome(pipe)]
+            return [r.replace(str(src), "<file>") if isinstance(r, str) else r
+                    for r, src in zip(results, (on_disk, pipe))]
+
+    def test_integer_file_takes_numpy_path(self, tmp_path):
+        text, _ = benchmark_shaped_series(5_000)
+        with mock.patch.object(dataio, "_read_series_rows", side_effect=AssertionError):
+            from_disk, from_pipe = self.outcomes(tmp_path, text)
+        assert not isinstance(from_pipe, str)
+        assert from_pipe == from_disk
+
+    @pytest.mark.parametrize("text", [
+        iso_series(4_000),
+        benchmark_shaped_series(5_000)[0].replace("\n7,", '\n"7",'),  # quoted cell
+        benchmark_shaped_series(5_000)[0].replace("\n7,", "\n\u0667,"),  # Arabic-Indic 7
+    ], ids=["iso", "quoted-cell", "non-ascii-digit"])
+    def test_row_reader_file(self, tmp_path, text):
+        from_disk, from_pipe = self.outcomes(tmp_path, text)
+        assert not isinstance(from_pipe, str)
+        assert from_pipe == from_disk
+
+    @pytest.mark.parametrize("text, message", [
+        (benchmark_shaped_series(5_000)[0].replace("\n4000,", "\n4000,x"),
+         "<file>: line 4002: cannot parse value"),
+        (benchmark_shaped_series(5_000)[0].replace("\n4000,", "\n3999,"),
+         "<file>: line 4002: duplicate timestamp '3999'"),
+        (iso_series(4_000).replace("\n2000-01-05,", "\n2000-01-02,"),
+         "<file>: line 4: timestamps not strictly increasing"),
+        ("", "<file>: empty file"),
+        ("date,value\n\n", "<file>: no data rows"),
+    ], ids=["bad-value", "duplicate", "iso-disorder", "empty", "no-rows"])
+    def test_same_error(self, tmp_path, text, message):
+        from_disk, from_pipe = self.outcomes(tmp_path, text)
+        assert from_pipe == from_disk
+        assert from_disk.startswith(message)
 
 
 class TestAlign:

@@ -346,3 +346,11 @@ class TestSerialization:
     def test_missing_key(self):
         with pytest.raises(ValueError, match="missing"):
             model_from_dict({"length": 0})
+
+
+class TestLmsNonFiniteStep:
+    @pytest.mark.parametrize("step", [np.nan, np.inf])
+    def test_rejected_naming_the_step(self, step):
+        model = EqualizerModel(0, [0.0], 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="LMS step must be finite and positive"):
+            lms_update(model, np.array([1.0]), np.array([1.0]), 0, step=step)
