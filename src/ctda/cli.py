@@ -11,10 +11,11 @@ Conventions: every command takes ``--seed`` and ``--out``; only ``sweep``
 draws random numbers, the others just record the seed; JSON outputs embed
 the resolved configuration, package version and seed; identical
 invocations produce byte-identical outputs.  Exit codes: 0 success, 1
-computation or validation failure, 2 usage or I/O trouble.  ``sweep``
-parallelism is set by ``--threads`` or the ``CTDA_THREADS`` environment
-variable (0 or unset = one worker per CPU), at most one worker per CPU and
-per grid point; its grid holds at most ``MAX_GRID_POINTS`` points.
+computation or validation failure (running out of memory included), 2 usage
+or I/O trouble.  ``sweep`` parallelism is set by ``--threads`` or the
+``CTDA_THREADS`` environment variable (0 or unset = one worker per CPU), at
+most one worker per CPU and per grid point; its grid holds at most
+``MAX_GRID_POINTS`` points.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -57,13 +59,12 @@ from .fusion import (
     selective_weights,
 )
 from .scoring import (
+    _per_pixel_totals,
+    _pooled_totals,
+    _separation_error,
     build_image_scorer,
     error_vs_noise_curve,
     save_curve_csv,
-    save_scores_csv,
-    score_dataset,
-    score_dataset_per_pixel,
-    separation_error,
 )
 from .stats import (
     DiscreteDistribution,
@@ -377,14 +378,16 @@ def cmd_score(args) -> None:
     )
     if args.mode == "pooled":
         table = build_image_scorer(dataset.images, channel, smooth=args.smooth)
-        items = score_dataset(dataset, table)
+        totals = _pooled_totals(dataset, table)
     else:
-        items = score_dataset_per_pixel(dataset, channel, smooth=True)
-    save_scores_csv(items, args.out)
-    print(f"scored {len(items)} images (mode={args.mode})")
-    if dataset.labels is not None:
+        totals = _per_pixel_totals(dataset, channel, smooth=True)
+    labels = dataset.labels
+    label_cells = repeat("", totals.size) if labels is None else labels
+    _write_csv(args.out, ["index", "label", "score"], np.arange(totals.size), label_cells, totals)
+    print(f"scored {totals.size} images (mode={args.mode})")
+    if labels is not None:
         try:
-            err = separation_error(items)
+            err = _separation_error(totals, labels)
         except ValueError as exc:
             print(f"separation error unavailable: {exc}")
         else:
@@ -549,6 +552,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a sweep whose --n and --dims outgrow memory
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
     return 0
 

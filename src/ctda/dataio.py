@@ -133,12 +133,13 @@ def _parse_times(cells: list, iso: Optional[bool]):
     return np.array(list(map(_dt.date.toordinal, dates)), dtype=np.int64), True
 
 
-def _raise_first_bad_row(path, records, t_idx: int, v_idx: int, earlier, iso):
+def _raise_first_bad_row(path, records, t_idx: int, v_idx: int, earlier, iso, error):
     """Raise the error of the first rejected row of ``(line, row)`` ``records``,
     which run from the first chunk the bulk conversion rejected to the end of
-    the file; ``earlier`` holds the timestamps accepted before, of kind
-    ``iso``.  Never returns.  An out-of-order row is reported only when no
-    later row fails another check."""
+    the file or to ``error``, the csv.Error that cut it short (else None);
+    ``earlier`` holds the timestamps accepted before, of kind ``iso``.  Never
+    returns.  ``error`` is raised when no record before it fails, and an
+    out-of-order row is reported only when no later row fails another check."""
     seen = set(earlier.tolist())
     last = int(earlier[-1]) if earlier.size else None
     out_of_order = None
@@ -176,6 +177,8 @@ def _raise_first_bad_row(path, records, t_idx: int, v_idx: int, earlier, iso):
         if out_of_order is None and last is not None and ts <= last:
             out_of_order = line
         last = ts
+    if error is not None:
+        raise error
     raise FileFormatError(f"{path}: line {out_of_order}: timestamps not strictly increasing")
 
 
@@ -252,9 +255,13 @@ def _read_series_rows(path, fh, time_column: str, value_column: str):
     times, values, iso = [], [], None
     tail = np.empty(0, dtype=np.int64)  # last accepted timestamp
     line = 2  # file line of the chunk's first record
-    while raw := list(islice(reader, _CHUNK_ROWS)):
+    while True:
+        raw, error = _next_records(reader)
+        if not (raw or error):
+            break
         rows = list(compress(raw, map(str.strip, map("".join, raw))))  # drop blanks
-        if rows:
+        ok = error is None
+        if rows and ok:
             try:
                 cells = list(map(str.strip, map(itemgetter(t_idx), rows)))
                 ts, chunk_iso = _parse_times(cells, iso)
@@ -263,10 +270,11 @@ def _read_series_rows(path, fh, time_column: str, value_column: str):
                 ok = bool(np.isfinite(vs).all() and (run[1:] > run[:-1]).all())
             except (IndexError, ValueError, OverflowError):
                 ok = False
-            if not ok:
-                earlier = np.concatenate(times) if times else tail
-                records = zip(count(line), chain(raw, reader))
-                _raise_first_bad_row(path, records, t_idx, v_idx, earlier, iso)
+        if not ok:
+            earlier = np.concatenate(times) if times else tail
+            records = zip(count(line), raw if error else chain(raw, reader))
+            _raise_first_bad_row(path, records, t_idx, v_idx, earlier, iso, error)
+        if rows:
             times.append(ts)
             values.append(vs)
             iso, tail = chunk_iso, ts[-1:]
@@ -274,6 +282,19 @@ def _read_series_rows(path, fh, time_column: str, value_column: str):
     if not times:
         raise FileFormatError(f"{path}: no data rows")
     return np.concatenate(times), np.concatenate(values), iso
+
+
+def _next_records(reader):
+    """``(records, error)``: the next at most ``_CHUNK_ROWS`` records of
+    ``reader``, and the csv.Error (e.g. a cell over ``csv.field_size_limit()``)
+    that ended them early, else None."""
+    records = []
+    try:
+        for row in islice(reader, _CHUNK_ROWS):
+            records.append(row)
+    except csv.Error as exc:
+        return records, exc
+    return records, None
 
 
 def save_csv(series: TimeSeries, path, time_column="date", value_column="value") -> None:
@@ -427,28 +448,52 @@ def gen_two_class_images(
     """Draw a balanced two-class corpus of i.i.d.-pixel images.
 
     Class 0 pixels are i.i.d. ``dist_a``; class 1 pixels i.i.d. ``dist_b``.
-    Both distributions must share an alphabet.  Labels are attached.
+    Both distributions must share an alphabet.  Labels are attached.  Each
+    class's pixels equal ``rng.choice(K, (n_per_class, pixels), p=probs)``
+    on the same stream, class 0 first: one uniform draw per pixel, mapped
+    through the class CDF.
     """
     if dist_a.size != dist_b.size:
         raise ValueError("class distributions must share an alphabet")
     if n_per_class < 1:
         raise ValueError("need at least one image per class")
     rng = np.random.default_rng(seed)
-    shape = (n_per_class, width * height)
-    imgs_a = rng.choice(dist_a.size, size=shape, p=dist_a.probs)
-    imgs_b = rng.choice(dist_b.size, size=shape, p=dist_b.probs)
-    images = np.concatenate([imgs_a, imgs_b], axis=0)
-    labels = np.concatenate(
-        [np.zeros(n_per_class, dtype=np.int64), np.ones(n_per_class, dtype=np.int64)]
-    )
+    images = np.empty((2 * n_per_class, width * height), dtype=np.int64)
+    for rows, dist in zip((images[:n_per_class], images[n_per_class:]), (dist_a, dist_b)):
+        # numpy's choice: cdf = p.cumsum() / its last entry, searchsorted
+        # (side="right") of the draws, which counts the levels at or below
+        # each draw; the last level is exactly 1, above every draw.
+        cdf = dist.probs.cumsum()
+        cdf /= cdf[-1]
+        _count_levels(cdf[:-1], rng.random(rows.shape), rows)
+    labels = np.repeat(np.arange(2, dtype=np.int64), n_per_class)
     return ImageDataset(width, height, dist_a.size, images, labels)
+
+
+_BLOCK_ROWS = 32  # rows per step of _count_levels: its blocks stay in cache
+
+
+def _count_levels(levels, u, out, symbols=None) -> None:
+    """Set ``out`` to the number of CDF ``levels`` at or below each draw of
+    ``u``: inverse-CDF sampling.  Each entry of ``levels`` is one level, a
+    scalar or, with ``symbols``, a row indexed by each element's symbol.  Runs
+    ``_BLOCK_ROWS`` rows at a time, so the blocks of ``u``, ``symbols`` and
+    ``out`` stay in cache across the levels."""
+    for lo in range(0, u.shape[0], _BLOCK_ROWS):
+        block, draws = out[lo : lo + _BLOCK_ROWS], u[lo : lo + _BLOCK_ROWS]
+        rows = None if symbols is None else symbols[lo : lo + _BLOCK_ROWS]
+        block[...] = 0
+        for level in levels:
+            block += (level if rows is None else level[rows]) <= draws
 
 
 def apply_channel_to_dataset(dataset: ImageDataset, channel: Channel, seed: int) -> ImageDataset:
     """Pass every pixel independently through a discrete channel.
 
     The output dataset lives on the channel's output alphabet; labels (if
-    any) are carried over unchanged.
+    any) are carried over unchanged.  One uniform draw per pixel, in
+    row-major order, is mapped through the output CDF of the pixel's
+    symbol; the result equals whole-array sampling on the same draws.
     """
     if channel.n_inputs != dataset.alphabet_size:
         raise ValueError(
@@ -456,16 +501,15 @@ def apply_channel_to_dataset(dataset: ImageDataset, channel: Channel, seed: int)
             f"{dataset.alphabet_size}"
         )
     rng = np.random.default_rng(seed)
-    # Inverse-CDF sampling per pixel: column cum[x] is the output CDF for
-    # input symbol x, and u in [0, 1) picks the first level above u, i.e.
-    # counts the levels at or below u.  Levels at a column's total are set to
-    # inf: a total rounded below 1 may be <= u.  The last level is always inf.
+    # Column cum[x] is the output CDF for input symbol x, and u in [0, 1)
+    # picks the first level above u, i.e. counts the levels at or below u.
+    # Levels at a column's total are set to inf: a total rounded below 1 may
+    # be <= u.  The last level is always inf.
     cum = np.cumsum(channel.matrix, axis=0).T  # (Kx, Ky)
     cum[cum == cum[:, -1:]] = np.inf
     u = rng.random(dataset.images.shape)
-    noisy = np.zeros(u.shape, dtype=np.int64)
-    for level in cum[:, :-1].T:
-        noisy += level[dataset.images] <= u
+    noisy = np.empty(u.shape, dtype=np.int64)
+    _count_levels(cum[:, :-1].T, u, noisy, dataset.images)
     return ImageDataset(
         dataset.width,
         dataset.height,

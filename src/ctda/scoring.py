@@ -163,9 +163,20 @@ def _max_variance_direction(solution, dtm, pixels, alphabet):
 def score_dataset(dataset: ImageDataset, table: ScoreTable) -> list:
     """Score every image; labels (if present) are carried along for later
     evaluation only."""
+    return _scored_items(_pooled_totals(dataset, table), dataset.labels)
+
+
+def _pooled_totals(dataset: ImageDataset, table: ScoreTable) -> np.ndarray:
+    """Each image's summed pixel scores under one ``table``."""
     if dataset.alphabet_size > table.scores.size:
         raise ValueError("score table does not cover the dataset's alphabet")
-    return _scored_items(table.scores[dataset.images].sum(axis=1), dataset.labels)
+    return _finite(table.scores[dataset.images].sum(axis=1))
+
+
+def _finite(totals: np.ndarray) -> np.ndarray:
+    if not np.isfinite(totals).all():
+        raise ValueError("score must be finite")
+    return totals
 
 
 def _symbol_counts(rows: np.ndarray, alphabet: int) -> np.ndarray:
@@ -187,6 +198,11 @@ def score_dataset_per_pixel(
     source has fewer than two live symbols contributes nothing.  All pixels
     are solved in one stacked pass per support pattern.
     """
+    return _scored_items(_per_pixel_totals(dataset, channel, smooth), dataset.labels)
+
+
+def _per_pixel_totals(dataset: ImageDataset, channel: Channel, smooth: bool) -> np.ndarray:
+    """Each image's summed scores under per-pixel tables."""
     images = dataset.images
     n, n_pix = images.shape
     if n == 0:
@@ -208,8 +224,7 @@ def score_dataset_per_pixel(
     if outside.size:
         column = images[:, stop]
         raise ValueError(f"symbol {int(column[column >= k][0])} outside alphabet of size {k}")
-    totals = tables[np.arange(n_pix)[None, :], images].sum(axis=1)
-    return _scored_items(totals, dataset.labels)
+    return _finite(tables[np.arange(n_pix)[None, :], images].sum(axis=1))
 
 
 def _scored_items(totals: np.ndarray, labels: Optional[np.ndarray]) -> list:
@@ -230,22 +245,30 @@ def separation_error(items: Sequence[ScoredItem]) -> float:
     the other, in whichever of the two orientations errs less (the scores
     carry an arbitrary overall sign).
     """
-    if not items:
+    labels = [item.label for item in items]
+    return _separation_error(
+        np.array([item.score for item in items]), None if None in labels else np.array(labels)
+    )
+
+
+def _separation_error(totals: np.ndarray, labels: Optional[np.ndarray]) -> float:
+    """``separation_error`` of images scored ``totals`` with ``labels``
+    (None: unlabeled)."""
+    if not len(totals):
         raise ValueError("nothing to evaluate")
-    if any(item.label is None for item in items):
+    if labels is None:
         raise ValueError("separation error needs labeled items")
-    labels = np.array([item.label for item in items])
     classes = np.unique(labels)
     if classes.size != 2:
         raise ValueError(f"need exactly two classes, got {classes.size}")
     counts = [(labels == c).sum() for c in classes]
     if counts[0] != counts[1]:
         raise ValueError("classes must be balanced")
-    order = np.argsort([item.score for item in items], kind="stable")
+    order = np.argsort(totals, kind="stable")
     low_half = labels[order[: counts[0]]]
     wrong_a = int((low_half != classes[0]).sum())  # low half called class 0
     wrong_b = int((low_half != classes[1]).sum())  # low half called class 1
-    return 2.0 * min(wrong_a, wrong_b) / len(items)
+    return 2.0 * min(wrong_a, wrong_b) / len(totals)
 
 
 def _curve_point(
@@ -264,7 +287,7 @@ def _curve_point(
     channel = parametric_channel(e)
     noisy = apply_channel_to_dataset(clean, channel, int(noise_seed))
     table = build_image_scorer(noisy.images, channel)
-    error = separation_error(score_dataset(noisy, table))
+    error = _separation_error(_pooled_totals(noisy, table), noisy.labels)
     return CurvePoint(
         e=float(e),
         error_probability=error,

@@ -338,6 +338,34 @@ def load_images_csv_loop(path):
     return (labels or None), images
 
 
+def two_class_images_choice(seed: int, n_per_class: int, pixels: int, p_a, p_b):
+    """``(images, labels)`` of a two-class corpus drawn with numpy's own
+    ``Generator.choice``, class 0 first, concatenated afterwards."""
+    rng = np.random.default_rng(seed)
+    imgs_a = rng.choice(len(p_a), size=(n_per_class, pixels), p=p_a)
+    imgs_b = rng.choice(len(p_b), size=(n_per_class, pixels), p=p_b)
+    labels = np.concatenate(
+        [np.zeros(n_per_class, dtype=np.int64), np.ones(n_per_class, dtype=np.int64)]
+    )
+    return np.concatenate([imgs_a, imgs_b], axis=0), labels
+
+
+def channel_whole_array(images, channel_matrix, seed: int):
+    """Each pixel of ``images`` through the column-stochastic channel, by
+    inverse-CDF sampling over the whole array at once: one uniform draw per
+    pixel, compared with each leading level of its symbol's output CDF.
+    Levels equal to a column's total count as infinite, since a total
+    rounded below 1 may lie at or below a draw."""
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(np.asarray(channel_matrix, dtype=float), axis=0).T
+    cum[cum == cum[:, -1:]] = np.inf
+    u = rng.random(np.shape(images))
+    noisy = np.zeros(u.shape, dtype=np.int64)
+    for level in cum[:, :-1].T:
+        noisy += level[images] <= u
+    return noisy
+
+
 def per_pixel_scores_loop(images, channel_matrix, smooth: bool):
     """Per-image score totals with one score table per pixel, one pixel at a
     time, from the textbook formulas.

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ctda import __version__
+from ctda import __version__, cli
 from ctda.cli import (
     MAX_GRID_POINTS,
     _dims,
@@ -34,6 +34,13 @@ from ctda.dataio import (
     save_images_csv,
 )
 from ctda.equalizer import estimate_series, model_from_dict
+from ctda.scoring import (
+    build_image_scorer,
+    save_scores_csv,
+    score_dataset,
+    score_dataset_per_pixel,
+    separation_error,
+)
 from ctda.stats import (
     DiscreteDistribution,
     parametric_channel,
@@ -751,6 +758,54 @@ class TestScore:
         assert main(argv + ["--out", str(first)]) == 0
         assert main(argv + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("mode", ["pooled", "per_pixel"])
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_bytes_and_report_match_the_item_api(
+        self, image_files, tmp_path, capsys, mode, labeled
+    ):
+        _, noisy = image_files
+        if not labeled:
+            noisy = ImageDataset(noisy.width, noisy.height, noisy.alphabet_size, noisy.images)
+        path = tmp_path / "images.csv"
+        save_images_csv(noisy, path)
+        out, expected = tmp_path / "scores.csv", tmp_path / "expected.csv"
+        channel = parametric_channel(0.05)
+        if mode == "pooled":
+            items = score_dataset(noisy, build_image_scorer(noisy.images, channel))
+        else:
+            items = score_dataset_per_pixel(noisy, channel, smooth=True)
+        save_scores_csv(items, expected)
+        rc = main(["score", "--images", str(path), "--channel-e", "0.05",
+                   "--mode", mode, "--out", str(out)])
+        assert rc == 0
+        assert out.read_bytes() == expected.read_bytes()
+        printed = capsys.readouterr().out
+        assert f"scored {len(items)} images (mode={mode})" in printed
+        if labeled:
+            assert f"separation_error={separation_error(items):.6g}" in printed
+
+
+class TestOutOfMemory:
+    """A MemoryError (e.g. a sweep whose --n and --dims outgrow memory) ends
+    in one line on stderr and exit 1, not a traceback."""
+
+    ARGV = ["sweep", "--e-grid", "0", "--n", "1000000000", "--dims", "1000x1000"]
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 7.11 PiB for an array"),
+         "error: out of memory: Unable to allocate 7.11 PiB for an array\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ], ids=["numpy-message", "bare"])
+    def test_exit_1_with_one_line(self, tmp_path, capsys, monkeypatch, error, message):
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "error_vs_noise_curve", exhausted)
+        out = tmp_path / "curve.csv"
+        assert main(self.ARGV + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
 
 class TestSweep:

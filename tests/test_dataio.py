@@ -38,7 +38,14 @@ from ctda.stats import (
     parametric_channel,
 )
 
-from oracles import align_loop, load_csv_loop, load_images_csv_loop, naive_fir
+from oracles import (
+    align_loop,
+    channel_whole_array,
+    load_csv_loop,
+    load_images_csv_loop,
+    naive_fir,
+    two_class_images_choice,
+)
 from pipe_feeder import fed_pipe
 
 
@@ -378,6 +385,36 @@ class TestLoadCsvBoundaryMatchesLoop:
             csv.field_size_limit(old_limit)
 
 
+LONG_CELL = "1" * (SMALL_FIELD_LIMIT + 1)
+CLEAN_ROWS = "".join(f"{t},0.5\n" for t in range(1100))  # more than one chunk
+
+
+class TestOversizedCellAfterABadRow:
+    """A cell over the csv field limit is reported only when no row before it
+    fails, as the row loop does, also when both share a chunk."""
+
+    @pytest.mark.parametrize("body, message", [
+        (f"0,0.0\n0,0.0\n{LONG_CELL},0.0\n", "line 3: duplicate timestamp '0'"),
+        (f"0,0.0\n1\n{LONG_CELL},0.0\n", "line 3: too few columns"),
+        (f"0,0.0\n1,x\n0,{LONG_CELL}\n", "line 3: cannot parse value 'x'"),
+        (f"{CLEAN_ROWS}5,0.0\n{LONG_CELL},0.0\n", "line 1102: duplicate timestamp '5'"),
+        (f"5,0.0\n{CLEAN_ROWS}2000,1\n{LONG_CELL},0.0\n", "line 8: duplicate timestamp '5'"),
+        # out of order is reported last, after every other check
+        (f"1,0.0\n0,0.0\n{LONG_CELL},0.0\n", "field larger than field limit (40)"),
+        (f"{LONG_CELL},0.0\n0,0.0\n0,0.0\n", "field larger than field limit (40)"),
+    ], ids=[
+        "duplicate", "too-few-columns", "bad-value", "duplicate-in-second-chunk",
+        "duplicate-of-first-chunk", "out-of-order-defers", "long-cell-first",
+    ])
+    def test_first_failing_record_wins(self, tmp_path, body, message):
+        path = write(tmp_path, "s.csv", "date,value\n" + body)
+        old_limit = csv.field_size_limit(SMALL_FIELD_LIMIT)
+        try:
+            assert load_outcome(path) == f"{path}: {message}" == loop_outcome(path)
+        finally:
+            csv.field_size_limit(old_limit)
+
+
 def benchmark_shaped_series(rows, seed=1):
     """An integer-dated series file's text as the benchmark writes it, with
     values spread over ten decades, and its values."""
@@ -690,6 +727,92 @@ class TestApplyChannel:
         a = apply_channel_to_dataset(ds, parametric_channel(0.2), seed=1)
         b = apply_channel_to_dataset(ds, parametric_channel(0.2), seed=1)
         np.testing.assert_array_equal(a.images, b.images)
+
+
+@st.composite
+def probability_vectors(draw, size):
+    """Probability vectors of ``size`` entries, often with zero entries."""
+    entry = st.one_of(st.just(0.0), st.integers(1, 4).map(float), st.floats(1e-3, 1.0))
+    weights = np.array(draw(st.lists(entry, min_size=size, max_size=size).filter(any)))
+    return weights / weights.sum()
+
+
+@st.composite
+def image_draw_cases(draw):
+    """``(seed, n_per_class, width, height, p_a, p_b)`` over 2 to 8 symbols;
+    the row counts are seldom a multiple of the 32-row block."""
+    k = draw(st.integers(2, 8))
+    return (
+        draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 80)),
+        draw(st.integers(1, 6)), draw(st.integers(1, 6)),
+        draw(probability_vectors(k)), draw(probability_vectors(k)),
+    )
+
+
+class TestImageDrawsMatchChoiceOracles:
+    """Bit for bit against ``Generator.choice`` and whole-array channel
+    sampling: a numpy release that changes either fails here."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=image_draw_cases())
+    @example(case=(0, 1, 1, 1, np.array([0.5, 0.5]), np.array([0.0, 1.0])))
+    @example(case=(7, 33, 5, 3, np.array([0.2, 0.0, 0.8]), np.array([0.0, 0.0, 1.0])))
+    @example(case=(9, 64, 2, 2, np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.25] * 4)))
+    def test_generator_matches_choice(self, case):
+        seed, n, width, height, p_a, p_b = case
+        ds = gen_two_class_images(
+            seed, n, width, height, DiscreteDistribution(p_a), DiscreteDistribution(p_b)
+        )
+        images, labels = two_class_images_choice(seed, n, width * height, p_a, p_b)
+        assert ds.images.dtype == images.dtype
+        np.testing.assert_array_equal(ds.images, images)
+        np.testing.assert_array_equal(ds.labels, labels)
+
+    @pytest.mark.parametrize("probs", [[0.1] * 10, [0.7, 0.1, 0.1, 0.1], [0, 0.3, 0, 0.7, 0]])
+    def test_draws_on_and_beside_the_levels(self, monkeypatch, probs):
+        # Random draws almost never equal a CDF level, so feed both sides
+        # draws at, just below and just above each level, before and after
+        # normalisation ([0.1] * 10 sums to 1 - 1.1e-16): choice draws
+        # through the generator's own ``random``.
+        p = np.array(probs, dtype=float)
+        cdf = p.cumsum()
+        levels = np.concatenate([cdf, cdf / cdf[-1]])
+        draws = np.concatenate([levels, np.nextafter(levels, 0.0), np.nextafter(levels, 1.0)])
+        draws = np.unique(draws[(draws >= 0.0) & (draws < 1.0)])
+
+        class LevelDraws(np.random.Generator):
+            def random(self, size=None, dtype=np.float64, out=None):
+                return np.resize(draws, size)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: LevelDraws(np.random.PCG64(seed)))
+        n = -(-draws.size // 3)  # rows of 3 pixels that hold every draw
+        dist = DiscreteDistribution(p)
+        ds = gen_two_class_images(0, n, 3, 1, dist, dist)
+        images, _ = two_class_images_choice(0, n, 3, p, p)
+        np.testing.assert_array_equal(ds.images, images)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=image_draw_cases(), data=st.data())
+    def test_channel_matches_whole_array_sampling(self, case, data):
+        seed, n, width, height, p_a, p_b = case
+        k_out = data.draw(st.integers(2, 8))
+        matrix = np.column_stack([data.draw(probability_vectors(k_out)) for _ in p_a])
+        images, labels = two_class_images_choice(seed, n, width * height, p_a, p_b)
+        labeled = data.draw(st.booleans())
+        ds = ImageDataset(width, height, p_a.size, images, labels if labeled else None)
+        out = apply_channel_to_dataset(ds, Channel(matrix), seed ^ 1)
+        assert out.images.dtype == np.int64
+        np.testing.assert_array_equal(out.images, channel_whole_array(images, matrix, seed ^ 1))
+        assert (out.labels is None) == (not labeled)
+
+    @pytest.mark.parametrize("rows", [1, 31, 32, 33, 65, 100])
+    def test_channel_with_rounded_column_totals(self, rows):
+        channel = parametric_channel(0.0025)  # columns 0 and 2 sum to 1 - 1.1e-16
+        images = np.random.default_rng(rows).integers(0, 4, (rows, 7))
+        out = apply_channel_to_dataset(ImageDataset(7, 1, 4, images), channel, rows)
+        np.testing.assert_array_equal(
+            out.images, channel_whole_array(images, channel.matrix, rows)
+        )
 
 
 class TestImagesCsv:

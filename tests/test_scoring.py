@@ -15,9 +15,14 @@ from ctda.coupling import (
     score_table,
     solve_coupling,
 )
+from ctda import scoring
 from ctda.scoring import (
     CurvePoint,
     ScoredItem,
+    _per_pixel_totals,
+    _pooled_totals,
+    _scored_items,
+    _separation_error,
     build_image_scorer,
     error_vs_noise_curve,
     learn_pooled_source,
@@ -319,6 +324,78 @@ class TestSeparationError:
             a = separation_error(items_from(scores, labels))
             b = separation_error(items_from(-scores, labels))
             assert a == b
+
+
+class TestArrayPathMatchesWrappers:
+    """The public item-list functions are wrappers of the array helpers that
+    the CLI and the sweep use: same values, same messages."""
+
+    @pytest.fixture
+    def noisy(self):
+        clean = gen_two_class_images(21, 30, 5, 5, DIST_A, DIST_B)
+        return apply_channel_to_dataset(clean, parametric_channel(0.1), seed=22)
+
+    def test_separation_error_on_random_cases(self):
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            n = int(rng.integers(1, 8))
+            labels = np.repeat(rng.choice([-1, 0, 3], 2, replace=False), n)
+            rng.shuffle(labels)
+            totals = np.round(rng.standard_normal(2 * n), 1)  # ties
+            assert separation_error(items_from(totals, labels)) == _separation_error(
+                totals, labels
+            )
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_pooled_items(self, noisy, labeled):
+        ds = noisy if labeled else ImageDataset(5, 5, 4, noisy.images)
+        table = build_image_scorer(ds.images, parametric_channel(0.1))
+        assert score_dataset(ds, table) == _scored_items(_pooled_totals(ds, table), ds.labels)
+
+    @pytest.mark.parametrize("smooth", [True, False])
+    def test_per_pixel_items(self, noisy, smooth):
+        channel = parametric_channel(0.1)
+        totals = _per_pixel_totals(noisy, channel, smooth)
+        assert score_dataset_per_pixel(noisy, channel, smooth) == _scored_items(
+            totals, noisy.labels
+        )
+
+    @pytest.mark.parametrize("scores, labels, message", [
+        ([], [], "nothing to evaluate"),
+        ([1.0, 2.0], None, "separation error needs labeled items"),
+        ([1.0, 2.0], [4, 4], "need exactly two classes, got 1"),
+        ([1.0, 2.0, 3.0], [0, 0, 1], "classes must be balanced"),
+    ], ids=["empty", "unlabeled", "one-class", "unbalanced"])
+    def test_separation_error_messages(self, scores, labels, message):
+        if labels is None:
+            items = [ScoredItem(i, s) for i, s in enumerate(scores)]
+        else:
+            items = items_from(scores, labels)
+        with pytest.raises(ValueError) as from_items:
+            separation_error(items)
+        with pytest.raises(ValueError) as from_arrays:
+            _separation_error(np.array(scores), None if labels is None else np.array(labels))
+        assert str(from_items.value) == str(from_arrays.value) == message
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_pooled_total(self):
+        ds = ImageDataset(2, 1, 2, [[0, 0], [0, 1]])
+        table = ScoreTable(np.array([1e308, -1e308]), np.zeros(0, dtype=np.int64))
+        for score in (score_dataset, _pooled_totals):
+            with pytest.raises(ValueError, match="^score must be finite$"):
+                score(ds, table)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, inf - inf
+    def test_non_finite_per_pixel_total(self, noisy, monkeypatch):
+        coupling_scores = scoring._coupling_scores
+        monkeypatch.setattr(
+            scoring, "_coupling_scores", lambda *args: coupling_scores(*args) * 1e308
+        )
+        channel = parametric_channel(0.1)
+        with pytest.raises(ValueError, match="^score must be finite$"):
+            score_dataset_per_pixel(noisy, channel)
+        with pytest.raises(ValueError, match="^score must be finite$"):
+            _per_pixel_totals(noisy, channel, True)
 
 
 class TestCurve:
