@@ -22,8 +22,7 @@ import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat
-from operator import itemgetter
+from itertools import chain, islice, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,7 +66,7 @@ class TimeSeries:
         return int(self.timestamps.size)
 
 
-_CHUNK_ROWS = 1024  # CSV rows converted per bulk step; bounds what is held at once
+_CHUNK_ROWS = 1024  # rows formatted per step of _write_csv; bounds what is held at once
 
 
 def _blocks(column):
@@ -102,12 +101,13 @@ def _write_csv(path, header: Sequence[str], *columns) -> None:
 
 @contextmanager
 def _reading(path):
-    """Open ``path`` as UTF-8 CSV text.  Undecodable bytes and csv-level
+    """Open ``path`` as seekable UTF-8 CSV text: a pipe's text is copied into
+    memory, so that it can be read again.  Undecodable bytes and csv-level
     failures (such as a cell over ``csv.field_size_limit()``) become a
     FileFormatError naming the file."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            yield fh
+            yield fh if fh.seekable() else io.StringIO(fh.read(), newline="")
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise FileFormatError(f"{path}: not UTF-8 text (byte 0x{byte:02x})") from None
@@ -115,35 +115,87 @@ def _reading(path):
         raise FileFormatError(f"{path}: {exc}") from None
 
 
-def _parse_times(cells: list, iso: Optional[bool]):
-    """Stripped time cells as ``(int64 timestamps, iso)``, all of kind ``iso``
-    (None: the first cell's).  Raises ValueError or OverflowError for a cell
-    of another kind, e.g. a ``YYYYMMDD`` date, which reads as an integer."""
-    if iso is None:
-        try:
-            int(cells[0])
-            iso = False
-        except ValueError:
-            iso = True
-    if not iso:
-        return np.array(list(map(int, cells)), dtype=np.int64), False
-    if any(map(str.isdigit, cells)):
-        raise ValueError("integer cell among ISO dates")
-    dates = map(_dt.date.fromisoformat, cells)
-    return np.array(list(map(_dt.date.toordinal, dates)), dtype=np.int64), True
+def _iso_ordinal(cell: str) -> int:
+    """Proleptic-Gregorian ordinal of the ISO date in ``cell``, stripped.
+    Raises ValueError for any other cell, also for ``YYYYMMDD``: a cell of
+    digits is an integer timestamp."""
+    text = cell.strip()
+    if text.isdigit():
+        raise ValueError(f"{cell!r} is an integer, not an ISO date")
+    return _dt.date.fromisoformat(text).toordinal()
 
 
-def _raise_first_bad_row(path, records, t_idx: int, v_idx: int, earlier, iso, error):
-    """Raise the error of the first rejected row of ``(line, row)`` ``records``,
-    which run from the first chunk the bulk conversion rejected to the end of
-    the file or to ``error``, the csv.Error that cut it short (else None);
-    ``earlier`` holds the timestamps accepted before, of kind ``iso``.  Never
-    returns.  ``error`` is raised when no record before it fails, and an
-    out-of-order row is reported only when no later row fails another check."""
-    seen = set(earlier.tolist())
-    last = int(earlier[-1]) if earlier.size else None
-    out_of_order = None
-    for line, row in records:
+def _header(path, fh) -> list:
+    """The stripped cells of the header record of ``fh``, read up to the body."""
+    try:
+        return [h.strip() for h in next(csv.reader(iter(fh.readline, "")))]
+    except StopIteration:
+        raise FileFormatError(f"{path}: empty file") from None
+
+
+def load_csv(path, time_column: str = "date", value_column: str = "value") -> TimeSeries:
+    """Load one time series from a two-column CSV file, which may be a pipe.
+
+    The series name is the file stem.  Duplicate or out-of-order timestamps,
+    non-numeric or non-finite values, integer timestamps outside 64 bits and
+    missing columns are all rejected with the offending line number.  When
+    the body is ASCII without quotes, U+001C..U+001F or a line over
+    ``csv.field_size_limit()``, numpy parses the two columns in one call,
+    reading every date as the kind of the first data row's date: an integer,
+    else an ISO date.  Its result is kept if every value is finite and the
+    dates strictly increase.  Every other file (quoted or non-ASCII cells,
+    any error) is read a row at a time, which also finds the line to report.
+    """
+    name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
+    with _reading(path) as fh:
+        header, body = _header(path, fh), fh.tell()
+        if time_column not in header or value_column not in header:
+            raise FileFormatError(
+                f"{path}: header {header!r} lacks columns {time_column!r}/{value_column!r}"
+            )
+        columns = header.index(time_column), header.index(value_column)
+        parsed = _parse_plain_series(fh, body, columns)
+        if parsed is None:
+            parsed = _read_series_rows(path, fh, body, *columns)
+    return TimeSeries(name, *parsed)
+
+
+def _parse_plain_series(fh, body, columns):
+    """``(timestamps, values, iso)`` of a series whose body starts at position
+    ``body`` of ``fh``, parsed by numpy: dates are integers, or ISO dates
+    read by ``_iso_ordinal`` when the first data row's date is not an
+    integer.  None when that row is missing or short, ``_parse_plain``
+    rejects the body, or a value is not finite or the dates do not strictly
+    increase."""
+    try:
+        first = next(row for row in csv.reader(fh) if "".join(row).strip())[columns[0]]
+    except (StopIteration, IndexError, ValueError, csv.Error):  # ValueError: not UTF-8
+        return None
+    try:
+        int(first)
+        iso = False
+    except ValueError:
+        iso = True
+    rows = _parse_plain(
+        fh, body, usecols=columns, dtype=[("t", np.int64), ("v", np.float64)], ndmin=1,
+        converters={columns[0]: _iso_ordinal} if iso else None,
+    )
+    if rows is None:
+        return None
+    times, values = rows["t"], rows["v"]
+    if not (np.isfinite(values).all() and (times[1:] > times[:-1]).all()):
+        return None
+    return times, values, iso
+
+
+def _read_series_rows(path, fh, body, t_idx: int, v_idx: int):
+    """``(timestamps, values, iso)`` of the series file ``path`` open as
+    ``fh``, read a row at a time from its body at position ``body``; raises
+    FileFormatError naming the line of the first bad row.  A row out of order
+    is reported only when no later row fails another check."""
+    fh.seek(body)
+    times, values, seen, iso, out_of_order = [], [], set(), False, None
+    for line, row in enumerate(csv.reader(fh), start=2):
         if not "".join(row).strip():
             continue
         where = f"{path}: line {line}"
@@ -155,14 +207,14 @@ def _raise_first_bad_row(path, records, t_idx: int, v_idx: int, earlier, iso, er
             ts, row_iso = int(text), False
         except ValueError:
             try:
-                ts, row_iso = _dt.date.fromisoformat(text).toordinal(), True
+                ts, row_iso = _iso_ordinal(text), True
             except ValueError:
                 raise FileFormatError(
                     f"{where}: cannot parse {cell!r} as an integer or ISO date"
                 ) from None
         if not -(2**63) <= ts < 2**63:
             raise FileFormatError(f"{where}: timestamp {text!r} outside the 64-bit range")
-        if iso is not None and row_iso != iso:
+        if times and row_iso != iso:
             raise FileFormatError(f"{where}: mixed integer and ISO-date timestamps")
         iso = row_iso
         if ts in seen:
@@ -174,127 +226,15 @@ def _raise_first_bad_row(path, records, t_idx: int, v_idx: int, earlier, iso, er
             raise FileFormatError(f"{where}: cannot parse value {row[v_idx]!r}") from None
         if not math.isfinite(value):
             raise FileFormatError(f"{where}: non-finite value {row[v_idx]!r}")
-        if out_of_order is None and last is not None and ts <= last:
+        if out_of_order is None and times and ts <= times[-1]:
             out_of_order = line
-        last = ts
-    if error is not None:
-        raise error
-    raise FileFormatError(f"{path}: line {out_of_order}: timestamps not strictly increasing")
-
-
-def _series_columns(path, reader, time_column: str, value_column: str):
-    """Indices of the time and value columns in the header row of ``reader``."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FileFormatError(f"{path}: empty file") from None
-    header = [h.strip() for h in header]
-    try:
-        return header.index(time_column), header.index(value_column)
-    except ValueError:
-        raise FileFormatError(
-            f"{path}: header {header!r} lacks columns "
-            f"{time_column!r}/{value_column!r}"
-        ) from None
-
-
-def load_csv(path, time_column: str = "date", value_column: str = "value") -> TimeSeries:
-    """Load one time series from a two-column CSV file, which may be a pipe.
-
-    The series name is the file stem.  Duplicate or out-of-order timestamps,
-    non-numeric or non-finite values, integer timestamps outside 64 bits and
-    missing columns are all rejected with the offending line number.  When
-    the first data row has an integer date and the body is ASCII without
-    quotes, U+001C..U+001F or a line over ``csv.field_size_limit()``, numpy
-    parses the two columns in one call, and its result is kept if every
-    value is finite and the dates strictly increase.  Every other file (ISO
-    dates, quoted or non-ASCII cells, any error) is read by the row reader,
-    a chunk of rows at a time, which also finds the line to report.
-    """
-    name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    with _reading(path) as fh:
-        if not fh.seekable():  # a pipe: keep its text to read it again
-            fh = io.StringIO(fh.read(), newline="")
-        columns = _series_columns(
-            path, csv.reader(iter(fh.readline, "")), time_column, value_column
-        )
-        parsed = _parse_plain_series(fh, fh.tell(), columns)
-        if parsed is None:
-            fh.seek(0)
-            parsed = _read_series_rows(path, fh, time_column, value_column)
-    return TimeSeries(name, *parsed)
-
-
-def _parse_plain_series(fh, body, columns):
-    """``(timestamps, values, False)`` of an integer-dated series whose body
-    starts at position ``body`` of ``fh``, parsed by numpy, or None when the
-    first data row's date is not an integer, ``_parse_plain`` rejects the
-    body, or a value is not finite or the dates do not strictly increase."""
-    try:
-        first = next(row for row in csv.reader(fh) if "".join(row).strip())
-        int(first[columns[0]])
-    except (StopIteration, IndexError, ValueError, csv.Error):
-        return None
-    rows = _parse_plain(
-        fh, body, usecols=columns, dtype=[("t", np.int64), ("v", np.float64)], ndmin=1
-    )
-    if rows is None:
-        return None
-    times, values = rows["t"], rows["v"]
-    if not (np.isfinite(values).all() and (times[1:] > times[:-1]).all()):
-        return None
-    return times, values, False
-
-
-def _read_series_rows(path, fh, time_column: str, value_column: str):
-    """``(timestamps, values, iso)`` of the series file ``path`` open as
-    ``fh``.  Each chunk of records is converted a column per call; a row scan
-    only finds the line to report."""
-    reader = csv.reader(fh)
-    t_idx, v_idx = _series_columns(path, reader, time_column, value_column)
-    times, values, iso = [], [], None
-    tail = np.empty(0, dtype=np.int64)  # last accepted timestamp
-    line = 2  # file line of the chunk's first record
-    while True:
-        raw, error = _next_records(reader)
-        if not (raw or error):
-            break
-        rows = list(compress(raw, map(str.strip, map("".join, raw))))  # drop blanks
-        ok = error is None
-        if rows and ok:
-            try:
-                cells = list(map(str.strip, map(itemgetter(t_idx), rows)))
-                ts, chunk_iso = _parse_times(cells, iso)
-                vs = np.array(list(map(float, map(itemgetter(v_idx), rows))))
-                run = np.concatenate((tail, ts))
-                ok = bool(np.isfinite(vs).all() and (run[1:] > run[:-1]).all())
-            except (IndexError, ValueError, OverflowError):
-                ok = False
-        if not ok:
-            earlier = np.concatenate(times) if times else tail
-            records = zip(count(line), raw if error else chain(raw, reader))
-            _raise_first_bad_row(path, records, t_idx, v_idx, earlier, iso, error)
-        if rows:
-            times.append(ts)
-            values.append(vs)
-            iso, tail = chunk_iso, ts[-1:]
-        line += len(raw)
+        times.append(ts)
+        values.append(value)
     if not times:
         raise FileFormatError(f"{path}: no data rows")
-    return np.concatenate(times), np.concatenate(values), iso
-
-
-def _next_records(reader):
-    """``(records, error)``: the next at most ``_CHUNK_ROWS`` records of
-    ``reader``, and the csv.Error (e.g. a cell over ``csv.field_size_limit()``)
-    that ended them early, else None."""
-    records = []
-    try:
-        for row in islice(reader, _CHUNK_ROWS):
-            records.append(row)
-    except csv.Error as exc:
-        return records, exc
-    return records, None
+    if out_of_order is not None:
+        raise FileFormatError(f"{path}: line {out_of_order}: timestamps not strictly increasing")
+    return np.array(times, dtype=np.int64), np.array(values), iso
 
 
 def save_csv(series: TimeSeries, path, time_column="date", value_column="value") -> None:
@@ -537,15 +477,15 @@ def load_images_csv(
     may be a pipe.
     """
     with _reading(path) as fh:
-        if not fh.seekable():  # a pipe: keep its text to read it again
-            fh = io.StringIO(fh.read(), newline="")
-        n_pixels = _images_header(path, csv.reader(iter(fh.readline, "")))
-        body = _parse_plain(fh, fh.tell(), dtype=np.int64, ndmin=2)
-        if body is not None and body.shape[0] and body.shape[1] == n_pixels + 1:
-            labels, images = body[:, 0].copy(), np.ascontiguousarray(body[:, 1:])
+        header, body = _header(path, fh), fh.tell()
+        if not header or header[0] != "label" or len(header) < 2:
+            raise FileFormatError(f"{path}: expected header 'label,p0,...'; got {header!r}")
+        n_pixels = len(header) - 1
+        rows = _parse_plain(fh, body, dtype=np.int64, ndmin=2)
+        if rows is not None and rows.shape[0] and rows.shape[1] == n_pixels + 1:
+            labels, images = rows[:, 0].copy(), np.ascontiguousarray(rows[:, 1:])
         else:
-            fh.seek(0)
-            labels, images = _read_image_rows(path, fh)
+            labels, images = _read_image_rows(path, fh, body, n_pixels)
     if width is None or height is None:
         width, height = n_pixels, 1
     if width * height != n_pixels:
@@ -593,28 +533,15 @@ def _parse_plain(fh, start, **options):
         return None
 
 
-def _images_header(path, reader) -> int:
-    """Pixel count declared by the ``label,p0,...`` header row of ``reader``."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FileFormatError(f"{path}: empty file") from None
-    header = [h.strip() for h in header]
-    if not header or header[0] != "label" or len(header) < 2:
-        raise FileFormatError(f"{path}: expected header 'label,p0,...'; got {header!r}")
-    return len(header) - 1
-
-
-def _read_image_rows(path, fh):
+def _read_image_rows(path, fh, body, n_pixels: int):
     """``(labels or None, images)`` of the image file ``path`` open as ``fh``,
-    read a row at a time; raises FileFormatError naming the line of the first
-    bad row."""
-    reader = csv.reader(fh)
-    n_pixels = _images_header(path, reader)
+    read a row at a time from its body at position ``body``; raises
+    FileFormatError naming the line of the first bad row."""
+    fh.seek(body)
     rows = []
     labels: list[int] = []
     blank_labels = 0
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(csv.reader(fh), start=2):
         if not row or all(not c.strip() for c in row):
             continue
         where = f"{path}: line {line_no}"

@@ -7,6 +7,7 @@ import csv
 import datetime
 import json
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,6 +37,7 @@ from ctda.dataio import (
 from ctda.equalizer import estimate_series, model_from_dict
 from ctda.scoring import (
     build_image_scorer,
+    resolve_threads,
     save_scores_csv,
     score_dataset,
     score_dataset_per_pixel,
@@ -787,10 +789,10 @@ class TestScore:
 
 
 class TestOutOfMemory:
-    """A MemoryError (e.g. a sweep whose --n and --dims outgrow memory) ends
+    """A MemoryError (e.g. a sweep that outgrows the memory left free) ends
     in one line on stderr and exit 1, not a traceback."""
 
-    ARGV = ["sweep", "--e-grid", "0", "--n", "1000000000", "--dims", "1000x1000"]
+    ARGV = ["sweep", "--e-grid", "0", "--n", "4", "--dims", "4x4"]
 
     @pytest.mark.parametrize("error, message", [
         (MemoryError("Unable to allocate 7.11 PiB for an array"),
@@ -806,6 +808,43 @@ class TestOutOfMemory:
         assert main(self.ARGV + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == message
         assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "sysconf"), reason="needs os.sysconf")
+class TestSweepFootprint:
+    """A sweep whose estimated peak exceeds physical memory is a usage error,
+    found before any point is built."""
+
+    def test_oversized_sweep_exits_2_allocating_nothing(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        argv = ["sweep", "--e-grid", "0", "--n", "1000000000", "--dims", "1000x1000",
+                "--out", str(out)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exited.value.code == 2
+        assert peak < 2**20
+        assert "GiB of physical memory" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spare", [-1, 0])
+    def test_estimate_is_24_bytes_per_pixel_per_worker(self, tmp_path, monkeypatch, spare):
+        workers = resolve_threads(2, 2)
+        need = 24 * 2 * 6 * (5 * 3) * workers  # --n 6 on 5x3, one corpus per worker
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need + spare}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        argv = ["sweep", "--e-grid", "0,0.1", "--n", "6", "--dims", "5x3", "--threads", "2",
+                "--out", str(tmp_path / "curve.csv")]
+        if spare < 0:
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            assert exited.value.code == 2
+        else:
+            assert main(argv) == 0
 
 
 class TestSweep:

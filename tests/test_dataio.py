@@ -385,6 +385,86 @@ class TestLoadCsvBoundaryMatchesLoop:
             csv.field_size_limit(old_limit)
 
 
+def iso_date_cells(day):
+    """The ISO spellings of ``day`` that ``date.fromisoformat`` reads: the
+    calendar date and the week dates, extended and basic."""
+    year, week, weekday = day.isocalendar()
+    return [day.isoformat(), f"{year}-W{week:02d}-{weekday}", f"{year}W{week:02d}{weekday}"]
+
+
+ISO_DATE_ODDITIES = [
+    lambda d: f"\x0b{d}\x0c",
+    lambda d: f" {d} ",
+    lambda d: f"\x0c {d}\x0b",
+    lambda d: "7",
+    lambda d: "+7",
+    lambda d: "",
+    lambda d: "2014-13-01",
+    lambda d: f"{d}T00:00",
+]
+ISO_VALUE_ODDITIES = ["nan", "inf", "-inf", "oops", "", " 2.5 ", "1e400"]
+
+
+@st.composite
+def iso_series_texts(draw):
+    """ISO-dated ``date,value`` texts of the kind numpy's parser takes, in
+    either column order, with a few week dates, padded or integer date
+    cells, odd values, whitespace-only records, rows out of order, a quoted
+    header, or the value read from the date column.  Returns
+    ``(text, value_column)``."""
+    header = draw(st.sampled_from(["date,value", "value,date", '"date",value', "note,date,value"]))
+    names = [h.strip('"') for h in header.split(",")]
+    value_column = "date" if chance(draw, 10) else "value"
+    t = draw(st.integers(-5, 5))
+    days, rows = [], []
+    for _ in range(draw(st.integers(1, 20))):
+        t += draw(st.integers(-2, 0)) if chance(draw, 3) else draw(st.integers(1, 3))
+        days.append(day := datetime.date.fromordinal(ORIGIN + t))
+        rows.append({
+            "date": draw(st.sampled_from(iso_date_cells(day))),
+            "value": repr(draw(st.floats(allow_nan=False, allow_infinity=False))),
+            "note": "n",
+        })
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(rows) - 1))
+        odd = draw(st.sampled_from(["date", "value", "integer"]))
+        if odd == "integer":  # YYYYMMDD reads as an integer: mixed kinds
+            rows[at]["date"] = days[at].strftime("%Y%m%d")
+        elif odd == "date":
+            rows[at]["date"] = draw(st.sampled_from(ISO_DATE_ODDITIES))(rows[at]["date"])
+        else:
+            rows[at]["value"] = draw(st.sampled_from(ISO_VALUE_ODDITIES))
+    lines = [header]
+    for cells in rows:
+        if chance(draw, 3):
+            lines.append(draw(st.sampled_from(BLANK_RECORDS)))
+        lines.append(",".join(cells[name] for name in names))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else ""), value_column
+
+
+class TestLoadCsvIsoMatchesLoop:
+    """The reader against the row loop on ISO-dated files, which numpy parses
+    with the row loop's own date rule."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=iso_series_texts())
+    @example(case=("date,value\n2014-W02-3,1\n2014W024,2\n2014-01-10,3\n", "value"))
+    @example(case=("date,value\n\x0b2014-01-02\x0c,1\n 2014-01-03 ,2\n\x0c2014-01-04\x0b,3\n", "value"))
+    @example(case=("date,value\n2014-01-02,1\n20140103,2\n", "value"))
+    @example(case=("value,date\n1.5,2014-01-02\n2.5,2014-01-04\n", "value"))
+    @example(case=("date,value\n2014-01-02,1\n2014-01-03,2\n", "date"))
+    @example(case=("date,value\n2014-01-02,1\n   \n \t, \n2014-01-03,2\n", "value"))
+    @example(case=("date,value\n2014-01-02,nan\n2014-01-03,2\n", "value"))
+    @example(case=("date,value\n2014-01-03,1\n2014-01-02,2\n2014-01-04,3\n", "value"))
+    def test_same_series_or_same_error(self, case):
+        text, value_column = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            assert load_outcome(path, value_column) == loop_outcome(path, value_column)
+
+
 LONG_CELL = "1" * (SMALL_FIELD_LIMIT + 1)
 CLEAN_ROWS = "".join(f"{t},0.5\n" for t in range(1100))  # more than one chunk
 
@@ -438,19 +518,20 @@ class TestLoadCsvPaths:
     def test_integer_file_never_reaches_the_row_reader(self, tmp_path):
         text, values = benchmark_shaped_series(20_000)
         p = write(tmp_path, "x1.csv", text)
-        with mock.patch.object(dataio, "_read_series_rows", side_effect=AssertionError), \
-                mock.patch.object(dataio, "_raise_first_bad_row", side_effect=AssertionError):
+        with mock.patch.object(dataio, "_read_series_rows", side_effect=AssertionError):
             s = load_csv(p)
         assert s.timestamps.tolist() == list(range(20_000))
         assert s.values.tobytes() == np.array(values).tobytes()
         assert not s.iso_dates
 
-    def test_iso_file_never_reaches_numpy(self, tmp_path):
+    def test_iso_file_never_reaches_the_row_reader(self, tmp_path):
         p = write(tmp_path, "fx.csv", iso_series(4_000))  # several screen chunks long
-        with mock.patch.object(np, "loadtxt", side_effect=AssertionError), \
-                mock.patch.object(dataio, "_parse_plain", side_effect=AssertionError):
+        with mock.patch.object(dataio, "_read_series_rows", side_effect=AssertionError):
             s = load_csv(p)
-        assert s.iso_dates and len(s) == 4_000
+        start = datetime.date(2000, 1, 1).toordinal()
+        assert s.timestamps.tolist() == list(range(start, start + 8_000, 2))
+        assert s.values.tobytes() == (np.arange(4_000) / 7).tobytes()
+        assert s.iso_dates
 
     @pytest.mark.parametrize("loader, head, message", [
         (load_csv, "date,value\n1,1.5\n2,x\n", "line 3: cannot parse value 'x'"),

@@ -1,6 +1,9 @@
 """Each file format is decided in one module: within ``src/ctda`` only
 ``dataio`` imports ``csv`` and only ``stats`` imports ``json``.  Likewise
-only ``equalizer`` decides what a ``predict`` model's window is offset by."""
+only ``equalizer`` decides what a ``predict`` model's window is offset by.
+Text is accepted by one numpy rule and dates by one date rule: only
+``dataio._parse_plain`` uses ``np.loadtxt`` and only ``dataio._iso_ordinal``
+uses ``fromisoformat``."""
 
 import ast
 from pathlib import Path
@@ -55,3 +58,47 @@ def test_detects_a_predict_comparison():
     assert compares_to(ast.parse('off = 1 if m.mode == "predict" else 0'), "predict")
     assert compares_to(ast.parse('ok = "predict" != mode'), "predict")
     assert not compares_to(ast.parse('modes = ("infer", "predict")'), "predict")
+
+
+def users(tree, name: str) -> set:
+    """Innermost functions of ``tree`` that use ``name``, as ``x.name`` or
+    bare; ``"<module>"`` for a use outside every function."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            found.add(scope)
+        elif isinstance(node, ast.Name) and node.id == name:
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+@pytest.mark.parametrize("name, owner", [
+    ("loadtxt", ("dataio.py", "_parse_plain")),
+    ("fromisoformat", ("dataio.py", "_iso_ordinal")),
+])
+def test_one_function_uses_each_accept_rule(name, owner):
+    uses = sorted(
+        (path.name, function)
+        for path in PACKAGE.glob("*.py")
+        for function in users(ast.parse(path.read_text(encoding="utf-8")), name)
+    )
+    assert uses == [owner]
+
+
+def test_detects_a_use_by_reference_or_call():
+    tree = ast.parse(
+        "def parse(cells):\n"
+        "    def one(c):\n"
+        "        return date.fromisoformat(c)\n"
+        "    return map(date.fromisoformat, cells)\n"
+        "rows = loadtxt(fh)\n"
+    )
+    assert users(tree, "fromisoformat") == {"parse", "one"}
+    assert users(tree, "loadtxt") == {"<module>"}
