@@ -425,9 +425,10 @@ def cmd_sweep(args) -> None:
 
 
 # A sweep point's peak is about this many bytes per pixel of its (2n, pixels)
-# corpus: the int64 clean and noisy images and the channel's float64 draws
-# (tracemalloc: 24.1 at n = 2,000 on 28x28 and at n = 1,000 on 50x50).
-SWEEP_BYTES_PER_PIXEL = 24
+# corpus: the int64 noisy images and their gathered float64 pixel scores
+# (tracemalloc: 16.0-16.6 at n = 2,000 on 28x28, 1,000 on 50x50, 500 on
+# 19x19 and 300 on 28x28).
+SWEEP_BYTES_PER_PIXEL = 17
 
 
 def _sweep_too_large(args):

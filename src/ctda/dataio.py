@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .stats import Channel, DiscreteDistribution, FileFormatError
+from .stats import Channel, DiscreteDistribution, FileFormatError, parametric_channel
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,38 +393,63 @@ def gen_two_class_images(
     on the same stream, class 0 first: one uniform draw per pixel, mapped
     through the class CDF.
     """
+    classes = _class_levels(n_per_class, dist_a, dist_b)
+    rng = np.random.default_rng(seed)
+    images = np.empty((2 * n_per_class, width * height), dtype=np.int64)
+    for rows, cdf in zip((images[:n_per_class], images[n_per_class:]), classes):
+        _count_levels(cdf, rng, rows)
+    labels = np.repeat(np.arange(2, dtype=np.int64), n_per_class)
+    return ImageDataset(width, height, dist_a.size, images, labels)
+
+
+def _class_levels(n_per_class: int, dist_a, dist_b) -> list:
+    """Checked, each class's levels of numpy ``choice``'s CDF but the last:
+    the cumulative sum over its last entry, which is 1, above every draw."""
     if dist_a.size != dist_b.size:
         raise ValueError("class distributions must share an alphabet")
     if n_per_class < 1:
         raise ValueError("need at least one image per class")
-    rng = np.random.default_rng(seed)
-    images = np.empty((2 * n_per_class, width * height), dtype=np.int64)
-    for rows, dist in zip((images[:n_per_class], images[n_per_class:]), (dist_a, dist_b)):
-        # numpy's choice: cdf = p.cumsum() / its last entry, searchsorted
-        # (side="right") of the draws, which counts the levels at or below
-        # each draw; the last level is exactly 1, above every draw.
-        cdf = dist.probs.cumsum()
-        cdf /= cdf[-1]
-        _count_levels(cdf[:-1], rng.random(rows.shape), rows)
-    labels = np.repeat(np.arange(2, dtype=np.int64), n_per_class)
-    return ImageDataset(width, height, dist_a.size, images, labels)
+    return [cdf[:-1] / cdf[-1] for cdf in (dist_a.probs.cumsum(), dist_b.probs.cumsum())]
+
+
+def _channel_levels(channel: Channel, alphabet_size: int) -> np.ndarray:
+    """Rows of output-CDF levels of ``channel`` but the last, each indexed
+    by input symbol, once the channel is checked against ``alphabet_size``.
+    A level at its column's total is inf: a total rounded below 1 may lie at
+    or below a draw.  The last level is always inf."""
+    if channel.n_inputs != alphabet_size:
+        raise ValueError(
+            f"channel expects {channel.n_inputs} input symbols, dataset has {alphabet_size}"
+        )
+    cum = np.cumsum(channel.matrix, axis=0).T  # (Kx, Ky)
+    cum[cum == cum[:, -1:]] = np.inf
+    return cum[:, :-1].T
 
 
 _BLOCK_ROWS = 32  # rows per step of _count_levels: its blocks stay in cache
 
 
-def _count_levels(levels, u, out, symbols=None) -> None:
-    """Set ``out`` to the number of CDF ``levels`` at or below each draw of
-    ``u``: inverse-CDF sampling.  Each entry of ``levels`` is one level, a
-    scalar or, with ``symbols``, a row indexed by each element's symbol.  Runs
-    ``_BLOCK_ROWS`` rows at a time, so the blocks of ``u``, ``symbols`` and
-    ``out`` stay in cache across the levels."""
-    for lo in range(0, u.shape[0], _BLOCK_ROWS):
-        block, draws = out[lo : lo + _BLOCK_ROWS], u[lo : lo + _BLOCK_ROWS]
-        rows = None if symbols is None else symbols[lo : lo + _BLOCK_ROWS]
-        block[...] = 0
+def _count_levels(levels, rng, out, symbols=None) -> None:
+    """Set ``out`` to the number of CDF ``levels`` at or below each of its
+    uniform draws from ``rng``, in row-major order: inverse-CDF sampling.
+    Each entry of ``levels`` is one level, a scalar or, with ``symbols``, a
+    row indexed by each element's symbol (in range: ``np.take`` clips, so as
+    not to buffer).  Runs ``_BLOCK_ROWS`` rows at a time, drawing as it goes
+    (PCG64 doubles come out in order, so the draws equal one whole draw):
+    each block's draws, narrow counts and gathered levels stay in cache, and
+    the block is stored into ``out`` once."""
+    shape = (min(len(out), _BLOCK_ROWS), out.shape[1])
+    counts = np.empty(shape, np.min_scalar_type(len(levels)))
+    gathered = None if symbols is None else np.empty(shape)
+    for lo in range(0, len(out), _BLOCK_ROWS):
+        block = out[lo : lo + _BLOCK_ROWS]
+        n, draws = len(block), rng.random(block.shape)
+        counts[:n] = 0
         for level in levels:
-            block += (level if rows is None else level[rows]) <= draws
+            if symbols is not None:
+                level = np.take(level, symbols[lo : lo + n], out=gathered[:n], mode="clip")
+            counts[:n] += level <= draws
+        block[...] = counts[:n]
 
 
 def apply_channel_to_dataset(dataset: ImageDataset, channel: Channel, seed: int) -> ImageDataset:
@@ -435,21 +460,9 @@ def apply_channel_to_dataset(dataset: ImageDataset, channel: Channel, seed: int)
     row-major order, is mapped through the output CDF of the pixel's
     symbol; the result equals whole-array sampling on the same draws.
     """
-    if channel.n_inputs != dataset.alphabet_size:
-        raise ValueError(
-            f"channel expects {channel.n_inputs} input symbols, dataset has "
-            f"{dataset.alphabet_size}"
-        )
-    rng = np.random.default_rng(seed)
-    # Column cum[x] is the output CDF for input symbol x, and u in [0, 1)
-    # picks the first level above u, i.e. counts the levels at or below u.
-    # Levels at a column's total are set to inf: a total rounded below 1 may
-    # be <= u.  The last level is always inf.
-    cum = np.cumsum(channel.matrix, axis=0).T  # (Kx, Ky)
-    cum[cum == cum[:, -1:]] = np.inf
-    u = rng.random(dataset.images.shape)
-    noisy = np.empty(u.shape, dtype=np.int64)
-    _count_levels(cum[:, :-1].T, u, noisy, dataset.images)
+    levels = _channel_levels(channel, dataset.alphabet_size)
+    noisy = np.empty(dataset.images.shape, dtype=np.int64)
+    _count_levels(levels, np.random.default_rng(seed), noisy, dataset.images)
     return ImageDataset(
         dataset.width,
         dataset.height,
@@ -457,6 +470,27 @@ def apply_channel_to_dataset(dataset: ImageDataset, channel: Channel, seed: int)
         noisy,
         None if dataset.labels is None else dataset.labels.copy(),
     )
+
+
+def _noisy_two_class_images(gen_seed, noise_seed, n_per_class, width, height, dist_a, dist_b, e):
+    """``(channel, images)``: ``parametric_channel(e)`` and the pixels of
+    ``apply_channel_to_dataset(gen_two_class_images(gen_seed, n_per_class,
+    width, height, dist_a, dist_b), channel, noise_seed)``, with the same
+    checks in the same order (an empty corpus runs the geometry checks),
+    drawn a row block at a time so that no clean corpus is held."""
+    classes = _class_levels(n_per_class, dist_a, dist_b)
+    ImageDataset(width, height, dist_a.size, np.empty((0, width * height), dtype=np.int64))
+    channel = parametric_channel(e)
+    levels = _channel_levels(channel, dist_a.size)
+    gen, noise = np.random.default_rng(gen_seed), np.random.default_rng(noise_seed)
+    noisy = np.empty((2 * n_per_class, width * height), dtype=np.int64)
+    clean = np.empty((min(_BLOCK_ROWS, n_per_class), width * height), dtype=np.int64)
+    for first, cdf in zip((0, n_per_class), classes):
+        for lo in range(first, first + n_per_class, _BLOCK_ROWS):
+            block = noisy[lo : min(lo + _BLOCK_ROWS, first + n_per_class)]
+            _count_levels(cdf, gen, clean[: len(block)])
+            _count_levels(levels, noise, block, clean[: len(block)])
+    return channel, noisy
 
 
 def load_images_csv(

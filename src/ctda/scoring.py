@@ -29,13 +29,12 @@ from .coupling import (
     sequence_score,
     solve_coupling,
 )
-from .dataio import ImageDataset, _write_csv, apply_channel_to_dataset, gen_two_class_images
+from .dataio import ImageDataset, _noisy_two_class_images, _write_csv
 from .stats import (
     Channel,
     DiscreteDistribution,
     _smoothed,
     empirical_distribution,
-    parametric_channel,
     smoothed_distribution,
 )
 
@@ -213,8 +212,9 @@ def _per_pixel_totals(dataset: ImageDataset, channel: Channel, smooth: bool) -> 
     outside = np.flatnonzero((images >= k).any(axis=0))
     stop = int(outside[0]) if outside.size else n_pix
     tables = np.zeros((n_pix, k))
+    flat = images + k * np.arange(n_pix)  # pixel j's symbols in bins j*k .. j*k+k-1
     if stop:
-        p_y = _symbol_counts(images[:, :stop].T, k) / n
+        p_y = np.bincount(flat[:, :stop].ravel(), minlength=stop * k).reshape(stop, k) / n
         if smooth:
             p_y = _smoothed(p_y, n)
         p_x = _recover(p_y, channel, tol=np.inf)
@@ -224,7 +224,9 @@ def _per_pixel_totals(dataset: ImageDataset, channel: Channel, smooth: bool) -> 
     if outside.size:
         column = images[:, stop]
         raise ValueError(f"symbol {int(column[column >= k][0])} outside alphabet of size {k}")
-    return _finite(tables[np.arange(n_pix)[None, :], images].sum(axis=1))
+    scores = tables.ravel()  # gathered 256 images at a time: no (n, pixels) copy beside flat
+    totals = [scores.take(flat[lo : lo + 256]).sum(axis=1) for lo in range(0, n, 256)]
+    return _finite(np.concatenate(totals))
 
 
 def _scored_items(totals: np.ndarray, labels: Optional[np.ndarray]) -> list:
@@ -283,15 +285,16 @@ def _curve_point(
 ) -> CurvePoint:
     point_seed = seed ^ index
     gen_seed, noise_seed = np.random.SeedSequence(point_seed).generate_state(2)
-    clean = gen_two_class_images(int(gen_seed), n_per_class, width, height, dist_a, dist_b)
-    channel = parametric_channel(e)
-    noisy = apply_channel_to_dataset(clean, channel, int(noise_seed))
-    table = build_image_scorer(noisy.images, channel)
-    error = _separation_error(_pooled_totals(noisy, table), noisy.labels)
+    channel, noisy = _noisy_two_class_images(
+        int(gen_seed), int(noise_seed), n_per_class, width, height, dist_a, dist_b, e
+    )
+    table = build_image_scorer(noisy, channel)
+    labels = np.repeat(np.arange(2, dtype=np.int64), n_per_class)
+    error = _separation_error(_finite(table.scores[noisy].sum(axis=1)), labels)
     return CurvePoint(
         e=float(e),
         error_probability=error,
-        n_images=noisy.n_images,
+        n_images=len(noisy),
         seed=point_seed,
     )
 

@@ -36,6 +36,7 @@ from ctda.dataio import (
 )
 from ctda.equalizer import estimate_series, model_from_dict
 from ctda.scoring import (
+    _curve_point,
     build_image_scorer,
     resolve_threads,
     save_scores_csv,
@@ -832,9 +833,9 @@ class TestSweepFootprint:
         assert not out.exists()
 
     @pytest.mark.parametrize("spare", [-1, 0])
-    def test_estimate_is_24_bytes_per_pixel_per_worker(self, tmp_path, monkeypatch, spare):
+    def test_estimate_is_17_bytes_per_pixel_per_worker(self, tmp_path, monkeypatch, spare):
         workers = resolve_threads(2, 2)
-        need = 24 * 2 * 6 * (5 * 3) * workers  # --n 6 on 5x3, one corpus per worker
+        need = 17 * 2 * 6 * (5 * 3) * workers  # --n 6 on 5x3, one corpus per worker
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need + spare}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         argv = ["sweep", "--e-grid", "0,0.1", "--n", "6", "--dims", "5x3", "--threads", "2",
@@ -845,6 +846,18 @@ class TestSweepFootprint:
             assert exited.value.code == 2
         else:
             assert main(argv) == 0
+
+    @pytest.mark.parametrize("n, side", [(500, 19), (300, 28)])
+    @pytest.mark.parametrize("e", [0.0, 0.1])
+    def test_a_point_peaks_within_the_estimate(self, n, side, e):
+        # e = 0 is the degenerate channel, whose tie-break counts symbols too
+        tracemalloc.start()
+        try:
+            _curve_point(0, e, 1, DIST_A, DIST_B, side, side, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (2 * n * side * side) <= cli.SWEEP_BYTES_PER_PIXEL
 
 
 class TestSweep:
@@ -897,6 +910,18 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--e-grid", "0:1:1e-9", "--out", str(out)])
         assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--e-grid", "0.3", "--p-a", "0.5,0.5"], "class distributions must share an alphabet"),
+        (["--e-grid", "0.3"], "noise level 0.3 out of range [0, 0.25]"),
+        (["--e-grid", "0.1", "--p-a", "0.5,0.5", "--p-b", "0.5,0.5"],
+         "channel expects 4 input symbols, dataset has 2"),
+    ], ids=["classes-before-noise", "noise-level", "channel-inputs"])
+    def test_point_checks_keep_their_order(self, tmp_path, capsys, extra, message):
+        out = tmp_path / "curve.csv"
+        assert main(["sweep", *extra, "--n", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_bad_distribution_exits_1(self, tmp_path, capsys):

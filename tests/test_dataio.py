@@ -175,14 +175,12 @@ class TestLoadCsv:
         with pytest.raises(FileFormatError, match="line 3: mixed"):
             load_csv(p)
 
-    def test_error_after_an_accepted_chunk_names_its_line(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(dataio, "_CHUNK_ROWS", 2)
+    def test_error_after_an_accepted_chunk_names_its_line(self, tmp_path):
         p = write(tmp_path, "a.csv", "date,value\n1,1\n2,2\n\n3,3\n2,4\n")
         with pytest.raises(FileFormatError, match="line 6: duplicate timestamp '2'"):
             load_csv(p)
 
-    def test_later_bad_value_beats_earlier_out_of_order_row(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(dataio, "_CHUNK_ROWS", 2)
+    def test_later_bad_value_beats_earlier_out_of_order_row(self, tmp_path):
         p = write(tmp_path, "a.csv", "date,value\n1,1\n5,2\n3,3\n7,4\n8,x\n")
         with pytest.raises(FileFormatError, match="line 6: cannot parse value 'x'"):
             load_csv(p)
@@ -254,11 +252,11 @@ def series_texts(draw):
 
 
 class TestLoadCsvMatchesLoop:
-    """The bulk reader against the row loop in ``tests/oracles.py``."""
+    """``load_csv`` against the row loop in ``tests/oracles.py``."""
 
     @settings(max_examples=400, deadline=None)
-    @given(text=series_texts(), chunk=st.sampled_from([1, 2, 3, 5, 1024]))
-    def test_same_series_or_same_error(self, text, chunk):
+    @given(text=series_texts())
+    def test_same_series_or_same_error(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "s.csv"
             path.write_text(text, encoding="utf-8", newline="")
@@ -266,12 +264,11 @@ class TestLoadCsvMatchesLoop:
                 expected = load_csv_loop(path)
             except ValueError as exc:
                 expected = str(exc)
-            with mock.patch.object(dataio, "_CHUNK_ROWS", chunk):
-                try:
-                    s = load_csv(path)
-                    got = (s.timestamps.tolist(), s.values.tolist(), s.iso_dates)
-                except FileFormatError as exc:
-                    got = str(exc)
+            try:
+                s = load_csv(path)
+                got = (s.timestamps.tolist(), s.values.tolist(), s.iso_dates)
+            except FileFormatError as exc:
+                got = str(exc)
         if isinstance(expected, str):
             assert got == expected
         else:
@@ -894,6 +891,42 @@ class TestImageDrawsMatchChoiceOracles:
         np.testing.assert_array_equal(
             out.images, channel_whole_array(images, channel.matrix, rows)
         )
+
+
+class TestNoisyTwoClassImages:
+    """The sweep's one-pass sampler against drawing the clean corpus with
+    ``Generator.choice`` and passing it through the channel as one array."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+        n=st.integers(1, 80), dims=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        e=st.sampled_from([0.0, 0.0025, 0.1, 0.25]),
+        probs=st.tuples(probability_vectors(4), probability_vectors(4)),
+    )
+    @example(seeds=(0, 1), n=1, dims=(1, 1), e=0.0, probs=(np.full(4, 0.25), np.eye(4)[3]))
+    @example(seeds=(7, 8), n=33, dims=(5, 3), e=0.0025,
+             probs=(np.array([0.7, 0.1, 0.1, 0.1]), np.array([0.1, 0.1, 0.1, 0.7])))
+    def test_matches_clean_draws_through_the_channel(self, seeds, n, dims, e, probs):
+        (gen_seed, noise_seed), (width, height), (p_a, p_b) = seeds, dims, probs
+        channel, noisy = dataio._noisy_two_class_images(
+            gen_seed, noise_seed, n, width, height,
+            DiscreteDistribution(p_a), DiscreteDistribution(p_b), e,
+        )
+        np.testing.assert_array_equal(channel.matrix, parametric_channel(e).matrix)
+        clean, _ = two_class_images_choice(gen_seed, n, width * height, p_a, p_b)
+        expected = channel_whole_array(clean, parametric_channel(e).matrix, noise_seed)
+        assert noisy.dtype == np.int64
+        assert noisy.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 31, 32, 33, 70])
+    def test_block_draws_equal_one_whole_draw(self, rows):
+        # _count_levels draws 32 rows at a time; PCG64 hands out its doubles
+        # in order, so the blocks read the same stream as one whole draw
+        whole = np.random.default_rng(rows).random((rows, 9))
+        rng = np.random.default_rng(rows)
+        blocks = [rng.random((min(32, rows - lo), 9)) for lo in range(0, rows, 32)]
+        assert np.vstack(blocks).tobytes() == whole.tobytes()
 
 
 class TestImagesCsv:

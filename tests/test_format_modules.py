@@ -3,7 +3,8 @@
 only ``equalizer`` decides what a ``predict`` model's window is offset by.
 Text is accepted by one numpy rule and dates by one date rule: only
 ``dataio._parse_plain`` uses ``np.loadtxt`` and only ``dataio._iso_ordinal``
-uses ``fromisoformat``."""
+uses ``fromisoformat``.  Pixels are sampled by one rule: only
+``dataio._count_levels`` calls a generator's ``random``."""
 
 import ast
 from pathlib import Path
@@ -102,3 +103,41 @@ def test_detects_a_use_by_reference_or_call():
     )
     assert users(tree, "fromisoformat") == {"parse", "one"}
     assert users(tree, "loadtxt") == {"<module>"}
+
+
+def callers(tree, method: str) -> set:
+    """Innermost functions of ``tree`` that call ``x.method(...)``;
+    ``"<module>"`` for a call outside every function."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == method):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_function_draws_uniforms():
+    calls = sorted(
+        (path.name, function)
+        for path in PACKAGE.glob("*.py")
+        for function in callers(ast.parse(path.read_text(encoding="utf-8")), "random")
+    )
+    assert calls == [("dataio.py", "_count_levels")]
+
+
+def test_detects_a_random_call_but_not_the_module():
+    tree = ast.parse(
+        "def draw(rng, shape):\n"
+        "    return rng.random(shape)\n"
+        "def seeded(seed):\n"
+        "    return np.random.default_rng(seed)\n"
+        "u = np.random.default_rng(0).random(3)\n"
+    )
+    assert callers(tree, "random") == {"draw", "<module>"}

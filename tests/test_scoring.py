@@ -425,6 +425,33 @@ class TestCurve:
         with pytest.raises(ValueError, match="empty"):
             error_vs_noise_curve(DIST_A, DIST_B, 5, 5, 8, [], seed=0)
 
+    @pytest.mark.parametrize("n, side", [(1, 3), (33, 5), (70, 4)])
+    @pytest.mark.parametrize("e", [0.0, 0.0025, 0.1, 0.25])
+    @pytest.mark.parametrize("dists", ["far", "near"])
+    def test_point_matches_clean_corpus_through_the_channel(self, n, side, e, dists):
+        # the composition a point was built from before it drew in one pass
+        dist_a, dist_b = (DIST_A, DIST_B) if dists == "far" else (
+            DiscreteDistribution([0.3, 0.2, 0.2, 0.3]), uniform_distribution(4))
+        index, seed = 3, 40 + n
+
+        def composed():
+            gen_seed, noise_seed = np.random.SeedSequence(seed ^ index).generate_state(2)
+            clean = gen_two_class_images(int(gen_seed), n, side, side, dist_a, dist_b)
+            channel = parametric_channel(e)
+            noisy = apply_channel_to_dataset(clean, channel, int(noise_seed))
+            table = build_image_scorer(noisy.images, channel)
+            error = _separation_error(_pooled_totals(noisy, table), noisy.labels)
+            return CurvePoint(float(e), error, noisy.n_images, seed ^ index)
+
+        outcomes = []
+        for point in (composed, lambda: scoring._curve_point(
+                index, e, seed, dist_a, dist_b, side, side, n)):
+            try:
+                outcomes.append(point())
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
     def test_point_seeds_derived_from_position(self):
         points = error_vs_noise_curve(
             DIST_A, DIST_B, 8, 8, 20, [0.0, 0.05, 0.1], seed=12
@@ -508,8 +535,9 @@ def random_square_channel(rng, k):
 
 @st.composite
 def per_pixel_cases(draw):
-    """A corpus and a square channel: pixels constant, uniform, or skewed
-    enough that channel inversion clips part of their support."""
+    """A corpus and a square channel: pixels constant, uniform, skewed
+    enough that channel inversion clips part of their support, or holding
+    symbols past the channel's outputs (k .. k+2, or 2**63 - 1)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["random", 0.0, 0.05, 0.2]))
     if kind == "random":
@@ -520,8 +548,11 @@ def per_pixel_cases(draw):
     n, n_pix = draw(st.integers(1, 30)), draw(st.integers(1, 8))
     columns = []
     for _ in range(n_pix):
-        style = draw(st.sampled_from(["constant", "uniform", "skewed"]))
-        if style == "constant":
+        style = draw(st.sampled_from(["constant", "uniform", "skewed"] * 3 + ["outside"]))
+        if style == "outside":  # symbols past the channel's outputs, in a wider alphabet
+            past = draw(st.sampled_from([rng.integers(k, k + 3, n), np.full(n, 2**63 - 1)]))
+            columns.append(np.where(rng.random(n) < 0.5, past, rng.integers(0, k, n)))
+        elif style == "constant":
             columns.append(np.full(n, rng.integers(k)))
         elif style == "uniform":
             columns.append(rng.integers(0, k, n))
@@ -529,7 +560,8 @@ def per_pixel_cases(draw):
             p = np.full(k, 0.02 / k)
             p[rng.integers(k)] += 0.98
             columns.append(rng.choice(k, n, p=p / p.sum()))
-    return ImageDataset(n_pix, 1, k, np.column_stack(columns)), channel
+    images = np.column_stack(columns)
+    return ImageDataset(n_pix, 1, max(k, int(images.max()) + 1), images), channel
 
 
 class TestPerPixelMatchesLoop:
@@ -566,6 +598,15 @@ class TestPerPixelMatchesLoop:
         ds = ImageDataset(6, 1, 4, images)
         expected = per_pixel_scores_loop(images, channel.matrix, False)
         got = np.array([i.score for i in score_dataset_per_pixel(ds, channel, smooth=False)])
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 600])
+    def test_totals_gathered_in_blocks_of_images(self, n):
+        # the totals are gathered 256 images at a time
+        images = np.random.default_rng(n).integers(0, 4, (n, 5))
+        ds = ImageDataset(5, 1, 4, images)
+        expected = per_pixel_scores_loop(images, parametric_channel(0.1).matrix, True)
+        got = _per_pixel_totals(ds, parametric_channel(0.1), True)
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("channel, message", [
