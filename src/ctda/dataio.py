@@ -19,7 +19,6 @@ import datetime as _dt
 import io
 import math
 import os
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -186,6 +185,42 @@ def _parse_plain_series(fh, body, columns):
     if not (np.isfinite(values).all() and (times[1:] > times[:-1]).all()):
         return None
     return times, values, iso
+
+
+_SCREEN_CHARS = 1 << 16  # characters read per step of the plain-text screen
+
+# numpy's number parsers read some cells that int() and float() reject: they
+# take U+001C..U+001F for spaces, and the integer parser takes some non-ASCII
+# letters for digits.
+_NOT_INT_SPACES = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_plain(fh, start, **options):
+    """``np.loadtxt(fh, **options)`` of the series text from position
+    ``start`` on, or None when numpy rejects it or the text is not plain.
+    Plain text is valid UTF-8 and ASCII, free of U+001C..U+001F and of
+    quotes, and has no line (ended by ``\\n``) over
+    ``csv.field_size_limit()``, so no cell the csv reader refuses as too
+    long; numpy reads each of its cells as the csv reader with ``int`` or
+    ``float`` does, or rejects it.  The text is screened in chunks before
+    numpy reads it.  The caller has found a data row, so numpy never warns
+    of an empty input."""
+    limit = csv.field_size_limit()
+    size = max(1, min(_SCREEN_CHARS, limit))  # a line inside one chunk is short enough
+    fh.seek(start)
+    line = 0  # length of the line the chunks so far end in
+    try:
+        while chunk := fh.read(size):
+            if not chunk.isascii() or '"' in chunk or any(c in chunk for c in _NOT_INT_SPACES):
+                return None
+            end = chunk.find("\n")
+            if line + (len(chunk) if end < 0 else end) > limit:
+                return None
+            line = line + len(chunk) if end < 0 else len(chunk) - 1 - chunk.rfind("\n")
+        fh.seek(start)
+        return np.loadtxt(fh, delimiter=",", comments=None, **options)
+    except ValueError:  # also UnicodeDecodeError: the row reader reports it in place
+        return None
 
 
 def _read_series_rows(path, fh, body, t_idx: int, v_idx: int):
@@ -503,23 +538,21 @@ def load_images_csv(
 
     When the geometry is unknown the images are treated as 1 x n_pixels
     strips; the alphabet defaults to the largest pixel value + 1 (but at
-    least 2 symbols).  When the body is ASCII without quotes, U+001C..U+001F
-    or a line over ``csv.field_size_limit()``, numpy parses it in one call,
-    and its result is kept if its rows are as wide as the header.  Every
-    other file (blank labels, blank, quoted or non-ASCII cells, any error)
-    is read a row at a time, which also finds the line to report.  The file
-    may be a pipe.
+    least 2 symbols).  A body whose lines are all cells of ASCII digits is
+    parsed from its bytes (see ``_parse_digit_rows``).  Every other file
+    (blank labels, signed, blank, spaced, quoted or non-ASCII cells, blank
+    lines, any error) is read a row at a time, which also finds the line to
+    report.  The file may be a pipe.
     """
     with _reading(path) as fh:
         header, body = _header(path, fh), fh.tell()
         if not header or header[0] != "label" or len(header) < 2:
             raise FileFormatError(f"{path}: expected header 'label,p0,...'; got {header!r}")
         n_pixels = len(header) - 1
-        rows = _parse_plain(fh, body, dtype=np.int64, ndmin=2)
-        if rows is not None and rows.shape[0] and rows.shape[1] == n_pixels + 1:
-            labels, images = rows[:, 0].copy(), np.ascontiguousarray(rows[:, 1:])
-        else:
-            labels, images = _read_image_rows(path, fh, body, n_pixels)
+        parsed = _parse_digit_rows(fh, body, n_pixels)
+        if parsed is None:
+            parsed = _read_image_rows(path, fh, body, n_pixels)
+        labels, images = parsed
     if width is None or height is None:
         width, height = n_pixels, 1
     if width * height != n_pixels:
@@ -531,40 +564,65 @@ def load_images_csv(
     return ImageDataset(width, height, alphabet_size, images, labels)
 
 
-_SCREEN_CHARS = 1 << 16  # characters read per step of the plain-text screen
-
-# numpy's number parsers read some cells that int() and float() reject: they
-# take U+001C..U+001F for spaces, and the integer parser takes some non-ASCII
-# letters for digits.
-_NOT_INT_SPACES = "\x1c\x1d\x1e\x1f"
+_PARSE_ROWS = 64  # lines per step of _parse_digit_rows: a block's index arrays stay small
 
 
-def _parse_plain(fh, start, **options):
-    """``np.loadtxt(fh, **options)`` of the text from position ``start`` on,
-    or None when numpy rejects it or the text is not plain.  Plain text is
-    valid UTF-8 and ASCII, free of U+001C..U+001F and of quotes, and has no
-    line (ended by ``\\n``) over ``csv.field_size_limit()``, so no cell the
-    csv reader refuses as too long; numpy reads each of its cells as the csv
-    reader with ``int`` or ``float`` does, or rejects it.  The text is
-    screened in chunks before numpy reads it."""
-    limit = csv.field_size_limit()
-    size = max(1, min(_SCREEN_CHARS, limit))  # a line inside one chunk is short enough
-    fh.seek(start)
-    line = 0  # length of the line the chunks so far end in
-    try:
-        while chunk := fh.read(size):
-            if not chunk.isascii() or '"' in chunk or any(c in chunk for c in _NOT_INT_SPACES):
-                return None
-            end = chunk.find("\n")
-            if line + (len(chunk) if end < 0 else end) > limit:
-                return None
-            line = line + len(chunk) if end < 0 else len(chunk) - 1 - chunk.rfind("\n")
-        fh.seek(start)
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            return np.loadtxt(fh, delimiter=",", comments=None, **options)
-    except ValueError:  # also UnicodeDecodeError: the row reader reports it in place
+def _parse_digit_rows(fh, body, n_pixels: int):
+    """``(labels, images)`` of the image file open as ``fh``, parsed by numpy
+    from the bytes of its body at position ``body``, or None unless every
+    line holds ``n_pixels + 1`` cells of 1 to ``min(18,
+    csv.field_size_limit())`` ASCII digits, separated by commas and ended by
+    ``\\n`` or ``\\r\\n`` (the last line's end may be missing).  Eighteen
+    digits fit in int64, and the row reader reports a longer cell.  The
+    body is parsed ``_PARSE_ROWS`` lines at a time into the two results: a
+    block's non-digits are its separators, and each cell's value is summed
+    from its digits."""
+    if isinstance(fh, io.StringIO):  # a pipe's text, held in memory
+        fh.seek(body)
+        data = fh.read().encode()
+    elif body >> 64:  # a decoder state is packed in: the header ends in a lone "\r"
         return None
+    else:  # a UTF-8 text position past a whole line is a byte offset
+        fh.buffer.seek(body)
+        data = fh.buffer.read()
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    text = np.frombuffer(data, np.uint8)
+    line_ends = np.flatnonzero(text == ord("\n"))
+    n, cells, longest = len(line_ends), n_pixels + 1, min(18, csv.field_size_limit())
+    labels, images = np.empty(n, np.int64), np.empty((n, n_pixels), np.int64)
+    for lo in range(0, n, _PARSE_ROWS):
+        start = line_ends[lo - 1] + 1 if lo else 0
+        ends = line_ends[lo : lo + _PARSE_ROWS] - start
+        rows, block = len(ends), text[start : start + ends[-1] + 1]
+        digits = block - np.uint8(ord("0"))  # every non-digit wraps above 9
+        marks = np.flatnonzero(digits > 9)
+        # A line ended by "\r\n" ends at its "\r", and its "\n" is no mark.
+        # (An empty first line ends at 0, and block[-1] is a "\n".)
+        crlf = block[ends - 1] == ord("\r")
+        if crlf.any():
+            marks = np.delete(marks, np.searchsorted(marks, ends[crlf]))
+        if marks.size != rows * cells:
+            return None
+        marks = marks.reshape(rows, cells)
+        # With each line's last mark at its end, its other marks are commas
+        # when the block holds as many commas as those marks.
+        commas = np.count_nonzero(block == ord(","))
+        if (marks[:, -1] != ends - crlf).any() or commas != rows * n_pixels:
+            return None
+        widths = np.diff(marks.ravel(), prepend=-1).reshape(rows, cells) - 1
+        widths[1:, 0] -= crlf[:-1]  # a line after "\r\n" starts 2 past its last mark
+        if widths.min() < 1 or widths.max() > longest:
+            return None
+        values = digits.take(marks - 1)
+        if widths.max() > 1:
+            values = values.astype(np.int64)
+            for place in range(1, int(widths.max())):
+                more = np.where(widths > place, digits.take(marks - 1 - place), 0)
+                values += more * np.int64(10**place)
+        labels[lo : lo + rows] = values[:, 0]
+        images[lo : lo + rows] = values[:, 1:]
+    return (labels, images) if n else None
 
 
 def _read_image_rows(path, fh, body, n_pixels: int):

@@ -169,7 +169,23 @@ def _pooled_totals(dataset: ImageDataset, table: ScoreTable) -> np.ndarray:
     """Each image's summed pixel scores under one ``table``."""
     if dataset.alphabet_size > table.scores.size:
         raise ValueError("score table does not cover the dataset's alphabet")
-    return _finite(table.scores[dataset.images].sum(axis=1))
+    return _row_sums(table.scores, dataset.images)
+
+
+_BLOCK_IMAGES = 256  # images per step of a corpus-sized gather or count: no (n, pixels) temporary
+
+
+def _row_sums(values: np.ndarray, index: np.ndarray, offset=None) -> np.ndarray:
+    """Checked finite, each row's sum of ``values.take(index + offset)``
+    (``offset``: None, or added to each row), gathered ``_BLOCK_IMAGES`` rows
+    at a time.  A row's sum does not depend on the blocking."""
+    sums = np.empty(len(index))
+    for lo in range(0, len(index), _BLOCK_IMAGES):
+        rows = index[lo : lo + _BLOCK_IMAGES]
+        if offset is not None:
+            rows = rows + offset
+        values.take(rows).sum(axis=1, out=sums[lo : lo + len(rows)])
+    return _finite(sums)
 
 
 def _finite(totals: np.ndarray) -> np.ndarray:
@@ -180,10 +196,16 @@ def _finite(totals: np.ndarray) -> np.ndarray:
 
 def _symbol_counts(rows: np.ndarray, alphabet: int) -> np.ndarray:
     """``(len(rows), alphabet)`` counts of each row's symbols, from one
-    bincount: row i's symbols land in bins i*K .. i*K+K-1."""
-    n = rows.shape[0]
-    offset = rows + alphabet * np.arange(n)[:, None]
-    return np.bincount(offset.ravel(), minlength=n * alphabet).reshape(n, alphabet)
+    bincount per block of ``_BLOCK_IMAGES`` rows: the block's row i's
+    symbols land in bins i*K .. i*K+K-1."""
+    counts = np.empty((len(rows), alphabet), np.int64)
+    bins = np.empty((min(len(rows), _BLOCK_IMAGES), rows.shape[1]), np.int64)
+    for lo in range(0, len(rows), _BLOCK_IMAGES):
+        block = counts[lo : lo + _BLOCK_IMAGES]
+        n = len(block)
+        np.add(rows[lo : lo + n], alphabet * np.arange(n)[:, None], out=bins[:n])
+        block.flat = np.bincount(bins[:n].ravel(), minlength=block.size)
+    return counts
 
 
 def score_dataset_per_pixel(
@@ -209,12 +231,11 @@ def _per_pixel_totals(dataset: ImageDataset, channel: Channel, smooth: bool) -> 
     k = channel.n_outputs
     # Pixels are checked in order: the first one holding a symbol outside the
     # channel's outputs fails after every earlier pixel has been solved.
-    outside = np.flatnonzero((images >= k).any(axis=0))
+    outside = np.flatnonzero(images.max(axis=0) >= k)
     stop = int(outside[0]) if outside.size else n_pix
     tables = np.zeros((n_pix, k))
-    flat = images + k * np.arange(n_pix)  # pixel j's symbols in bins j*k .. j*k+k-1
     if stop:
-        p_y = np.bincount(flat[:, :stop].ravel(), minlength=stop * k).reshape(stop, k) / n
+        p_y = _pixel_counts(images, k, stop) / n
         if smooth:
             p_y = _smoothed(p_y, n)
         p_x = _recover(p_y, channel, tol=np.inf)
@@ -224,9 +245,21 @@ def _per_pixel_totals(dataset: ImageDataset, channel: Channel, smooth: bool) -> 
     if outside.size:
         column = images[:, stop]
         raise ValueError(f"symbol {int(column[column >= k][0])} outside alphabet of size {k}")
-    scores = tables.ravel()  # gathered 256 images at a time: no (n, pixels) copy beside flat
-    totals = [scores.take(flat[lo : lo + 256]).sum(axis=1) for lo in range(0, n, 256)]
-    return _finite(np.concatenate(totals))
+    return _row_sums(tables.ravel(), images, k * np.arange(n_pix))  # pixel j's table at j*k
+
+
+def _pixel_counts(images: np.ndarray, k: int, stop: int) -> np.ndarray:
+    """``(stop, k)`` counts of the symbols of each of the first ``stop``
+    pixels, from one bincount per block of ``_BLOCK_IMAGES`` images: pixel
+    j's symbols land in bins j*k .. j*k+k-1."""
+    counts = np.zeros(stop * k, np.int64)
+    offset = k * np.arange(stop)
+    bins = np.empty((min(len(images), _BLOCK_IMAGES), stop), np.int64)
+    for lo in range(0, len(images), _BLOCK_IMAGES):
+        rows = images[lo : lo + _BLOCK_IMAGES, :stop]
+        np.add(rows, offset, out=bins[: len(rows)])
+        counts += np.bincount(bins[: len(rows)].ravel(), minlength=counts.size)
+    return counts.reshape(stop, k)
 
 
 def _scored_items(totals: np.ndarray, labels: Optional[np.ndarray]) -> list:
@@ -290,7 +323,7 @@ def _curve_point(
     )
     table = build_image_scorer(noisy, channel)
     labels = np.repeat(np.arange(2, dtype=np.int64), n_per_class)
-    error = _separation_error(_finite(table.scores[noisy].sum(axis=1)), labels)
+    error = _separation_error(_row_sums(table.scores, noisy), labels)
     return CurvePoint(
         e=float(e),
         error_probability=error,

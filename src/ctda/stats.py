@@ -149,10 +149,13 @@ def empirical_distribution(samples, alphabet_size: int) -> DiscreteDistribution:
         raise ValueError("samples must be integer symbols")
     if alphabet_size < 2:
         raise ValueError("alphabet needs at least 2 symbols")
-    if s.min() < 0 or s.max() >= alphabet_size:
+    try:  # bincount rejects a negative symbol; at 2**63 - 1 its length overflows
+        counts = np.bincount(s, minlength=alphabet_size) if s.max() < alphabet_size else None
+    except ValueError:
+        counts = None
+    if counts is None:
         bad = int(s[(s < 0) | (s >= alphabet_size)][0])
         raise ValueError(f"symbol {bad} outside alphabet of size {alphabet_size}")
-    counts = np.bincount(s, minlength=alphabet_size)
     return DiscreteDistribution(counts / s.size)
 
 

@@ -38,6 +38,19 @@ def mi_of_mixture(p_u, conditionals) -> float:
     return mi_from_joint(joint)
 
 
+def empirical_distribution_three_pass(samples, alphabet_size: int):
+    """Relative frequencies of integer ``samples`` over ``0 .. K-1`` by the
+    three-pass rule: ``min`` and ``max`` check the range, then each symbol
+    is counted on its own.  Raises ValueError naming the first symbol
+    outside the alphabet, as the estimator does."""
+    s = np.asarray(samples).reshape(-1)
+    if s.min() < 0 or s.max() >= alphabet_size:
+        bad = next(int(v) for v in s.tolist() if not 0 <= v < alphabet_size)
+        raise ValueError(f"symbol {bad} outside alphabet of size {alphabet_size}")
+    counts = np.array([np.count_nonzero(s == symbol) for symbol in range(alphabet_size)])
+    return counts / s.size
+
+
 def second_direction_power_iteration(b, sqrt_px, iters: int = 5000):
     """Top constrained singular direction by projected power iteration.
 

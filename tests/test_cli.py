@@ -833,9 +833,9 @@ class TestSweepFootprint:
         assert not out.exists()
 
     @pytest.mark.parametrize("spare", [-1, 0])
-    def test_estimate_is_17_bytes_per_pixel_per_worker(self, tmp_path, monkeypatch, spare):
+    def test_estimate_is_12_bytes_per_pixel_per_worker(self, tmp_path, monkeypatch, spare):
         workers = resolve_threads(2, 2)
-        need = 17 * 2 * 6 * (5 * 3) * workers  # --n 6 on 5x3, one corpus per worker
+        need = 12 * 2 * 6 * (5 * 3) * workers  # --n 6 on 5x3, one corpus per worker
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need + spare}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         argv = ["sweep", "--e-grid", "0,0.1", "--n", "6", "--dims", "5x3", "--threads", "2",
@@ -851,6 +851,7 @@ class TestSweepFootprint:
     @pytest.mark.parametrize("e", [0.0, 0.1])
     def test_a_point_peaks_within_the_estimate(self, n, side, e):
         # e = 0 is the degenerate channel, whose tie-break counts symbols too
+        _curve_point(0, e, 1, DIST_A, DIST_B, 8, 8, 20)  # lazy imports cost no bytes per pixel
         tracemalloc.start()
         try:
             _curve_point(0, e, 1, DIST_A, DIST_B, side, side, n)

@@ -1111,6 +1111,104 @@ class TestLoadImagesCsvMatchesLoop:
         self.assert_same(f"label,p0,p1\n0,1,2\n{record}\n1,3,3\n")
 
 
+LONG_WIDTHS, LONG_ODDS = [2, 3, 17, 18, 19, 20], [0.3, 0.3, 0.15, 0.15, 0.05, 0.05]
+
+
+@st.composite
+def digit_image_texts(draw):
+    """``label,p0,...`` texts of digit cells, mostly in the byte reader's
+    grammar: 0-300 lines (across its 64-line blocks) of 1-20-digit cells,
+    with leading zeros, and with 19 and 20 digits, past its 18-digit limit
+    and past int64; LF and CRLF line ends, mixed or not.  Some texts also
+    hold a lone CR, a blank line or an empty cell, or lack the last line's
+    end."""
+    n_pixels = draw(st.integers(1, 4))
+    n_rows = draw(st.sampled_from([0, 1, 63, 64, 65, 128, 129]) | st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    long_share = draw(st.sampled_from([0.0, 0.0, 0.01, 0.2]))
+    ends = draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n"]]))
+    records = []
+    for _ in range(n_rows):
+        cells = []
+        for _ in range(n_pixels + 1):
+            width = int(rng.choice(LONG_WIDTHS, p=LONG_ODDS)) if rng.random() < long_share else 1
+            cells.append("".join(map(str, rng.integers(0, 10, width))))
+        records.append(",".join(cells) + str(rng.choice(ends)))
+    defect = draw(st.sampled_from([None] * 3 + ["lone cr", "blank line", "empty cell"]))
+    if defect and records:
+        at = draw(st.integers(0, len(records) - 1))
+        if defect == "lone cr":
+            records[at] = records[at].rstrip("\r\n") + "\r"
+        elif defect == "blank line":
+            records.insert(at, draw(st.sampled_from(ends)))
+        else:
+            cells = records[at].split(",")
+            cells[draw(st.integers(0, n_pixels))] = ""
+            records[at] = ",".join(cells)
+            if not records[at].endswith("\n"):
+                records[at] += "\n"
+    header = ",".join(["label"] + [f"p{i}" for i in range(n_pixels)])
+    text = header + ("\r" if defect == "lone cr" and not records else draw(st.sampled_from(ends)))
+    text += "".join(records)
+    return text.rstrip("\r\n") if draw(st.booleans()) and records else text
+
+
+class TestByteReaderMatchesLoop:
+    """The byte reader, and the row reader it hands other files to, against
+    the row loop in ``tests/oracles.py``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=digit_image_texts())
+    def test_same_images_or_same_error(self, text):
+        TestLoadImagesCsvMatchesLoop.assert_same(text)
+
+    @pytest.mark.parametrize("text", [
+        "label,p0\r0,1\n",  # a lone CR ends the header
+        "label,p0\n0,1\r1,2\n",
+        "label,p0\r\n0,1\r\r\n",
+        "label,p0\n0,1\n\n1,2",
+        "label,p0\n0,\n",
+        "label,p0\n,0\n",
+        "label,p0,p1\n0,1,2,\n",
+        "label,p0\n0," + "9" * 18 + "\n",
+        "label,p0\n0," + "0" * 18 + "7\n",
+        "label,p0\n0,9223372036854775807\n",
+        "label,p0\n0,9223372036854775808\n",
+    ])
+    def test_edges_of_the_grammar(self, text):
+        TestLoadImagesCsvMatchesLoop.assert_same(text)
+
+    @pytest.mark.parametrize("write_file", ["savetxt", "save_images_csv"])
+    def test_benchmark_shaped_file_reaches_neither_row_reader_nor_loadtxt(
+        self, tmp_path, write_file
+    ):
+        # 1,000 x 784 one-digit pixels, with LF (numpy) or CRLF (csv) ends
+        rng = np.random.default_rng(14)
+        images, labels = rng.integers(0, 4, (1000, 784)), rng.integers(0, 2, 1000)
+        p = tmp_path / "im.csv"
+        if write_file == "savetxt":
+            header = "label," + ",".join(f"p{i}" for i in range(784))
+            np.savetxt(p, np.column_stack([labels, images]), fmt="%d", delimiter=",",
+                       header=header, comments="")
+        else:
+            save_images_csv(ImageDataset(28, 28, 4, images, labels), p)
+        with mock.patch.object(dataio, "_read_image_rows", side_effect=AssertionError), \
+                mock.patch.object(np, "loadtxt", side_effect=AssertionError):
+            ds = load_images_csv(p, 28, 28, 4)
+        assert ds.images.tobytes() == images.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
+
+    def test_cell_over_a_lowered_field_limit_gets_the_row_readers_message(self, tmp_path):
+        p = write(tmp_path, "im.csv", "label,p0\n0,1\n1,12345\n")
+        limit = csv.field_size_limit(4)  # under the byte reader's 18 digits
+        try:
+            with pytest.raises(FileFormatError) as got:
+                load_images_csv(p)
+        finally:
+            csv.field_size_limit(limit)
+        assert str(got.value) == f"{p}: field larger than field limit (4)"
+
+
 def piped(text):
     """``text`` written into a fresh pipe and closed; returns the ``/dev/fd/N``
     path of the read end and that descriptor, which the caller closes."""

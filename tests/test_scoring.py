@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
-from ctda.dataio import ImageDataset, apply_channel_to_dataset, gen_two_class_images
+from ctda.dataio import (
+    ImageDataset,
+    _noisy_two_class_images,
+    apply_channel_to_dataset,
+    gen_two_class_images,
+)
 from ctda.coupling import (
     ScoreTable,
     build_dtm,
@@ -457,6 +462,40 @@ class TestCurve:
             DIST_A, DIST_B, 8, 8, 20, [0.0, 0.05, 0.1], seed=12
         )
         assert [p.seed for p in points] == [12 ^ 0, 12 ^ 1, 12 ^ 2]
+
+
+class TestScoresSummedInBlocks:
+    """Corpus-sized gathers and counts run 256 images at a time; each
+    matches its whole-array form bit for bit on either side of a block's
+    edge."""
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 600])
+    def test_pooled_totals(self, n):
+        images = np.random.default_rng(n).integers(0, 4, (n, 7))
+        table = build_image_scorer(images, parametric_channel(0.1))
+        got = _pooled_totals(ImageDataset(7, 1, 4, images), table)
+        assert got.tobytes() == table.scores[images].sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 600])
+    def test_symbol_counts(self, n):
+        rows = np.random.default_rng(n).integers(0, 5, (n, 9))
+        expected = np.array([np.bincount(row, minlength=5) for row in rows])
+        got = scoring._symbol_counts(rows, 5)
+        assert got.dtype == expected.dtype and (got == expected).all()
+
+    # a point scores 2 * n_per_class images: 254, 256, 258 and 600
+    @pytest.mark.parametrize("n_per_class", [127, 128, 129, 300])
+    @pytest.mark.parametrize("e", [0.0, 0.1])  # e = 0 also counts symbols in the tie-break
+    def test_curve_point_totals(self, monkeypatch, n_per_class, e):
+        seen = []
+        monkeypatch.setattr(scoring, "_separation_error",
+                            lambda totals, labels: seen.append(totals) or 0.0)
+        scoring._curve_point(2, e, 9, DIST_A, DIST_B, 4, 3, n_per_class)
+        gen_seed, noise_seed = np.random.SeedSequence(9 ^ 2).generate_state(2)
+        channel, noisy = _noisy_two_class_images(
+            int(gen_seed), int(noise_seed), n_per_class, 4, 3, DIST_A, DIST_B, e)
+        table = build_image_scorer(noisy, channel)
+        assert seen[0].tobytes() == table.scores[noisy].sum(axis=1).tobytes()
 
 
 class TestResolveThreads:

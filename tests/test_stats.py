@@ -27,7 +27,10 @@ from ctda.stats import (
     uniform_distribution,
 )
 
-from oracles import mi_of_mixture
+from oracles import empirical_distribution_three_pass, mi_of_mixture
+
+
+INTEGER_DTYPES = ["int8", "uint8", "int16", "uint16", "int32", "uint32", "int64", "uint64"]
 
 
 def random_distribution(rng, size):
@@ -143,6 +146,32 @@ class TestEmpiricalDistribution:
     def test_non_integer(self):
         with pytest.raises(ValueError):
             empirical_distribution([0.5, 1.0], 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_bincount_matches_the_three_pass_rule(self, data):
+        dtype = np.dtype(data.draw(st.sampled_from(INTEGER_DTYPES)))
+        size = data.draw(st.integers(2, 6))
+        info = np.iinfo(dtype)
+        # near the alphabet, and far from it: numpy's bincount overflows its
+        # length at 2**63 - 1 and writes outside its result
+        edges = [v for v in (info.min, info.max, 2**40, 2**63 - 1) if info.min <= v <= info.max]
+        near = st.integers(max(info.min, -3), size + 3)
+        values = data.draw(st.lists(st.one_of(near, near, st.sampled_from(edges)),
+                                    min_size=1, max_size=40))
+        samples = np.array(values, dtype=dtype)
+        try:
+            expected = empirical_distribution_three_pass(samples, size)
+        except ValueError as exc:
+            expected = str(exc)
+        try:
+            got = empirical_distribution(samples, size).probs
+        except ValueError as exc:
+            got = str(exc)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got.tobytes() == expected.tobytes()
 
     def test_smoothed_strictly_positive(self):
         d = smoothed_distribution([0, 0, 0], 4)
