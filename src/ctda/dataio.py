@@ -21,7 +21,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -101,8 +101,7 @@ def _write_csv(path, header: Sequence[str], *columns) -> None:
 @contextmanager
 def _reading(path):
     """Open ``path`` as seekable UTF-8 CSV text: a pipe's text is copied into
-    memory, so that it can be read again.  Undecodable bytes and csv-level
-    failures (such as a cell over ``csv.field_size_limit()``) become a
+    memory, so that it can be read again.  Undecodable bytes become a
     FileFormatError naming the file."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -110,8 +109,22 @@ def _reading(path):
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise FileFormatError(f"{path}: not UTF-8 text (byte 0x{byte:02x})") from None
-    except csv.Error as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
+
+
+def _records(path, fh, first_line: int = 2):
+    """``(line, row)`` for each csv record of ``fh`` from its position on,
+    lines counting records from ``first_line``.  A csv-level failure, such
+    as a cell over ``csv.field_size_limit()``, becomes a FileFormatError
+    naming its line."""
+    rows = csv.reader(fh)
+    for line in count(first_line):
+        try:
+            row = next(rows)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise FileFormatError(f"{path}: line {line}: {exc}") from None
+        yield line, row
 
 
 def _iso_ordinal(cell: str) -> int:
@@ -126,10 +139,9 @@ def _iso_ordinal(cell: str) -> int:
 
 def _header(path, fh) -> list:
     """The stripped cells of the header record of ``fh``, read up to the body."""
-    try:
-        return [h.strip() for h in next(csv.reader(iter(fh.readline, "")))]
-    except StopIteration:
-        raise FileFormatError(f"{path}: empty file") from None
+    for _, row in _records(path, iter(fh.readline, ""), first_line=1):
+        return [h.strip() for h in row]
+    raise FileFormatError(f"{path}: empty file")
 
 
 def load_csv(path, time_column: str = "date", value_column: str = "value") -> TimeSeries:
@@ -138,12 +150,14 @@ def load_csv(path, time_column: str = "date", value_column: str = "value") -> Ti
     The series name is the file stem.  Duplicate or out-of-order timestamps,
     non-numeric or non-finite values, integer timestamps outside 64 bits and
     missing columns are all rejected with the offending line number.  When
-    the body is ASCII without quotes, U+001C..U+001F or a line over
+    the body is ASCII without quotes, U+0000, U+001C..U+001F or a line over
     ``csv.field_size_limit()``, numpy parses the two columns in one call,
     reading every date as the kind of the first data row's date: an integer,
-    else an ISO date.  Its result is kept if every value is finite and the
-    dates strictly increase.  Every other file (quoted or non-ASCII cells,
-    any error) is read a row at a time, which also finds the line to report.
+    else an ISO date, as bytes.  Its result is kept if every ISO date is
+    exactly ``YYYY-MM-DD``, every value is finite and the dates strictly
+    increase.  Every other file (quoted or non-ASCII cells, padded cells or
+    week dates in an ISO column, any error) is read a row at a time, which
+    also finds the line to report.
     """
     name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     with _reading(path) as fh:
@@ -161,11 +175,11 @@ def load_csv(path, time_column: str = "date", value_column: str = "value") -> Ti
 
 def _parse_plain_series(fh, body, columns):
     """``(timestamps, values, iso)`` of a series whose body starts at position
-    ``body`` of ``fh``, parsed by numpy: dates are integers, or ISO dates
-    read by ``_iso_ordinal`` when the first data row's date is not an
-    integer.  None when that row is missing or short, ``_parse_plain``
-    rejects the body, or a value is not finite or the dates do not strictly
-    increase."""
+    ``body`` of ``fh``, parsed by numpy: dates are integers, or, when the
+    first data row's date is not an integer, ``YYYY-MM-DD`` dates read as
+    bytes by ``_iso_ordinals``.  None when that row is missing or short,
+    ``_parse_plain`` or ``_iso_ordinals`` rejects the body, or a value is
+    not finite or the dates do not strictly increase."""
     try:
         first = next(row for row in csv.reader(fh) if "".join(row).strip())[columns[0]]
     except (StopIteration, IndexError, ValueError, csv.Error):  # ValueError: not UTF-8
@@ -175,34 +189,59 @@ def _parse_plain_series(fh, body, columns):
         iso = False
     except ValueError:
         iso = True
-    rows = _parse_plain(
-        fh, body, usecols=columns, dtype=[("t", np.int64), ("v", np.float64)], ndmin=1,
-        converters={columns[0]: _iso_ordinal} if iso else None,
-    )
+    # One byte more than YYYY-MM-DD, so that a longer cell is seen, not cut off.
+    dates = "S11" if iso else np.int64
+    rows = _parse_plain(fh, body, usecols=columns, dtype=[("t", dates), ("v", np.float64)], ndmin=1)
     if rows is None:
         return None
     times, values = rows["t"], rows["v"]
+    if iso and (times := _iso_ordinals(times)) is None:
+        return None
     if not (np.isfinite(values).all() and (times[1:] > times[:-1]).all()):
         return None
     return times, values, iso
 
 
+_ISO_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # the digit places of YYYY-MM-DD
+_EPOCH_ORDINAL = _dt.date(1970, 1, 1).toordinal()  # day 0 of datetime64
+
+
+def _iso_ordinals(cells):
+    """Proleptic-Gregorian ordinals of the ``S11`` date ``cells``, as
+    ``_iso_ordinal`` reads them; None unless every cell is exactly
+    ``YYYY-MM-DD`` in ASCII digits, with a year from 0001 (``date`` has
+    none before) and a month and day that exist (numpy raises ValueError
+    for any other).  A longer cell has its eleventh byte set.  ``S`` drops
+    trailing NULs, so ``_parse_plain`` refuses them."""
+    chars = np.ascontiguousarray(cells).view(np.uint8).reshape(len(cells), 11)
+    digits = chars[:, _ISO_DIGITS] - np.uint8(ord("0"))  # every non-digit wraps above 9
+    if ((digits > 9).any() or (chars[:, [4, 7]] != ord("-")).any() or chars[:, 10].any()
+            or not digits[:, :4].any(axis=1).all()):
+        return None
+    try:
+        days = cells.astype("datetime64[D]")
+    except ValueError:
+        return None
+    return days.astype(np.int64) + _EPOCH_ORDINAL
+
+
 _SCREEN_CHARS = 1 << 16  # characters read per step of the plain-text screen
 
-# numpy's number parsers read some cells that int() and float() reject: they
-# take U+001C..U+001F for spaces, and the integer parser takes some non-ASCII
-# letters for digits.
-_NOT_INT_SPACES = "\x1c\x1d\x1e\x1f"
+# numpy reads some cells that int(), float() and date.fromisoformat() reject:
+# its number parsers take U+001C..U+001F for spaces (and the integer parser
+# some non-ASCII letters for digits), and its bytes cells drop trailing NULs.
+_MISREAD_CHARS = "\x00\x1c\x1d\x1e\x1f"
 
 
 def _parse_plain(fh, start, **options):
     """``np.loadtxt(fh, **options)`` of the series text from position
     ``start`` on, or None when numpy rejects it or the text is not plain.
-    Plain text is valid UTF-8 and ASCII, free of U+001C..U+001F and of
-    quotes, and has no line (ended by ``\\n``) over
+    Plain text is valid UTF-8 and ASCII, free of U+0000, U+001C..U+001F and
+    of quotes, and has no line (ended by ``\\n``) over
     ``csv.field_size_limit()``, so no cell the csv reader refuses as too
-    long; numpy reads each of its cells as the csv reader with ``int`` or
-    ``float`` does, or rejects it.  The text is screened in chunks before
+    long; numpy reads each of its number cells as the csv reader with
+    ``int`` or ``float`` does, or rejects it, and each bytes cell as its
+    text up to the field's size.  The text is screened in chunks before
     numpy reads it.  The caller has found a data row, so numpy never warns
     of an empty input."""
     limit = csv.field_size_limit()
@@ -211,7 +250,7 @@ def _parse_plain(fh, start, **options):
     line = 0  # length of the line the chunks so far end in
     try:
         while chunk := fh.read(size):
-            if not chunk.isascii() or '"' in chunk or any(c in chunk for c in _NOT_INT_SPACES):
+            if not chunk.isascii() or '"' in chunk or any(c in chunk for c in _MISREAD_CHARS):
                 return None
             end = chunk.find("\n")
             if line + (len(chunk) if end < 0 else end) > limit:
@@ -230,7 +269,7 @@ def _read_series_rows(path, fh, body, t_idx: int, v_idx: int):
     is reported only when no later row fails another check."""
     fh.seek(body)
     times, values, seen, iso, out_of_order = [], [], set(), False, None
-    for line, row in enumerate(csv.reader(fh), start=2):
+    for line, row in _records(path, fh):
         if not "".join(row).strip():
             continue
         where = f"{path}: line {line}"
@@ -633,7 +672,7 @@ def _read_image_rows(path, fh, body, n_pixels: int):
     rows = []
     labels: list[int] = []
     blank_labels = 0
-    for line_no, row in enumerate(csv.reader(fh), start=2):
+    for line_no, row in _records(path, fh):
         if not row or all(not c.strip() for c in row):
             continue
         where = f"{path}: line {line_no}"

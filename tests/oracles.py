@@ -234,6 +234,23 @@ def align_loop(series, policy: str):
     return shared, rows
 
 
+def csv_records(path, fh):
+    """``(line, row)`` for each csv record of ``fh``, counting records from
+    line 1.  A csv-level failure, such as a cell over
+    ``csv.field_size_limit()``, raises ValueError naming its line."""
+    reader = csv.reader(fh)
+    line_no = 0
+    while True:
+        line_no += 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+        yield line_no, row
+
+
 def load_csv_loop(path, time_column: str = "date", value_column: str = "value"):
     """Read a ``date,value`` series file one row at a time.
 
@@ -245,9 +262,9 @@ def load_csv_loop(path, time_column: str = "date", value_column: str = "value"):
     whitespace-only records are skipped; lines count csv records.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        records = csv_records(path, fh)
         try:
-            header = next(reader)
+            _, header = next(records)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
@@ -258,7 +275,7 @@ def load_csv_loop(path, time_column: str = "date", value_column: str = "value"):
             )
         t_idx, v_idx = header.index(time_column), header.index(value_column)
         times, values, iso, seen, out_of_order = [], [], False, {}, None
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in records:
             if not row or all(not c.strip() for c in row):
                 continue
             where = f"{path}: line {line_no}"
@@ -308,9 +325,9 @@ def load_images_csv_loop(path):
     count csv records; labels and pixels must fit in 64 bits.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        records = csv_records(path, fh)
         try:
-            header = next(reader)
+            _, header = next(records)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
@@ -318,7 +335,7 @@ def load_images_csv_loop(path):
             raise ValueError(f"{path}: expected header 'label,p0,...'; got {header!r}")
         width = len(header)
         labels, images, blank = [], [], 0
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in records:
             if all(not cell.strip() for cell in row):
                 continue
             where = f"{path}: line {line_no}"

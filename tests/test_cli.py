@@ -965,7 +965,7 @@ class TestBadInputFilesExit2:
         path = tmp_path / "wide.csv"
         path.write_text(text)
         assert self.run_on(command, path, tmp_path) == 2
-        assert "wide.csv: field larger than field limit" in capsys.readouterr().err
+        assert "wide.csv: line 3: field larger than field limit" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, text", [
         ("fit", "date,value\n1,1.0\n2,2.0\n3,caf\xe9\n"),

@@ -306,24 +306,21 @@ def plain_series_texts(draw):
     ))
     value_column = "date" if chance(draw, 15) else "value"
     limit = draw(st.sampled_from([csv.field_size_limit(), SMALL_FIELD_LIMIT]))
-    # A cell over the limit is the file's only defect: the row reader meets
-    # it when it reads its chunk, before it checks the rows before it.
-    long_cell = limit == SMALL_FIELD_LIMIT and chance(draw, 30)
+    # A cell over the limit may share the file with other defects: both
+    # readers report the first failing record, with its line.
     t = draw(st.integers(-5, 5))
     rows = []
     for _ in range(draw(st.integers(1, 20))):
-        disorder = not long_cell and chance(draw, 5)
-        t += draw(st.integers(-2, 0)) if disorder else draw(st.integers(1, 3))
+        t += draw(st.integers(-2, 0)) if chance(draw, 5) else draw(st.integers(1, 3))
         rows.append([str(t), repr(draw(st.floats(allow_nan=False, allow_infinity=False)))])
-    if long_cell:
+    if limit == SMALL_FIELD_LIMIT and chance(draw, 30):
         rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 1))] = "1" * (limit + 1)
-    else:
-        for _ in range(draw(st.integers(0, 2))):
-            row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 1))
-            if chance(draw, 50):
-                rows[row][col] = draw(st.sampled_from(BOUNDARY_PADS))(rows[row][col])
-            else:
-                rows[row][col] = draw(st.sampled_from(BOUNDARY_CELLS))
+    for _ in range(draw(st.integers(0, 2))):
+        row, col = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 1))
+        if chance(draw, 50):
+            rows[row][col] = draw(st.sampled_from(BOUNDARY_PADS))(rows[row][col])
+        else:
+            rows[row][col] = draw(st.sampled_from(BOUNDARY_CELLS))
     if header.startswith("note"):
         # '"n,<date>,0.5,n"' gives numpy's split the date and another value
         note = draw(st.sampled_from(["n", '"1,2"', '"n,{},0.5,n"']))
@@ -339,8 +336,6 @@ def loop_outcome(path, value_column="value"):
         times, values, iso = load_csv_loop(path, "date", value_column)
     except ValueError as exc:
         return str(exc)
-    except csv.Error as exc:  # the loader names the file for a csv-level failure
-        return f"{path}: {exc}"
     return times, np.asarray(values, dtype=float).tobytes(), iso
 
 
@@ -404,10 +399,10 @@ ISO_VALUE_ODDITIES = ["nan", "inf", "-inf", "oops", "", " 2.5 ", "1e400"]
 
 @st.composite
 def iso_series_texts(draw):
-    """ISO-dated ``date,value`` texts of the kind numpy's parser takes, in
-    either column order, with a few week dates, padded or integer date
-    cells, odd values, whitespace-only records, rows out of order, a quoted
-    header, or the value read from the date column.  Returns
+    """ISO-dated ``date,value`` texts in either column order, with week
+    dates (which only the row reader reads), padded or integer date cells,
+    odd values, whitespace-only records, rows out of order, a quoted header,
+    or the value read from the date column.  Returns
     ``(text, value_column)``."""
     header = draw(st.sampled_from(["date,value", "value,date", '"date",value', "note,date,value"]))
     names = [h.strip('"') for h in header.split(",")]
@@ -441,8 +436,8 @@ def iso_series_texts(draw):
 
 
 class TestLoadCsvIsoMatchesLoop:
-    """The reader against the row loop on ISO-dated files, which numpy parses
-    with the row loop's own date rule."""
+    """The reader against the row loop on ISO-dated files, whether numpy reads
+    their dates as bytes or the row reader reads them."""
 
     @settings(max_examples=400, deadline=None)
     @given(case=iso_series_texts())
@@ -462,13 +457,89 @@ class TestLoadCsvIsoMatchesLoop:
             assert load_outcome(path, value_column) == loop_outcome(path, value_column)
 
 
+# Days at the edges of the calendar and of the leap-year rule.
+EDGE_DAYS = [datetime.date(*ymd) for ymd in [
+    (1, 1, 1), (1900, 2, 28), (1900, 3, 1), (2000, 2, 29), (2001, 2, 28), (9999, 12, 31),
+]]
+# Date cells at the edge of numpy's byte rule: ten bytes that are no date,
+# or no date to ``date.fromisoformat``, and longer cells that begin with one.
+ISO_BYTE_ODDITIES = [
+    lambda d: f"{d}\x00", lambda d: f"\x00{d}", lambda d: f"{d}0", lambda d: f"{d}T00:00",
+    lambda d: f"{d} ", lambda d: d.replace("-", "/"), lambda d: f"{d[:4]}0{d[5:]}",
+    lambda d: "0000-01-01", lambda d: "0000-12-31", lambda d: "+001-01-01",
+    lambda d: "-001-01-01", lambda d: "2001-02-29", lambda d: "1900-02-29",
+    lambda d: "2001-04-31", lambda d: "2001-13-01", lambda d: "2001-00-10",
+    lambda d: "2001-01-00", lambda d: "10000-01-01",
+]
+
+
+@st.composite
+def iso_byte_texts(draw):
+    """ISO-dated ``date,value`` texts whose dates are exactly ``YYYY-MM-DD``,
+    from year 1 to 9999, in either column order and with any line end, with
+    a few date cells at the edge of numpy's byte rule.  Returns the text."""
+    header = draw(st.sampled_from(["date,value", "value,date"]))
+    ordinals = draw(st.lists(
+        st.integers(1, EDGE_DAYS[-1].toordinal())
+        | st.sampled_from(EDGE_DAYS).map(datetime.date.toordinal),
+        min_size=1, max_size=12, unique=True,
+    ))
+    lines = [header]
+    for ordinal in sorted(ordinals):
+        date = datetime.date.fromordinal(ordinal).isoformat()
+        if chance(draw, 8):
+            date = draw(st.sampled_from(ISO_BYTE_ODDITIES))(date)
+        value = repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+        lines.append(f"{date},{value}" if header == "date,value" else f"{value},{date}")
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + (newline if draw(st.booleans()) else "")
+
+
+class TestIsoByteRuleMatchesLoop:
+    """numpy's byte rule for ISO dates against the row loop: a cell it takes
+    reads as ``date.fromisoformat`` reads it, and every other cell sends the
+    file to the row reader."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=iso_byte_texts())
+    @example(text="date,value\n2001-01-01\x00,1\n")
+    @example(text="date,value\n2001-01-01,1\n2001-01-02\x00,2\n")
+    @example(text="date,value\n0000-01-01,1\n0001-01-01,2\n")
+    @example(text="date,value\n2001-02-28,1\n2001-02-29,2\n")
+    @example(text="date,value\n1900-02-28,1\n1900-02-29,2\n")
+    @example(text="date,value\n2000-02-29,1\n2000-03-01,2\n")
+    @example(text="date,value\n2001-01-01,1\n2001-01-02T00:00,2\n")
+    @example(text="date,value\n2001-01-01,1\n2001-01-020,2\n")
+    @example(text="date,value\n+001-01-01,1\n0001-01-02,2\n")
+    @example(text="date,value\n0001-01-01,1\n2001001-01,2\n")
+    @example(text="date,value\n9999-12-30,1\n9999-12-31,2\n")
+    @example(text="value,date\r\n1,2001-01-01\r\n2,2001-01-02\r\n")
+    def test_same_series_or_same_error(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            assert load_outcome(path) == loop_outcome(path)
+
+    @pytest.mark.parametrize("text", [
+        "date,value\n0001-01-01,1\n2000-02-29,2\n9999-12-31,3\n",
+        "value,date\r\n1,2001-01-01\r\n2,2001-01-02\r\n",
+        "value,date\r1,2001-01-01\r2,2001-01-02",
+    ], ids=["calendar-edges", "last-column-crlf", "last-column-cr"])
+    def test_exact_dates_take_numpy_path(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        expected = loop_outcome(path)
+        with mock.patch.object(dataio, "_read_series_rows", side_effect=AssertionError):
+            assert load_outcome(path) == expected
+
+
 LONG_CELL = "1" * (SMALL_FIELD_LIMIT + 1)
-CLEAN_ROWS = "".join(f"{t},0.5\n" for t in range(1100))  # more than one chunk
+CLEAN_ROWS = "".join(f"{t},0.5\n" for t in range(1100))  # a long stretch of good rows
 
 
 class TestOversizedCellAfterABadRow:
-    """A cell over the csv field limit is reported only when no row before it
-    fails, as the row loop does, also when both share a chunk."""
+    """A cell over the csv field limit is reported, with its line, only when
+    no row before it fails, as the row loop does."""
 
     @pytest.mark.parametrize("body, message", [
         (f"0,0.0\n0,0.0\n{LONG_CELL},0.0\n", "line 3: duplicate timestamp '0'"),
@@ -477,8 +548,8 @@ class TestOversizedCellAfterABadRow:
         (f"{CLEAN_ROWS}5,0.0\n{LONG_CELL},0.0\n", "line 1102: duplicate timestamp '5'"),
         (f"5,0.0\n{CLEAN_ROWS}2000,1\n{LONG_CELL},0.0\n", "line 8: duplicate timestamp '5'"),
         # out of order is reported last, after every other check
-        (f"1,0.0\n0,0.0\n{LONG_CELL},0.0\n", "field larger than field limit (40)"),
-        (f"{LONG_CELL},0.0\n0,0.0\n0,0.0\n", "field larger than field limit (40)"),
+        (f"1,0.0\n0,0.0\n{LONG_CELL},0.0\n", "line 4: field larger than field limit (40)"),
+        (f"{LONG_CELL},0.0\n0,0.0\n0,0.0\n", "line 2: field larger than field limit (40)"),
     ], ids=[
         "duplicate", "too-few-columns", "bad-value", "duplicate-in-second-chunk",
         "duplicate-of-first-chunk", "out-of-order-defers", "long-cell-first",
@@ -488,6 +559,15 @@ class TestOversizedCellAfterABadRow:
         old_limit = csv.field_size_limit(SMALL_FIELD_LIMIT)
         try:
             assert load_outcome(path) == f"{path}: {message}" == loop_outcome(path)
+        finally:
+            csv.field_size_limit(old_limit)
+
+    def test_header_cell_is_reported_on_line_1(self, tmp_path):
+        path = write(tmp_path, "s.csv", f"date,value,{LONG_CELL}\n1,0.0\n")
+        old_limit = csv.field_size_limit(SMALL_FIELD_LIMIT)
+        try:
+            message = f"{path}: line 1: field larger than field limit (40)"
+            assert load_outcome(path) == message == loop_outcome(path)
         finally:
             csv.field_size_limit(old_limit)
 
@@ -523,7 +603,8 @@ class TestLoadCsvPaths:
 
     def test_iso_file_never_reaches_the_row_reader(self, tmp_path):
         p = write(tmp_path, "fx.csv", iso_series(4_000))  # several screen chunks long
-        with mock.patch.object(dataio, "_read_series_rows", side_effect=AssertionError):
+        with mock.patch.object(dataio, "_read_series_rows", side_effect=AssertionError), \
+                mock.patch.object(dataio, "_iso_ordinal", side_effect=AssertionError):
             s = load_csv(p)
         start = datetime.date(2000, 1, 1).toordinal()
         assert s.timestamps.tolist() == list(range(start, start + 8_000, 2))
@@ -1007,12 +1088,12 @@ class TestImagesCsvInputErrors:
 
     def test_oversized_cell_rejected_naming_file(self, tmp_path):
         p = write(tmp_path, "im.csv", "label,p0\n0," + "0" * 200_000 + "\n")
-        with pytest.raises(FileFormatError, match="im.csv: field larger than field limit"):
+        with pytest.raises(FileFormatError, match="im.csv: line 2: field larger than field limit"):
             load_images_csv(p)
 
     def test_oversized_series_cell_rejected_naming_file(self, tmp_path):
         p = write(tmp_path, "s.csv", "date,value\n1," + "1" * 200_000 + "\n")
-        with pytest.raises(FileFormatError, match="s.csv: field larger than field limit"):
+        with pytest.raises(FileFormatError, match="s.csv: line 2: field larger than field limit"):
             load_csv(p)
 
     def test_long_rows_of_short_cells_parse(self, tmp_path):
@@ -1199,14 +1280,14 @@ class TestByteReaderMatchesLoop:
         assert ds.labels.tobytes() == labels.tobytes()
 
     def test_cell_over_a_lowered_field_limit_gets_the_row_readers_message(self, tmp_path):
-        p = write(tmp_path, "im.csv", "label,p0\n0,1\n1,12345\n")
-        limit = csv.field_size_limit(4)  # under the byte reader's 18 digits
+        p = write(tmp_path, "im.csv", "label,p0\n0,1\n1,123456\n")
+        limit = csv.field_size_limit(5)  # under the byte reader's 18 digits, and "label" fits
         try:
             with pytest.raises(FileFormatError) as got:
                 load_images_csv(p)
         finally:
             csv.field_size_limit(limit)
-        assert str(got.value) == f"{p}: field larger than field limit (4)"
+        assert str(got.value) == f"{p}: line 3: field larger than field limit (5)"
 
 
 def piped(text):
@@ -1265,7 +1346,7 @@ class TestPipedImages:
             results = self.load("label,p0\n0,1\n1," + "0" * 200 + "\n", tmp_path)
         finally:
             csv.field_size_limit(limit)
-        assert results == ["<file>: field larger than field limit (100)"] * 2
+        assert results == ["<file>: line 3: field larger than field limit (100)"] * 2
 
     @pytest.mark.parametrize("cell", ODD_PIXEL_CELLS)
     def test_odd_cell(self, tmp_path, cell):

@@ -1,9 +1,11 @@
 """Each file format is decided in one module: within ``src/ctda`` only
 ``dataio`` imports ``csv`` and only ``stats`` imports ``json``.  Likewise
 only ``equalizer`` decides what a ``predict`` model's window is offset by.
-Text is accepted by one numpy rule and dates by one date rule: only
-``dataio._parse_plain`` uses ``np.loadtxt`` and only ``dataio._iso_ordinal``
-uses ``fromisoformat``.  Pixels are sampled by one rule: only
+Text is accepted by one numpy rule, with no per-cell Python converter, and
+ISO dates by one rule on each path: only ``dataio._parse_plain`` uses
+``np.loadtxt``, only ``dataio._iso_ordinal`` (the row reader's rule) uses
+``fromisoformat`` and only ``dataio._iso_ordinals`` (numpy's) names
+``datetime64``.  Pixels are sampled by one rule: only
 ``dataio._count_levels`` calls a generator's ``random``."""
 
 import ast
@@ -62,8 +64,9 @@ def test_detects_a_predict_comparison():
 
 
 def users(tree, name: str) -> set:
-    """Innermost functions of ``tree`` that use ``name``, as ``x.name`` or
-    bare; ``"<module>"`` for a use outside every function."""
+    """Innermost functions of ``tree`` that use ``name``, as ``x.name``, bare
+    or at the start of a string (as in a dtype string); ``"<module>"`` for a
+    use outside every function."""
     found = set()
 
     def visit(node, scope):
@@ -72,6 +75,9 @@ def users(tree, name: str) -> set:
         elif isinstance(node, ast.Attribute) and node.attr == name:
             found.add(scope)
         elif isinstance(node, ast.Name) and node.id == name:
+            found.add(scope)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.startswith(name)):
             found.add(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -83,6 +89,7 @@ def users(tree, name: str) -> set:
 @pytest.mark.parametrize("name, owner", [
     ("loadtxt", ("dataio.py", "_parse_plain")),
     ("fromisoformat", ("dataio.py", "_iso_ordinal")),
+    ("datetime64", ("dataio.py", "_iso_ordinals")),
 ])
 def test_one_function_uses_each_accept_rule(name, owner):
     uses = sorted(
@@ -99,10 +106,41 @@ def test_detects_a_use_by_reference_or_call():
         "    def one(c):\n"
         "        return date.fromisoformat(c)\n"
         "    return map(date.fromisoformat, cells)\n"
+        "def days(cells):\n"
+        "    return cells.astype('datetime64[D]')\n"
+        "def dates(cells):\n"
+        "    '''Dates, read without datetime64.'''\n"
         "rows = loadtxt(fh)\n"
     )
     assert users(tree, "fromisoformat") == {"parse", "one"}
     assert users(tree, "loadtxt") == {"<module>"}
+    assert users(tree, "datetime64") == {"days"}
+
+
+def converter_calls(tree) -> int:
+    """How many calls in ``tree`` pass a ``converters=`` keyword."""
+    return sum(
+        isinstance(node, ast.Call) and any(k.arg == "converters" for k in node.keywords)
+        for node in ast.walk(tree)
+    )
+
+
+def test_no_call_passes_a_converter():
+    # _parse_plain passes its keywords on to np.loadtxt, so no call may pass one.
+    assert [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if converter_calls(ast.parse(path.read_text(encoding="utf-8")))
+    ] == []
+
+
+def test_detects_a_converter():
+    tree = ast.parse(
+        "rows = np.loadtxt(fh, converters={0: parse})\n"
+        "rows = _parse_plain(fh, 0, dtype=float, converters=None)\n"
+        "rows = np.loadtxt(fh, delimiter=',')\n"
+    )
+    assert converter_calls(tree) == 2
 
 
 def callers(tree, method: str) -> set:
