@@ -45,6 +45,8 @@ class LinearModel:
             )
         if not np.all(np.isfinite(coef)) or not np.isfinite(self.intercept):
             raise ValueError("coefficients and intercept must be finite")
+        if not np.isfinite(self.residual_mse):
+            raise ValueError("residual MSE must be finite; rescale the series")
         if self.residual_mse < 0:
             raise ValueError("residual MSE cannot be negative")
         if self.method not in METHODS:

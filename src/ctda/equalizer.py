@@ -58,6 +58,8 @@ class EqualizerModel:
             raise ValueError("tap weights must be finite")
         if not (np.isfinite(self.mean_x) and np.isfinite(self.mean_y)):
             raise ValueError("training means must be finite")
+        if not (np.isfinite(self.training_mse) and np.isfinite(self.validation_mse)):
+            raise ValueError("mean squared errors must be finite; rescale the series")
         if self.training_mse < 0 or self.validation_mse < 0:
             raise ValueError("mean squared errors cannot be negative")
         if self.mode not in MODES:
@@ -81,7 +83,10 @@ def _check_series(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 def _solve_loaded(gram: np.ndarray, rhs: np.ndarray, penalty: float = 0.0):
     """Solve ``(gram + penalty I) w = rhs``; returns ``(w, degenerate)``.
-    A rank-deficient system is diagonally loaded and flagged ``degenerate``."""
+    A rank-deficient system is diagonally loaded and flagged ``degenerate``;
+    an overflowed one is refused before LAPACK sees it."""
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
+        raise ValueError("normal equations overflow float64; rescale the series")
     eye = np.eye(gram.shape[0])
     degenerate = bool(np.linalg.matrix_rank(gram + penalty * eye) < gram.shape[0])
     if degenerate:
@@ -211,21 +216,77 @@ def _lagged_sums(xc: np.ndarray, yc: np.ndarray, first: int, last: int, taps: in
     return a.T @ a, a.sum(axis=0), a.T @ t, float(t.sum()), float(t @ t), t.size
 
 
-def _mse_bounds(xc, yc, c, last, max_length, shift, held=None):
+def _length_bounds(gram, sums, rhs, ysum, yy, m, c, held, lam, own):
+    """``(lo, hi, own)`` for the length whose sums these are, or None when
+    only a direct fit can say what it scores.  ``lam`` is a lower bound on
+    the exact centred Gram's smallest eigenvalue.  The Gram's own
+    eigenvalues tighten it when ``own`` is set or ``lam`` fails the rank
+    test; the returned ``own`` says whether they were used."""
+    eps = np.finfo(float).eps
+    k = sums.size
+    cgram = gram - sums[:, None] * sums / m
+    crhs = rhs - sums * (ysum / m)
+    if not (np.isfinite(cgram).all() and np.isfinite(crhs).all()):
+        return None
+    trace = float(gram.trace())
+    eta = 4 * (m + k * k) * eps * trace
+    lamax = float(cgram.trace()) + eta
+    if own or not lam > 2 * eta + 2 * k * eps * lamax:
+        eig = np.linalg.eigvalsh(cgram)
+        lam, lamax, own = max(lam, eig[0] - eta), min(lamax, eig[-1] + eta), True
+        if not lam > 2 * eta + 2 * k * eps * lamax:
+            return None  # matrix_rank's verdict could go either way
+    w = np.linalg.solve(cgram, crhs)
+    b = (ysum - w @ sums) / m  # intercept minus c
+    g = (m + k + 6) * eps
+    raw_y = np.sqrt(yy) + np.sqrt(m) * abs(c)
+    wd = np.abs(w) @ np.sqrt(gram.diagonal())
+    eta_r = 4 * g * np.sqrt(trace) * (np.sqrt(yy) + g * raw_y)
+    dw = 2 * (eta * np.linalg.norm(w) + eta_r) / (lam - eta)
+    if held is None:
+        mse = (yy - ysum * ysum / m - 2 * (w @ crhs) + w @ cgram @ w) / m
+        e, r = 2 * (wd + np.sqrt(yy)), raw_y + wd
+        band = 8 * g * e * (e + r) + 2 * (g * r) ** 2 + 4 * dw * dw * lamax
+        band /= m
+    else:
+        vgram, vsums, vrhs, vysum, vyy, mv = held
+        vgram, vsums, vrhs = vgram[:k, :k], vsums[:k], vrhs[:k]
+        mse = (
+            w @ vgram @ w + 2 * b * (w @ vsums) + b * b * mv
+            - 2 * (w @ vrhs) - 2 * b * vysum + vyy
+        ) / mv
+        dv = np.sqrt(vgram.diagonal())
+        db = 2 * g * (raw_y + wd) / np.sqrt(m) + 4 * eps * (abs(b) + abs(c))
+        delta = dw * np.linalg.norm(dv) + np.sqrt(mv) * (db + dw * np.sqrt(trace / m))
+        e = np.abs(w) @ dv + np.sqrt(mv) * abs(b) + np.sqrt(vyy) + delta
+        r = e + np.sqrt(mv) * abs(c)
+        gv = (mv + 2 * k + 6) * eps
+        band = 8 * gv * e * (e + r) + 2 * (gv * r) ** 2 + 4 * e * delta + 2 * delta**2
+        band /= mv
+    if not (np.isfinite(mse) and np.isfinite(band)):
+        return None
+    return mse - band, mse + band, own
+
+
+def _mse_bounds(xc, yc, c, last, max_length, shift, held=None, value=None):
     """Bounds ``(lo, hi)`` on the MSE that each length ``0 .. max_length``
     gets when fitted the direct way: training MSE, or with ``held`` (the
     validation rows' sums) the held-out MSE.  ``xc`` is the input centred by
     its training mean, ``yc`` the target minus ``c``, and ``last`` the final
-    training window end.
+    training window end.  ``value(mse, length)``, the criterion (the MSE
+    itself by default), decides which bands are worth tightening.
 
     One lag-``max_length`` Gram over the window ends every length shares
-    (``>= max_length``) serves all lengths; length ``L`` adds the at most
-    ``max_length - L`` earlier rows only it uses and centres through the
-    sums.  Each band bounds the rounding of both computations: it scales
-    with the summed terms (column norms, target norm, row count times eps)
-    and with the weights' sensitivity (smallest eigenvalue), never with the
-    MSE itself.  Lengths whose rank check is degenerate or close get
-    ``(-inf, inf)``: only a direct fit can say what they score.
+    (``>= max_length``) serves all lengths.  Walking down from
+    ``max_length``, length ``L`` adds the one earlier row only it and the
+    shorter lengths use to running copies of those sums, and centres
+    through the sums.  One eigen-decomposition of the shared centred Gram
+    bounds every length's smallest eigenvalue.  Each band bounds the
+    rounding of both computations: it scales with the summed terms (column
+    norms, target norm, row count times eps) and with the weights'
+    sensitivity (smallest eigenvalue), never with the MSE itself.  Lengths
+    whose rank check is degenerate or close get ``(-inf, inf)``: only a
+    direct fit can say what they score.
     """
     # Where the band comes from.  u = eps / 2.  A sum or dot product of n
     # terms, in any order, is off by at most gamma_n = n u / (1 - n u) times
@@ -234,6 +295,8 @@ def _mse_bounds(xc, yc, c, last, max_length, shift, held=None):
     # magnitude sum is at most a product of column norms d_i = sqrt(G_ii),
     # target norms and sqrt(rows).  Every constant below but eta is at least
     # twice what its term needs; that slack absorbs the second-order terms.
+    # The running sums add a length's rows to the shared sums one at a time:
+    # each entry is still a sum of the same terms, so all of this holds.
     # - eta: per computation, the largest 2-norm distance from the exact
     #   centred Gram C to a matrix whose exact eigenvalues, singular values
     #   or solution it returns.  Forming and centring the Gram errs by at
@@ -245,24 +308,41 @@ def _mse_bounds(xc, yc, c, last, max_length, shift, held=None):
     #   trace(G) leaves p(k) <= 5 m + 8 k^2 - 8.  That is an assumption,
     #   checked by tests/test_select_length.py at the benchmark's size
     #   (n = 20,000, max_length = 40).
+    # - lam <= lambda_min(C) and lamax >= lambda_max(C).  Length L's rows,
+    #   the window ends L .. last, include the shared ends max_length ..
+    #   last, and its k columns are the shared windows' leading k.  A row r
+    #   added to m rows of mean mu adds m / (m + 1) (r - mu)(r - mu)^T to
+    #   the centred scatter, so C is at least the leading k block of the
+    #   shared centred Gram C_S in the positive semidefinite order.  By
+    #   Cauchy interlacing (Horn and Johnson, "Matrix Analysis", ch. 4) that
+    #   block's smallest eigenvalue is at least lambda_min(C_S), hence
+    #   lam = eig_S[0] - eta_S (eta at C_S's size and rows) from one
+    #   eigvalsh of C_S serves every length.  C is positive semidefinite, so
+    #   lambda_max(C) <= trace(C), and lamax = the computed centred trace +
+    #   eta.  Own eigenvalues give lam = eig[0] - eta and lamax = eig[-1] +
+    #   eta; a length takes them (keeping the tighter of each pair) when the
+    #   shared lam fails its rank test, or when its band is one of two or
+    #   more that reach the smallest upper bound, the only bands that send
+    #   lengths to a direct fit.  Those are scored again from per-length
+    #   sums; both bands hold the direct score, so it keeps their overlap.
     # - rank: matrix_rank calls the direct Gram full rank when its smallest
-    #   singular value exceeds k eps times its largest; both lie within
-    #   2 eta of eig[0] and eig[-1] (Weyl), hence the test below.
+    #   singular value exceeds k eps times its largest; these lie within eta
+    #   of [lam, lamax] (Weyl), hence the test lam > 2 eta + 2 k eps lamax.
     # - eta_r: per computation, the right-hand side's error, 3 gamma_(m+1)
     #   d_i |yc| per entry, plus in the direct path the target mean's error
     #   (gamma_m raw_y / sqrt(m), raw_y counting the offset c) times the sum
     #   of the rounded centred column (gamma_m sqrt(m) d_i).
     # - dw: a solution of (C + E) w = rhs + f, |E| <= eta, |f| <= eta_r, lies
-    #   within (eta |w| + eta_r) / lambda_min(C) of the exact one.  Summing
-    #   both computations' distances, with lambda_min(C) >= eig[0] - eta,
-    #   bounds their weights' distance by 2 (eta |w| + eta_r) / (eig[0] - 2 eta).
+    #   within (eta |w| + eta_r) / lambda_min(C + E) of the exact one.
+    #   Summing both computations' distances bounds their weights' distance
+    #   by 2 (eta |w| + eta_r) / (lam - eta).
     # - db: each intercept sums m targets and m-row columns
     #   (gamma_(m+k) (raw_y + wd) / sqrt(m)) and rounds one subtraction
     #   (u (|b| + |c|)); the weights' distance moves it by at most
     #   dw |mean column| <= dw sqrt(trace / m).
     # - training band, on m times the MSE: the training MSE is stationary in
     #   the weights, so the two fits' exact scores differ by at most
-    #   dw^2 lambda_max(C), and the direct path's rounded target mean adds
+    #   dw^2 lamax, and the direct path's rounded target mean adds
     #   m (gamma_m r / sqrt(m))^2, with r = raw_y + wd.  Evaluating either
     #   score errs by at most gamma_(m+k+2) e^2, e = 2 (wd + |yc|).
     # - held-out band, on mv times the MSE: e bounds either fit's residual
@@ -275,57 +355,47 @@ def _mse_bounds(xc, yc, c, last, max_length, shift, held=None):
     #   differ by at most delta in norm, so their sums of squares by
     #   2 e delta + delta^2.
     eps = np.finfo(float).eps
-    lo = np.full(max_length + 1, -np.inf)
-    hi = np.full(max_length + 1, np.inf)
-    gram_all, sums_all, rhs_all, ysum0, yy0, m0 = _lagged_sums(
-        xc, yc, max_length, last, max_length + 1, shift
-    )
-    for length in range(max_length + 1):
+    taps = max_length + 1
+    lo = np.full(taps, -np.inf)
+    hi = np.full(taps, np.inf)
+    own = np.zeros(taps, dtype=bool)
+    shared = _lagged_sums(xc, yc, max_length, last, taps, shift)
+    gram, sums, rhs, ysum, yy, m = shared
+    cgram = gram - sums[:, None] * sums / m
+    lam = -np.inf
+    if np.isfinite(cgram).all():
+        lam = np.linalg.eigvalsh(cgram)[0] - 4 * (m + taps * taps) * eps * float(gram.trace())
+    gram, sums, rhs = gram.copy(), sums.copy(), rhs.copy()
+    for length in range(max_length, -1, -1):
         k = length + 1
-        gram, sums, rhs = gram_all[:k, :k], sums_all[:k], rhs_all[:k]
-        ysum, yy, m = ysum0, yy0, m0
-        if length < max_length:
-            eg, es, er, ey, eyy, em = _lagged_sums(xc, yc, length, max_length - 1, k, shift)
-            gram, sums, rhs = gram + eg, sums + es, rhs + er
-            ysum, yy, m = ysum + ey, yy + eyy, m + em
-        cgram = gram - np.outer(sums, sums) / m
-        crhs = rhs - sums * (ysum / m)
-        if not (np.all(np.isfinite(cgram)) and np.all(np.isfinite(crhs))):
+        if length < max_length:  # the window ending at t = length, newest first
+            row, t = xc[length::-1], yc[length + shift]
+            gram[:k, :k] += row[:, None] * row
+            sums[:k] += row
+            rhs[:k] += row * t
+            ysum, yy, m = ysum + t, yy + t * t, m + 1
+        bounds = _length_bounds(gram[:k, :k], sums[:k], rhs[:k], ysum, yy, m, c, held,
+                                lam, False)
+        if bounds:
+            lo[length], hi[length], own[length] = bounds
+    # Tighten, with their own eigenvalues, the bands that could send a
+    # length to a direct fit; a lone one is the winner's, fitted anyway.
+    value = value or (lambda mse, length: mse)
+    reach = min(value(h, length) for length, h in enumerate(hi))
+    near = [length for length, v in enumerate(lo) if value(v, length) <= reach]
+    if len(near) < 2:
+        return lo, hi
+    for length in near:
+        if own[length] or not np.isfinite(hi[length]):
             continue
-        eig = np.linalg.eigvalsh(cgram)
-        trace = float(np.trace(gram))
-        eta = 4 * (m + k * k) * eps * trace
-        if not eig[0] > 3 * eta + 2 * k * eps * eig[-1]:
-            continue  # matrix_rank's verdict could go either way
-        w = np.linalg.solve(cgram, crhs)
-        b = (ysum - w @ sums) / m  # intercept minus c
-        g = (m + k + 6) * eps
-        raw_y = np.sqrt(yy) + np.sqrt(m) * abs(c)
-        wd = np.abs(w) @ np.sqrt(np.diag(gram))
-        eta_r = 4 * g * np.sqrt(trace) * (np.sqrt(yy) + g * raw_y)
-        dw = 2 * (eta * np.linalg.norm(w) + eta_r) / (eig[0] - 2 * eta)
-        if held is None:
-            mse = (yy - ysum * ysum / m - 2 * (w @ crhs) + w @ cgram @ w) / m
-            e, r = 2 * (wd + np.sqrt(yy)), raw_y + wd
-            band = 8 * g * e * (e + r) + 2 * (g * r) ** 2 + 4 * dw * dw * (eig[-1] + eta)
-            band /= m
-        else:
-            vgram, vsums, vrhs, vysum, vyy, mv = held
-            vgram, vsums, vrhs = vgram[:k, :k], vsums[:k], vrhs[:k]
-            mse = (
-                w @ vgram @ w + 2 * b * (w @ vsums) + b * b * mv
-                - 2 * (w @ vrhs) - 2 * b * vysum + vyy
-            ) / mv
-            dv = np.sqrt(np.diag(vgram))
-            db = 2 * g * (raw_y + wd) / np.sqrt(m) + 4 * eps * (abs(b) + abs(c))
-            delta = dw * np.linalg.norm(dv) + np.sqrt(mv) * (db + dw * np.sqrt(trace / m))
-            e = np.abs(w) @ dv + np.sqrt(mv) * abs(b) + np.sqrt(vyy) + delta
-            r = e + np.sqrt(mv) * abs(c)
-            gv = (mv + 2 * k + 6) * eps
-            band = 8 * gv * e * (e + r) + 2 * (gv * r) ** 2 + 4 * e * delta + 2 * delta**2
-            band /= mv
-        if np.isfinite(mse) and np.isfinite(band):
-            lo[length], hi[length] = mse - band, mse + band
+        k = length + 1
+        sums_k = (shared[0][:k, :k], shared[1][:k], shared[2][:k], *shared[3:])
+        if length < max_length:
+            extra = _lagged_sums(xc, yc, length, max_length - 1, k, shift)
+            sums_k = [a + b for a, b in zip(sums_k, extra)]
+        bounds = _length_bounds(*sums_k, c, held, lam, True)
+        if bounds:
+            lo[length], hi[length] = max(lo[length], bounds[0]), min(hi[length], bounds[1])
     return lo, hi
 
 
@@ -364,12 +434,14 @@ def select_length(
     ``n * ln(mse) + 2 (L + 1)``, on the full data.  Ties go to the smallest
     length.
 
-    Cost: one lagged Gram pass over the series plus O(max_length**4) small
-    solves (the covariance method of linear prediction).  Every candidate
-    gets a rounding band around its Gram score; only those whose band
-    reaches the best, or whose rank check is close, are fitted the direct
-    way (:func:`fit_weights`), so the choice is the one that refitting
-    every length would make.  The winner is always fitted the direct way.
+    Cost: one lagged Gram pass and one eigen-decomposition per series, plus
+    one small solve per length, O(max_length**4) in all (the covariance
+    method of linear prediction).  Every candidate gets a rounding band
+    around its Gram score; only those whose band reaches the best, or whose
+    rank check is close, are fitted the direct way (:func:`fit_weights`), so
+    the choice is the one that refitting every length would make.  The
+    winner is always fitted the direct way.  A series whose every score
+    overflows float64 raises ``ValueError``.
     """
     x, y = _check_series(x, y)
     if max_length < 0:
@@ -407,9 +479,11 @@ def select_length(
         held = None if aic else _lagged_sums(
             xc, yc, split - shift, n - 1 - shift, max_length + 1, shift
         )
-        bounds = _mse_bounds(xc, yc, c, split - 1 - shift, max_length, shift, held)
+        bounds = _mse_bounds(xc, yc, c, split - 1 - shift, max_length, shift, held, value)
     lo, hi = (np.array([value(mse, k) for k, mse in enumerate(b)]) for b in bounds)
     best, best_value = _first_minimum(lo, hi, score)
+    if best is None:
+        raise ValueError("no candidate length has a finite score; rescale the series")
     if aic:
         return dataclasses.replace(best, validation_mse=best.training_mse)
     final = fit_weights(x, y, best.length, mode)  # the winner on all the data

@@ -293,3 +293,21 @@ class TestFitBayesNonFinite:
         ols = fit_ols(self.x, self.y, 1)
         np.testing.assert_array_equal(bayes.coefficients, ols.coefficients)
         assert bayes.intercept == ols.intercept
+
+
+class TestOverflowingMagnitudes:
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_model_rejects_a_non_finite_residual_mse(self, bad):
+        with pytest.raises(ValueError, match="residual MSE must be finite; rescale"):
+            LinearModel([1.0], 0.0, 0, bad)
+
+    def test_fit_ols_refuses_an_infinite_residual_mse(self):
+        x = np.random.default_rng(0).standard_normal((2, 300))
+        with pytest.raises(ValueError, match="rescale the series"):
+            fit_ols(x, 1e200 * (x[0] - x[1]), 2)
+
+    def test_near_float_max_input_reaches_no_lapack_routine(self, capfd):
+        x = np.random.default_rng(1).standard_normal((2, 300))
+        with pytest.raises(ValueError, match="normal equations overflow float64"):
+            fit_ols(1e300 * x, x[0], 1)
+        assert "DLASCL" not in capfd.readouterr().err

@@ -23,6 +23,7 @@ from ctda.cli import (
     build_parser,
     main,
 )
+from ctda.baselines import fit_bayes, fit_ols, predict_series
 from ctda.coupling import build_dtm, solve_coupling
 from ctda.dataio import (
     ImageDataset,
@@ -355,6 +356,29 @@ class TestFit:
         assert a == b
 
 
+@pytest.fixture
+def overflowing_target_files(tmp_path):
+    """A channel whose target's squares pass float64's range."""
+    xs, y = gen_fir_series(3, 300, [[0.9, -0.4, 0.2]], noise_sigma=0.05)
+    x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
+    write_series(x_path, xs[0])
+    write_series(y_path, 1e200 * y)
+    return x_path, y_path
+
+
+@pytest.mark.parametrize("criterion", ["validation", "aic"])
+def test_fit_on_an_overflowing_target_exits_1(overflowing_target_files, tmp_path, capsys,
+                                              criterion):
+    x_path, y_path = overflowing_target_files
+    out = tmp_path / "models.json"
+    argv = ["fit", "--input", str(x_path), "--target", str(y_path), "--max-length", "5",
+            "--select", criterion, "--out", str(out)]
+    assert main(argv) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and "rescale the series" in errors[0]
+    assert not out.exists()
+
+
 class TestInfer:
     @pytest.fixture
     def fitted(self, two_channel_files, tmp_path):
@@ -593,6 +617,16 @@ class TestBaseline:
         )
         assert rc == 1
         assert "train-frac" in capsys.readouterr().err
+
+    def test_ols_on_an_overflowing_target_exits_1(self, overflowing_target_files, tmp_path,
+                                                  capsys):
+        x_path, y_path = overflowing_target_files
+        out = tmp_path / "base.csv"
+        argv = ["baseline", "--input", str(x_path), "--target", str(y_path),
+                "--method", "ols", "--lag", "2", "--out", str(out)]
+        assert main(argv) == 1
+        assert "error: residual MSE must be finite; rescale" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_short_training_block_exits_1(self, two_channel_files, tmp_path, capsys):
         a, b, tgt = two_channel_files
@@ -859,6 +893,75 @@ class TestSweepFootprint:
         finally:
             tracemalloc.stop()
         assert peak / (2 * n * side * side) <= cli.SWEEP_BYTES_PER_PIXEL
+
+
+def baseline_job(xs, y, lag, split, method):
+    """What ``cmd_baseline`` computes between reading and writing."""
+    fit = fit_ols if method == "ols" else fit_bayes
+    model = fit(xs[:, :split], y[:split], lag)
+    start = split if split < y.size else lag
+    return predict_series(model, xs, np.arange(start, y.size))
+
+
+@pytest.mark.skipif(not hasattr(os, "sysconf"), reason="needs os.sysconf")
+class TestBaselineFootprint:
+    """A baseline whose estimated peak exceeds physical memory is a usage
+    error, found before any fit."""
+
+    def argv(self, paths, out, lag):
+        a, b, tgt = paths
+        return ["baseline", "--input", f"{a},{b}", "--target", str(tgt), "--lag", str(lag),
+                "--out", str(out)]
+
+    def test_oversized_lag_exits_2_before_any_fit(self, two_channel_files, tmp_path, capsys,
+                                                   monkeypatch):
+        # lag 200 on 600 rows of 2 inputs: the fit alone would take about 6 MB
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2**22}.__getitem__)
+        out = tmp_path / "base.csv"
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exited:
+                main(self.argv(two_channel_files, out, 200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exited.value.code == 2
+        assert peak < 2**20
+        assert "baseline: --lag 200 on 2 input(s) of 600 rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spare", [-1, 0])
+    def test_estimate_counts_design_rows_gram_and_overhead(self, two_channel_files, tmp_path,
+                                                           monkeypatch, spare):
+        # lag 5 on 2 inputs: k = 12 columns; 475 fit rows beat 120 scored rows
+        need = 8 * (475 * (2 * 12 + 3) + 3 * 12 * 12) + 2**18
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need + spare}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        argv = self.argv(two_channel_files, tmp_path / "base.csv", 5)
+        if spare < 0:
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            assert exited.value.code == 2
+        else:
+            assert main(argv) == 0
+
+    @pytest.mark.parametrize("method", ["ols", "bayes"])
+    @pytest.mark.parametrize("n, inputs, lag, frac", [
+        (600, 2, 5, 0.8), (1000, 4, 200, 0.8), (3000, 2, 50, 1.0), (5000, 1, 0, 0.8),
+    ])
+    def test_a_baseline_peaks_within_the_estimate(self, n, inputs, lag, frac, method):
+        rng = np.random.default_rng(3)
+        xs, y = rng.standard_normal((inputs, n)), rng.standard_normal(n)
+        split = int(frac * n)
+        baseline_job(xs, y, lag, split, method)  # lazy imports cost nothing per cell
+        tracemalloc.start()
+        try:
+            baseline_job(xs, y, lag, split, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scored = n - (split if split < n else lag)
+        assert peak <= cli._baseline_bytes(max(split - lag, scored), inputs * (lag + 1))
 
 
 class TestSweep:

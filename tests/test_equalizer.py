@@ -354,3 +354,52 @@ class TestLmsNonFiniteStep:
         model = EqualizerModel(0, [0.0], 0.0, 0.0, 0.0)
         with pytest.raises(ValueError, match="LMS step must be finite and positive"):
             lms_update(model, np.array([1.0]), np.array([1.0]), 0, step=step)
+
+
+def overflowing_fir_case():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(300)
+    return x, np.convolve(x, [0.9, -0.4, 0.2])[:300]
+
+
+class TestOverflowingMagnitudes:
+    """A fit whose squares pass float64's range ends in a ValueError that
+    says to rescale: never an infinite MSE in a model, never a crash, and
+    never an overflowed Gram handed to LAPACK."""
+
+    @pytest.mark.parametrize("field", ["training_mse", "validation_mse"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_model_rejects_a_non_finite_mse(self, field, bad):
+        mses = {"training_mse": 0.0, field: bad}
+        with pytest.raises(ValueError, match="must be finite; rescale the series"):
+            EqualizerModel(0, [1.0], 0.0, 0.0, **mses)
+
+    def test_loaded_infinity_is_rejected(self):
+        blob = json.loads(json.dumps(model_to_dict(EqualizerModel(0, [1.0], 0.0, 0.0, 0.0))))
+        blob["training_mse"] = float("inf")
+        with pytest.raises(ValueError, match="must be finite"):
+            model_from_dict(blob)
+
+    def test_fit_weights_refuses_an_infinite_training_mse(self):
+        x, y = overflowing_fir_case()
+        with pytest.raises(ValueError, match="rescale the series"):
+            fit_weights(x, 1e200 * y, 3)
+
+    @pytest.mark.parametrize("criterion", ["validation", "aic"])
+    def test_select_length_says_to_rescale(self, criterion):
+        x, y = overflowing_fir_case()
+        with pytest.raises(ValueError, match="rescale the series"):
+            select_length(x, 1e200 * y, 5, criterion)
+
+    def test_select_length_with_no_finite_held_out_score(self):
+        # every fit is finite, but every held-out score overflows
+        x, y = overflowing_fir_case()
+        y[int(0.8 * y.size):] *= 1e200
+        with pytest.raises(ValueError, match="no candidate length has a finite score"):
+            select_length(x, y, 5)
+
+    def test_near_float_max_input_reaches_no_lapack_routine(self, capfd):
+        x = np.random.default_rng(1).standard_normal(300)
+        with pytest.raises(ValueError, match="normal equations overflow float64"):
+            fit_weights(1e300 * x, x, 2)
+        assert "DLASCL" not in capfd.readouterr().err

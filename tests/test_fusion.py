@@ -131,6 +131,12 @@ class TestLmmseWeights:
         with pytest.raises(ValueError, match="sample"):
             mrc_weights_lmmse(np.ones((2, 0)), np.ones(0))
 
+    def test_overflowing_moments_raise_rather_than_return_nan(self):
+        y = np.random.default_rng(8).standard_normal(50)
+        preds = 1e160 * np.vstack([y, y + 0.1])
+        with pytest.raises(ValueError, match="overflow float64; rescale"):
+            mrc_weights_lmmse(preds, y)
+
 
 class TestSimpleWeights:
     def test_equal_gain(self):

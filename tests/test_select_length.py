@@ -191,3 +191,126 @@ def test_separated_aic_scores_fit_only_the_winner_once(fitted_lengths, mode):
     assert json.dumps(model_to_dict(model)) == json.dumps(
         select_length_loop(x, y, 12, "aic", mode)
     )
+
+
+# One eigen-decomposition bounds every length: a length's centred Gram is at
+# least the leading block of the shared lag-max_length one, so by Cauchy
+# interlacing the shared smallest eigenvalue bounds each length's from below.
+
+
+@pytest.fixture
+def eigvalsh_sizes(monkeypatch):
+    """Orders of the matrices passed to ``np.linalg.eigvalsh``, in order."""
+    sizes = []
+    real = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_shared_bound_takes_one_eigen_decomposition_per_series(
+    eigvalsh_sizes, fitted_lengths, criterion
+):
+    x, y = benchmark_scale_series("white", 0.0)
+    model = select_length(x, y, BENCH_MAX_LENGTH, criterion)
+    assert eigvalsh_sizes == [BENCH_MAX_LENGTH + 1]
+    assert set(fitted_lengths) == {model.length}  # only the winner is fitted
+
+
+@functools.lru_cache(maxsize=None)
+def ar_input_series(phi, offset):
+    """``benchmark_scale_series``' recipe with an AR(``phi``) input; phi = 0
+    gives its white input."""
+    rng = np.random.default_rng(12)
+    drive = rng.standard_normal(BENCH_ROWS)
+    x = drive.copy()
+    for t in range(1, BENCH_ROWS):
+        x[t] = phi * x[t - 1] + drive[t]
+    y = np.convolve(x, [0.9, -0.4, 0.25])[:BENCH_ROWS] + 0.5 * rng.standard_normal(BENCH_ROWS)
+    return x + offset, y - offset
+
+
+# Direct fits on these inputs (infer mode) when every length took its own
+# eigen-decomposition, as select_length did before the shared bound.  On the
+# random walk (phi = 1) the shared bound alone would fit 20 lengths under
+# aic; the near bands' own eigenvalues bring that back to 19.  The
+# validation run on AR(0.95) at max_length 400 (233 direct fits both ways,
+# about 20 s) is left out for its time.
+DIRECT_FIT_COUNTS = [
+    (0.0, 0.0, 40, "validation", 2), (0.0, 0.0, 40, "aic", 1),
+    (0.0, 1e6, 40, "validation", 17), (0.0, 1e6, 40, "aic", 23),
+    (0.95, 0.0, 40, "validation", 2), (0.95, 0.0, 40, "aic", 1),
+    (0.95, 1e6, 40, "validation", 36), (0.95, 1e6, 40, "aic", 39),
+    (1.0, 0.0, 40, "validation", 42), (1.0, 0.0, 40, "aic", 19),
+    (0.0, 0.0, 400, "validation", 2), (0.0, 0.0, 400, "aic", 1),
+    (0.95, 0.0, 400, "aic", 1),
+]
+
+
+@pytest.mark.parametrize("phi, offset, max_length, criterion, count", DIRECT_FIT_COUNTS)
+def test_direct_fit_counts_match_per_length_eigenvalues(
+    fitted_lengths, phi, offset, max_length, criterion, count
+):
+    select_length(*ar_input_series(phi, offset), max_length, criterion)
+    assert len(fitted_lengths) == count
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_singular_shared_gram_with_regular_short_lengths(eigvalsh_sizes, criterion, mode):
+    # sin(w t - 2w) = 2 cos(w) sin(w t - w) - sin(w t): every window of three
+    # or more taps is collinear, so the shared lag-6 Gram is singular while
+    # lengths 0 and 1 are not, and those two take their own eigenvalues.
+    rng = np.random.default_rng(7)
+    x = np.sin(0.3 * np.arange(400))
+    y = np.convolve(x, [0.8, 0.3])[:400] + 0.1 * rng.standard_normal(400)
+    got = model_to_dict(select_length(x, y, 6, criterion, mode))
+    assert json.dumps(got) == json.dumps(select_length_loop(x, y, 6, criterion, mode))
+    n, shift = x.size, int(mode == "predict")
+    c = float(y.mean())
+    with np.errstate(all="ignore"):
+        _, hi = equalizer._mse_bounds(x - float(x.mean()), y - c, c, n - 1 - shift, 6, shift)
+    assert np.isfinite(hi[:2]).all() and np.isinf(hi[2:]).all()
+    assert len(eigvalsh_sizes) > 1
+
+
+def check_shared_bound_below_own_eigenvalues(monkeypatch, x, y, max_length, mode):
+    """The bound every length gets from the shared Gram is at most its own
+    computed smallest eigenvalue plus that eigenvalue's rounding."""
+    pairs = []
+    real = equalizer._length_bounds
+
+    def spy(gram, sums, rhs, ysum, yy, m, c, held, lam, own):
+        k = sums.size
+        cgram = gram - np.outer(sums, sums) / m
+        if np.isfinite(cgram).all():
+            eta = 4 * (m + k * k) * np.finfo(float).eps * np.trace(gram)
+            pairs.append((lam, np.linalg.eigvalsh(cgram)[0] + eta))
+        return real(gram, sums, rhs, ysum, yy, m, c, held, lam, own)
+
+    monkeypatch.setattr(equalizer, "_length_bounds", spy)
+    n, shift = x.size, int(mode == "predict")
+    c = float(y.mean())
+    with np.errstate(all="ignore"):
+        equalizer._mse_bounds(x - float(x.mean()), y - c, c, n - 1 - shift, max_length, shift)
+    assert pairs
+    assert all(lam <= own for lam, own in pairs)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=60, deadline=None)
+@given(case=selection_inputs())
+def test_shared_bound_is_below_every_length_own_eigenvalue(mode, case):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        check_shared_bound_below_own_eigenvalues(monkeypatch, *case, mode)
+
+
+@pytest.mark.parametrize("kind, offset", BENCH_CASES)
+def test_shared_bound_is_below_own_eigenvalues_at_benchmark_scale(monkeypatch, kind, offset):
+    check_shared_bound_below_own_eigenvalues(
+        monkeypatch, *benchmark_scale_series(kind, offset), BENCH_MAX_LENGTH, "infer")
