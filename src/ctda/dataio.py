@@ -100,12 +100,19 @@ def _write_csv(path, header: Sequence[str], *columns) -> None:
 
 @contextmanager
 def _reading(path):
-    """Open ``path`` as seekable UTF-8 CSV text: a pipe's text is copied into
-    memory, so that it can be read again.  Undecodable bytes become a
-    FileFormatError naming the file."""
+    """Open ``path`` as UTF-8 CSV text ``fh`` over seekable bytes,
+    ``fh.buffer``, and read its header record: yields ``(fh, header, body)``,
+    the header's stripped cells and the position of the record after it.  A
+    pipe's bytes are copied into memory, so that they can be read again.  An
+    empty file or undecodable bytes raise a FileFormatError naming the file."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            yield fh if fh.seekable() else io.StringIO(fh.read(), newline="")
+        with open(path, "rb") as raw:
+            data = raw if raw.seekable() else io.BytesIO(raw.read())
+            with io.TextIOWrapper(data, encoding="utf-8", newline="") as fh:
+                record = next(_records(path, iter(fh.readline, ""), first_line=1), None)
+                if record is None:
+                    raise FileFormatError(f"{path}: empty file")
+                yield fh, [h.strip() for h in record[1]], fh.tell()
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise FileFormatError(f"{path}: not UTF-8 text (byte 0x{byte:02x})") from None
@@ -127,6 +134,20 @@ def _records(path, fh, first_line: int = 2):
         yield line, row
 
 
+def _body_rows(path, fh, body):
+    """``(where, row)`` for each non-blank record of the file ``path``, open
+    as ``fh``, from position ``body`` on; ``where`` names its line.  Raises
+    FileFormatError when there is none."""
+    fh.seek(body)
+    found = False
+    for line, row in _records(path, fh):
+        if "".join(row).strip():
+            found = True
+            yield f"{path}: line {line}", row
+    if not found:
+        raise FileFormatError(f"{path}: no data rows")
+
+
 def _iso_ordinal(cell: str) -> int:
     """Proleptic-Gregorian ordinal of the ISO date in ``cell``, stripped.
     Raises ValueError for any other cell, also for ``YYYYMMDD``: a cell of
@@ -137,15 +158,9 @@ def _iso_ordinal(cell: str) -> int:
     return _dt.date.fromisoformat(text).toordinal()
 
 
-def _header(path, fh) -> list:
-    """The stripped cells of the header record of ``fh``, read up to the body."""
-    for _, row in _records(path, iter(fh.readline, ""), first_line=1):
-        return [h.strip() for h in row]
-    raise FileFormatError(f"{path}: empty file")
-
-
 def load_csv(path, time_column: str = "date", value_column: str = "value") -> TimeSeries:
-    """Load one time series from a two-column CSV file, which may be a pipe.
+    """Load one time series from a two-column CSV file, which may be a pipe:
+    a pipe's bytes are held in memory while it is read.
 
     The series name is the file stem.  Duplicate or out-of-order timestamps,
     non-numeric or non-finite values, integer timestamps outside 64 bits and
@@ -160,46 +175,16 @@ def load_csv(path, time_column: str = "date", value_column: str = "value") -> Ti
     also finds the line to report.
     """
     name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    with _reading(path) as fh:
-        header, body = _header(path, fh), fh.tell()
+    with _reading(path) as (fh, header, body):
         if time_column not in header or value_column not in header:
             raise FileFormatError(
                 f"{path}: header {header!r} lacks columns {time_column!r}/{value_column!r}"
             )
         columns = header.index(time_column), header.index(value_column)
-        parsed = _parse_plain_series(fh, body, columns)
+        parsed = _parse_plain(path, fh, body, columns)
         if parsed is None:
             parsed = _read_series_rows(path, fh, body, *columns)
     return TimeSeries(name, *parsed)
-
-
-def _parse_plain_series(fh, body, columns):
-    """``(timestamps, values, iso)`` of a series whose body starts at position
-    ``body`` of ``fh``, parsed by numpy: dates are integers, or, when the
-    first data row's date is not an integer, ``YYYY-MM-DD`` dates read as
-    bytes by ``_iso_ordinals``.  None when that row is missing or short,
-    ``_parse_plain`` or ``_iso_ordinals`` rejects the body, or a value is
-    not finite or the dates do not strictly increase."""
-    try:
-        first = next(row for row in csv.reader(fh) if "".join(row).strip())[columns[0]]
-    except (StopIteration, IndexError, ValueError, csv.Error):  # ValueError: not UTF-8
-        return None
-    try:
-        int(first)
-        iso = False
-    except ValueError:
-        iso = True
-    # One byte more than YYYY-MM-DD, so that a longer cell is seen, not cut off.
-    dates = "S11" if iso else np.int64
-    rows = _parse_plain(fh, body, usecols=columns, dtype=[("t", dates), ("v", np.float64)], ndmin=1)
-    if rows is None:
-        return None
-    times, values = rows["t"], rows["v"]
-    if iso and (times := _iso_ordinals(times)) is None:
-        return None
-    if not (np.isfinite(values).all() and (times[1:] > times[:-1]).all()):
-        return None
-    return times, values, iso
 
 
 _ISO_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # the digit places of YYYY-MM-DD
@@ -233,20 +218,32 @@ _SCREEN_CHARS = 1 << 16  # characters read per step of the plain-text screen
 _MISREAD_CHARS = "\x00\x1c\x1d\x1e\x1f"
 
 
-def _parse_plain(fh, start, **options):
-    """``np.loadtxt(fh, **options)`` of the series text from position
-    ``start`` on, or None when numpy rejects it or the text is not plain.
-    Plain text is valid UTF-8 and ASCII, free of U+0000, U+001C..U+001F and
-    of quotes, and has no line (ended by ``\\n``) over
-    ``csv.field_size_limit()``, so no cell the csv reader refuses as too
-    long; numpy reads each of its number cells as the csv reader with
-    ``int`` or ``float`` does, or rejects it, and each bytes cell as its
-    text up to the field's size.  The text is screened in chunks before
-    numpy reads it.  The caller has found a data row, so numpy never warns
-    of an empty input."""
+def _parse_plain(path, fh, body, columns):
+    """``(timestamps, values, iso)`` of the series file ``path`` open as
+    ``fh``, or None: ``np.loadtxt`` reads the date and value ``columns`` of
+    its body at position ``body``, dates as integers or, when the first data
+    row's date is not an integer, as ``YYYY-MM-DD`` bytes for
+    ``_iso_ordinals``.  None when that row is short, the text is not plain,
+    numpy or ``_iso_ordinals`` rejects it, a value is not finite or the
+    dates do not strictly increase.  Plain text is valid UTF-8 and ASCII,
+    free of U+0000, U+001C..U+001F and of quotes, and has no line (ended by
+    ``\\n``) over ``csv.field_size_limit()``, so no cell the csv reader
+    refuses as too long; numpy reads each of its number cells as the csv
+    reader with ``int`` or ``float`` does, or rejects it, and each bytes
+    cell as its text up to the field's size.  The text is screened in
+    chunks before numpy reads it.  A data row has been found, so numpy never
+    warns of an empty input."""
+    _, first = next(_body_rows(path, fh, body))
+    if len(first) <= columns[0]:
+        return None
+    try:
+        int(first[columns[0]])
+        iso = False
+    except ValueError:
+        iso = True
     limit = csv.field_size_limit()
     size = max(1, min(_SCREEN_CHARS, limit))  # a line inside one chunk is short enough
-    fh.seek(start)
+    fh.seek(body)
     line = 0  # length of the line the chunks so far end in
     try:
         while chunk := fh.read(size):
@@ -256,10 +253,21 @@ def _parse_plain(fh, start, **options):
             if line + (len(chunk) if end < 0 else end) > limit:
                 return None
             line = line + len(chunk) if end < 0 else len(chunk) - 1 - chunk.rfind("\n")
-        fh.seek(start)
-        return np.loadtxt(fh, delimiter=",", comments=None, **options)
+        fh.seek(body)
+        # One byte more than YYYY-MM-DD, so that a longer cell is seen, not cut off.
+        dtype = [("t", "S11" if iso else np.int64), ("v", np.float64)]
+        rows = np.loadtxt(fh, delimiter=",", comments=None, usecols=columns, dtype=dtype, ndmin=1)
     except ValueError:  # also UnicodeDecodeError: the row reader reports it in place
         return None
+    times, values = rows["t"], rows["v"]
+    if iso and (times := _iso_ordinals(times)) is None:
+        return None
+    if not (np.isfinite(values).all() and (times[1:] > times[:-1]).all()):
+        return None
+    return times, values, iso
+
+
+_INT64 = range(-(2**63), 2**63)  # the integers an int64 holds
 
 
 def _read_series_rows(path, fh, body, t_idx: int, v_idx: int):
@@ -267,12 +275,8 @@ def _read_series_rows(path, fh, body, t_idx: int, v_idx: int):
     ``fh``, read a row at a time from its body at position ``body``; raises
     FileFormatError naming the line of the first bad row.  A row out of order
     is reported only when no later row fails another check."""
-    fh.seek(body)
     times, values, seen, iso, out_of_order = [], [], set(), False, None
-    for line, row in _records(path, fh):
-        if not "".join(row).strip():
-            continue
-        where = f"{path}: line {line}"
+    for where, row in _body_rows(path, fh, body):
         if len(row) <= max(t_idx, v_idx):
             raise FileFormatError(f"{where}: too few columns")
         cell = row[t_idx]
@@ -286,7 +290,7 @@ def _read_series_rows(path, fh, body, t_idx: int, v_idx: int):
                 raise FileFormatError(
                     f"{where}: cannot parse {cell!r} as an integer or ISO date"
                 ) from None
-        if not -(2**63) <= ts < 2**63:
+        if ts not in _INT64:
             raise FileFormatError(f"{where}: timestamp {text!r} outside the 64-bit range")
         if times and row_iso != iso:
             raise FileFormatError(f"{where}: mixed integer and ISO-date timestamps")
@@ -301,13 +305,11 @@ def _read_series_rows(path, fh, body, t_idx: int, v_idx: int):
         if not math.isfinite(value):
             raise FileFormatError(f"{where}: non-finite value {row[v_idx]!r}")
         if out_of_order is None and times and ts <= times[-1]:
-            out_of_order = line
+            out_of_order = where
         times.append(ts)
         values.append(value)
-    if not times:
-        raise FileFormatError(f"{path}: no data rows")
     if out_of_order is not None:
-        raise FileFormatError(f"{path}: line {out_of_order}: timestamps not strictly increasing")
+        raise FileFormatError(f"{out_of_order}: timestamps not strictly increasing")
     return np.array(times, dtype=np.int64), np.array(values), iso
 
 
@@ -581,10 +583,10 @@ def load_images_csv(
     parsed from its bytes (see ``_parse_digit_rows``).  Every other file
     (blank labels, signed, blank, spaced, quoted or non-ASCII cells, blank
     lines, any error) is read a row at a time, which also finds the line to
-    report.  The file may be a pipe.
+    report.  The file may be a pipe, whose bytes are held in memory while it
+    is read.
     """
-    with _reading(path) as fh:
-        header, body = _header(path, fh), fh.tell()
+    with _reading(path) as (fh, header, body):
         if not header or header[0] != "label" or len(header) < 2:
             raise FileFormatError(f"{path}: expected header 'label,p0,...'; got {header!r}")
         n_pixels = len(header) - 1
@@ -599,7 +601,7 @@ def load_images_csv(
             f"declared {width}x{height} geometry does not match {n_pixels} pixels"
         )
     if alphabet_size is None:
-        alphabet_size = max(2, int(images.max()) + 1) if images.size else 2
+        alphabet_size = max(2, int(images.max()) + 1)
     return ImageDataset(width, height, alphabet_size, images, labels)
 
 
@@ -616,14 +618,10 @@ def _parse_digit_rows(fh, body, n_pixels: int):
     body is parsed ``_PARSE_ROWS`` lines at a time into the two results: a
     block's non-digits are its separators, and each cell's value is summed
     from its digits."""
-    if isinstance(fh, io.StringIO):  # a pipe's text, held in memory
-        fh.seek(body)
-        data = fh.read().encode()
-    elif body >> 64:  # a decoder state is packed in: the header ends in a lone "\r"
+    if body >> 64:  # a decoder state is packed in: the header ends in a lone "\r"
         return None
-    else:  # a UTF-8 text position past a whole line is a byte offset
-        fh.buffer.seek(body)
-        data = fh.buffer.read()
+    fh.buffer.seek(body)  # a UTF-8 text position past a whole line is a byte offset
+    data = fh.buffer.read()
     if data and not data.endswith(b"\n"):
         data += b"\n"
     text = np.frombuffer(data, np.uint8)
@@ -668,14 +666,10 @@ def _read_image_rows(path, fh, body, n_pixels: int):
     """``(labels or None, images)`` of the image file ``path`` open as ``fh``,
     read a row at a time from its body at position ``body``; raises
     FileFormatError naming the line of the first bad row."""
-    fh.seek(body)
     rows = []
     labels: list[int] = []
     blank_labels = 0
-    for line_no, row in _records(path, fh):
-        if not row or all(not c.strip() for c in row):
-            continue
-        where = f"{path}: line {line_no}"
+    for where, row in _body_rows(path, fh, body):
         if len(row) != n_pixels + 1:
             raise FileFormatError(
                 f"{where}: expected {n_pixels + 1} cells, got {len(row)}"
@@ -686,7 +680,7 @@ def _read_image_rows(path, fh, body, n_pixels: int):
                 label = int(cell)
             except ValueError:
                 raise FileFormatError(f"{where}: bad label {row[0]!r}") from None
-            if not -(2**63) <= label < 2**63:
+            if label not in _INT64:
                 raise FileFormatError(f"{where}: label {row[0]!r} outside the 64-bit range")
             labels.append(label)
         else:
@@ -695,12 +689,10 @@ def _read_image_rows(path, fh, body, n_pixels: int):
             values = [int(c) for c in row[1:]]
         except ValueError:
             raise FileFormatError(f"{where}: non-integer pixel value") from None
-        if min(values) < -(2**63) or max(values) >= 2**63:
-            bad = next(c for c, v in zip(row[1:], values) if not -(2**63) <= v < 2**63)
+        if min(values) not in _INT64 or max(values) not in _INT64:
+            bad = next(c for c, v in zip(row[1:], values) if v not in _INT64)
             raise FileFormatError(f"{where}: pixel value {bad!r} outside the 64-bit range")
         rows.append(values)
-    if not rows:
-        raise FileFormatError(f"{path}: no data rows")
     if blank_labels and labels:
         raise FileFormatError(f"{path}: mix of labeled and unlabeled rows")
     labels = np.asarray(labels, dtype=np.int64) if labels else None

@@ -101,14 +101,17 @@ def _centered_lstsq(a: np.ndarray, targets: np.ndarray, penalty: float = 0.0):
     Columns and targets are centered by their means over the rows actually
     regressed on, so noiseless affine data is recovered exactly.
     """
-    col_means = a.mean(axis=0)
-    target_mean = float(targets.mean())
-    ac = a - col_means
-    tc = targets - target_mean
-    coef, degenerate = _solve_loaded(ac.T @ ac, ac.T @ tc, penalty)
-    residuals = tc - ac @ coef
-    intercept = target_mean - float(coef @ col_means)
-    return coef, intercept, float(np.mean(residuals**2)), degenerate
+    # Overflows are silent: _solve_loaded, then the models, refuse what is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        col_means = a.mean(axis=0)
+        target_mean = float(targets.mean())
+        ac = a - col_means
+        tc = targets - target_mean
+        coef, degenerate = _solve_loaded(ac.T @ ac, ac.T @ tc, penalty)
+        residuals = tc - ac @ coef
+        intercept = target_mean - float(coef @ col_means)
+        mse = float(np.mean(residuals**2))
+    return coef, intercept, mse, degenerate
 
 
 def fit_weights(x, y, length: int, mode: str = "infer") -> EqualizerModel:
@@ -202,7 +205,8 @@ def _estimate_targets(model: EqualizerModel, x, targets) -> np.ndarray:
 def _validation_mse(model: EqualizerModel, x, y, start: int) -> float:
     """MSE of the model on targets ``y[start:]`` (windows may reach back)."""
     est = _estimate_targets(model, x, np.arange(start, x.size))
-    return float(np.mean((y[start:] - est) ** 2))
+    with np.errstate(over="ignore"):  # select_length refuses a score that is not finite
+        return float(np.mean((y[start:] - est) ** 2))
 
 
 def _lagged_sums(xc: np.ndarray, yc: np.ndarray, first: int, last: int, taps: int,

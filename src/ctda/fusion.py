@@ -126,7 +126,9 @@ def mrc_weights_lmmse(predictions, y):
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(y))):
         raise ValueError("predictions and targets must be finite")
     n = p.shape[1]
-    return _solve_loaded((p @ p.T) / n, (p @ y) / n)
+    with np.errstate(over="ignore", invalid="ignore"):  # _solve_loaded refuses an overflow
+        gram, rhs = (p @ p.T) / n, (p @ y) / n
+    return _solve_loaded(gram, rhs)
 
 
 def equal_gain_weights(n_channels: int) -> np.ndarray:

@@ -295,6 +295,7 @@ class TestFitBayesNonFinite:
         assert bayes.intercept == ols.intercept
 
 
+@pytest.mark.filterwarnings("error")  # the ValueError comes with no numpy warning
 class TestOverflowingMagnitudes:
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_model_rejects_a_non_finite_residual_mse(self, bad):

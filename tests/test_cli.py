@@ -379,6 +379,23 @@ def test_fit_on_an_overflowing_target_exits_1(overflowing_target_files, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would print before the error line
+@pytest.mark.parametrize("argv, scale_x, scale_y", [
+    (["fit", "--max-length", "5"], 1.0, 1e200),
+    (["baseline", "--method", "ols", "--lag", "2"], 1.0, 1e200),
+    (["fit", "--max-length", "5"], 1e300, 1e300),
+], ids=["fit", "baseline-ols", "fit-near-float-max"])
+def test_overflow_prints_one_error_line(tmp_path, capfd, argv, scale_x, scale_y):
+    xs, y = gen_fir_series(3, 300, [[0.9, -0.4, 0.2]], noise_sigma=0.05)
+    x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
+    write_series(x_path, scale_x * xs[0])
+    write_series(y_path, scale_y * y)
+    argv = [*argv, "--input", str(x_path), "--target", str(y_path), "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capfd.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "rescale" in err
+
+
 class TestInfer:
     @pytest.fixture
     def fitted(self, two_channel_files, tmp_path):

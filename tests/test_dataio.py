@@ -2,6 +2,7 @@ import csv
 import datetime
 import os
 import tempfile
+import tracemalloc
 import warnings
 from itertools import repeat
 from pathlib import Path
@@ -1263,7 +1264,8 @@ class TestByteReaderMatchesLoop:
     def test_benchmark_shaped_file_reaches_neither_row_reader_nor_loadtxt(
         self, tmp_path, write_file
     ):
-        # 1,000 x 784 one-digit pixels, with LF (numpy) or CRLF (csv) ends
+        # 1,000 x 784 one-digit pixels, with LF (numpy) or CRLF (csv) ends,
+        # on disk and in a pipe
         rng = np.random.default_rng(14)
         images, labels = rng.integers(0, 4, (1000, 784)), rng.integers(0, 2, 1000)
         p = tmp_path / "im.csv"
@@ -1274,10 +1276,12 @@ class TestByteReaderMatchesLoop:
         else:
             save_images_csv(ImageDataset(28, 28, 4, images, labels), p)
         with mock.patch.object(dataio, "_read_image_rows", side_effect=AssertionError), \
-                mock.patch.object(np, "loadtxt", side_effect=AssertionError):
-            ds = load_images_csv(p, 28, 28, 4)
-        assert ds.images.tobytes() == images.tobytes()
-        assert ds.labels.tobytes() == labels.tobytes()
+                mock.patch.object(np, "loadtxt", side_effect=AssertionError), \
+                fed_pipe(p.read_bytes()) as pipe:
+            for source in (p, pipe):
+                ds = load_images_csv(source, 28, 28, 4)
+                assert ds.images.tobytes() == images.tobytes()
+                assert ds.labels.tobytes() == labels.tobytes()
 
     def test_cell_over_a_lowered_field_limit_gets_the_row_readers_message(self, tmp_path):
         p = write(tmp_path, "im.csv", "label,p0\n0,1\n1,123456\n")
@@ -1352,6 +1356,37 @@ class TestPipedImages:
     def test_odd_cell(self, tmp_path, cell):
         from_disk, from_pipe = self.load(f"label,p0,p1\n0,1,2\n1,{cell},0\n", tmp_path)
         assert from_pipe == from_disk
+
+
+def traced_peak(load, source) -> int:
+    """Peak bytes that ``tracemalloc`` traces while ``load(source)`` runs."""
+    tracemalloc.start()
+    try:
+        load(source)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("kind", ["images", "series"])
+def test_piped_load_holds_the_file_once(tmp_path, kind):
+    # A piped load holds the pipe's bytes, once, beyond what a load from disk
+    # holds: not its decoded text as well.
+    p = tmp_path / "f.csv"
+    if kind == "images":
+        rng = np.random.default_rng(14)
+        save_images_csv(ImageDataset(28, 28, 4, rng.integers(0, 4, (1000, 784)),
+                                     rng.integers(0, 2, 1000)), p)
+        load = load_images_csv
+    else:
+        p.write_text(benchmark_shaped_series(20_000)[0])
+        load = load_csv
+    load(p)  # once untraced, so that neither traced load pays for first-call set-up
+    on_disk = traced_peak(load, p)
+    with fed_pipe(p.read_bytes()) as pipe:
+        from_pipe = traced_peak(load, pipe)
+    assert from_pipe <= on_disk + 1.25 * p.stat().st_size
 
 
 # --- the CSV writer ------------------------------------------------------------

@@ -362,10 +362,11 @@ def overflowing_fir_case():
     return x, np.convolve(x, [0.9, -0.4, 0.2])[:300]
 
 
+@pytest.mark.filterwarnings("error")
 class TestOverflowingMagnitudes:
     """A fit whose squares pass float64's range ends in a ValueError that
-    says to rescale: never an infinite MSE in a model, never a crash, and
-    never an overflowed Gram handed to LAPACK."""
+    says to rescale: never an infinite MSE in a model, never a crash, never
+    an overflowed Gram handed to LAPACK, and no numpy warning before it."""
 
     @pytest.mark.parametrize("field", ["training_mse", "validation_mse"])
     @pytest.mark.parametrize("bad", [np.inf, np.nan])

@@ -126,7 +126,7 @@ def converter_calls(tree) -> int:
 
 
 def test_no_call_passes_a_converter():
-    # _parse_plain passes its keywords on to np.loadtxt, so no call may pass one.
+    # Text is accepted by numpy's own rules: no call passes a per-cell converter.
     assert [
         path.name
         for path in sorted(PACKAGE.glob("*.py"))

@@ -131,6 +131,7 @@ class TestLmmseWeights:
         with pytest.raises(ValueError, match="sample"):
             mrc_weights_lmmse(np.ones((2, 0)), np.ones(0))
 
+    @pytest.mark.filterwarnings("error")  # the ValueError comes with no numpy warning
     def test_overflowing_moments_raise_rather_than_return_nan(self):
         y = np.random.default_rng(8).standard_normal(50)
         preds = 1e160 * np.vstack([y, y + 0.1])
