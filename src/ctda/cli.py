@@ -435,9 +435,9 @@ def cmd_sweep(args) -> None:
 
 # A sweep point's peak is about this many bytes per pixel of its (2n, pixels)
 # corpus: the int64 noisy images, plus one 256-image block of gathered
-# scores or symbol offsets (tracemalloc, at e = 0 and 0.1: 8.5-8.8 at n =
+# scores or symbol offsets (tracemalloc, at e = 0 and 0.1: 8.5-8.6 at n =
 # 2,000 on 28x28, 9.0-9.1 at 1,000 on 50x50, 10.1-10.3 at 500 on 19x19 and
-# 11.4-11.6 at 300 on 28x28).
+# 11.4-11.6 at 300 on 28x28; the symbol counts kept while drawing add none).
 SWEEP_BYTES_PER_PIXEL = 12
 
 

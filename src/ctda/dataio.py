@@ -505,7 +505,7 @@ def _channel_levels(channel: Channel, alphabet_size: int) -> np.ndarray:
 _BLOCK_ROWS = 32  # rows per step of _count_levels: its blocks stay in cache
 
 
-def _count_levels(levels, rng, out, symbols=None) -> None:
+def _count_levels(levels, rng, out, symbols=None, tally=None) -> None:
     """Set ``out`` to the number of CDF ``levels`` at or below each of its
     uniform draws from ``rng``, in row-major order: inverse-CDF sampling.
     Each entry of ``levels`` is one level, a scalar or, with ``symbols``, a
@@ -513,18 +513,28 @@ def _count_levels(levels, rng, out, symbols=None) -> None:
     not to buffer).  Runs ``_BLOCK_ROWS`` rows at a time, drawing as it goes
     (PCG64 doubles come out in order, so the draws equal one whole draw):
     each block's draws, narrow counts and gathered levels stay in cache, and
-    the block is stored into ``out`` once."""
+    the block is stored into ``out`` once.  ``tally``, if given, gains the
+    count of each symbol set in ``out``: levels rise, so a draw at or above
+    level k is at or above every level before it, and ``count_nonzero`` of
+    each level's hits moves that many symbols from k up to k + 1."""
     shape = (min(len(out), _BLOCK_ROWS), out.shape[1])
     counts = np.empty(shape, np.min_scalar_type(len(levels)))
     gathered = None if symbols is None else np.empty(shape)
+    if tally is not None:
+        tally[0] += out.size
     for lo in range(0, len(out), _BLOCK_ROWS):
         block = out[lo : lo + _BLOCK_ROWS]
         n, draws = len(block), rng.random(block.shape)
         counts[:n] = 0
-        for level in levels:
+        for k, level in enumerate(levels):
             if symbols is not None:
                 level = np.take(level, symbols[lo : lo + n], out=gathered[:n], mode="clip")
-            counts[:n] += level <= draws
+            hits = level <= draws
+            counts[:n] += hits
+            if tally is not None:
+                moved = np.count_nonzero(hits)
+                tally[k] -= moved
+                tally[k + 1] += moved
         block[...] = counts[:n]
 
 
@@ -548,12 +558,14 @@ def apply_channel_to_dataset(dataset: ImageDataset, channel: Channel, seed: int)
     )
 
 
-def _noisy_two_class_images(gen_seed, noise_seed, n_per_class, width, height, dist_a, dist_b, e):
+def _noisy_two_class_images(gen_seed, noise_seed, n_per_class, width, height, dist_a, dist_b, e,
+                            tally=None):
     """``(channel, images)``: ``parametric_channel(e)`` and the pixels of
     ``apply_channel_to_dataset(gen_two_class_images(gen_seed, n_per_class,
     width, height, dist_a, dist_b), channel, noise_seed)``, with the same
     checks in the same order (an empty corpus runs the geometry checks),
-    drawn a row block at a time so that no clean corpus is held."""
+    drawn a row block at a time so that no clean corpus is held.  ``tally``,
+    if given, gains the count of each noisy symbol (see ``_count_levels``)."""
     classes = _class_levels(n_per_class, dist_a, dist_b)
     ImageDataset(width, height, dist_a.size, np.empty((0, width * height), dtype=np.int64))
     channel = parametric_channel(e)
@@ -565,7 +577,7 @@ def _noisy_two_class_images(gen_seed, noise_seed, n_per_class, width, height, di
         for lo in range(first, first + n_per_class, _BLOCK_ROWS):
             block = noisy[lo : min(lo + _BLOCK_ROWS, first + n_per_class)]
             _count_levels(cdf, gen, clean[: len(block)])
-            _count_levels(levels, noise, block, clean[: len(block)])
+            _count_levels(levels, noise, block, clean[: len(block)], tally)
     return channel, noisy
 
 
@@ -580,11 +592,12 @@ def load_images_csv(
     When the geometry is unknown the images are treated as 1 x n_pixels
     strips; the alphabet defaults to the largest pixel value + 1 (but at
     least 2 symbols).  A body whose lines are all cells of ASCII digits is
-    parsed from its bytes (see ``_parse_digit_rows``).  Every other file
-    (blank labels, signed, blank, spaced, quoted or non-ASCII cells, blank
-    lines, any error) is read a row at a time, which also finds the line to
-    report.  The file may be a pipe, whose bytes are held in memory while it
-    is read.
+    parsed from its bytes (see ``_parse_digit_rows``), as one fixed-width
+    grid when every cell is one digit and every line ends alike.  Every
+    other file (blank labels, signed, blank, spaced, quoted or non-ASCII
+    cells, blank lines, any error) is read a row at a time, which also
+    finds the line to report.  The file may be a pipe, whose bytes are held
+    in memory while it is read.
     """
     with _reading(path) as (fh, header, body):
         if not header or header[0] != "label" or len(header) < 2:
@@ -614,10 +627,12 @@ def _parse_digit_rows(fh, body, n_pixels: int):
     line holds ``n_pixels + 1`` cells of 1 to ``min(18,
     csv.field_size_limit())`` ASCII digits, separated by commas and ended by
     ``\\n`` or ``\\r\\n`` (the last line's end may be missing).  Eighteen
-    digits fit in int64, and the row reader reports a longer cell.  The
-    body is parsed ``_PARSE_ROWS`` lines at a time into the two results: a
-    block's non-digits are its separators, and each cell's value is summed
-    from its digits."""
+    digits fit in int64, and the row reader reports a longer cell.  A
+    non-empty body of one-digit cells whose lines all end alike is one
+    ``(lines, line width)`` grid: its separator and digit columns are
+    checked whole.  Any other body is parsed ``_PARSE_ROWS`` lines at a time
+    into the two results: a block's non-digits are its separators, and each
+    cell's value is summed from its digits."""
     if body >> 64:  # a decoder state is packed in: the header ends in a lone "\r"
         return None
     fh.buffer.seek(body)  # a UTF-8 text position past a whole line is a byte offset
@@ -625,8 +640,17 @@ def _parse_digit_rows(fh, body, n_pixels: int):
     if data and not data.endswith(b"\n"):
         data += b"\n"
     text = np.frombuffer(data, np.uint8)
+    cells, longest = n_pixels + 1, min(18, csv.field_size_limit())
+    width = data.find(b"\n") + 1  # of the first line; 0 for an empty body
+    if width in (2 * cells, 2 * cells + 1) and len(data) % width == 0 and longest >= 1:
+        grid = text.reshape(-1, width)
+        end = np.frombuffer(b"\r\n"[2 * cells + 1 - width :], np.uint8)
+        digits = grid[:, : 2 * cells : 2] - np.uint8(ord("0"))  # a non-digit wraps above 9
+        if not ((grid[:, 2 * cells - 1 :] != end).any() or (digits > 9).any()
+                or (grid[:, 1 : 2 * cells - 1 : 2] != ord(",")).any()):
+            return digits[:, 0].astype(np.int64), digits[:, 1:].astype(np.int64)
     line_ends = np.flatnonzero(text == ord("\n"))
-    n, cells, longest = len(line_ends), n_pixels + 1, min(18, csv.field_size_limit())
+    n = len(line_ends)
     labels, images = np.empty(n, np.int64), np.empty((n, n_pixels), np.int64)
     for lo in range(0, n, _PARSE_ROWS):
         start = line_ends[lo - 1] + 1 if lo else 0

@@ -131,7 +131,8 @@ def fit_weights(x, y, length: int, mode: str = "infer") -> EqualizerModel:
         raise ValueError(
             f"insufficient data: {n} samples cannot fit length {length}"
         )
-    mean_x = float(x.mean())
+    with np.errstate(over="ignore"):  # an overflowed mean fails in _solve_loaded
+        mean_x = float(x.mean())
     shift = _lead(mode)
     a = _windows(x - mean_x, length)[: n - length - shift]
     targets = y[length + shift :]
@@ -477,9 +478,9 @@ def select_length(
         mse = model.training_mse if aic else _validation_mse(model, x, y, split)
         return value(mse, length), model
 
-    c = float(y[:split].mean())
-    xc, yc = x - float(x[:split].mean()), y - c
     with np.errstate(all="ignore"):
+        c = float(y[:split].mean())
+        xc, yc = x - float(x[:split].mean()), y - c
         held = None if aic else _lagged_sums(
             xc, yc, split - shift, n - 1 - shift, max_length + 1, shift
         )

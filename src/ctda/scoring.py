@@ -127,7 +127,12 @@ def build_image_scorer(pixels, channel: Channel, smooth: bool = False) -> ScoreT
     if pixels.ndim != 2 or pixels.size == 0:
         raise ValueError("need a non-empty (n_images, n_pixels) matrix")
     estimator = smoothed_distribution if smooth else empirical_distribution
-    p_y = estimator(pixels.reshape(-1), channel.n_outputs)
+    return _image_scorer(estimator(pixels.reshape(-1), channel.n_outputs), pixels, channel)
+
+
+def _image_scorer(p_y: DiscreteDistribution, pixels, channel: Channel) -> ScoreTable:
+    """``build_image_scorer`` from the pooled output marginal ``p_y`` of the
+    symbols of ``pixels``."""
     p_x = recover_source_input(p_y, channel)
     if (p_x.probs > 0).sum() < 2:
         raise ValueError("recovered source concentrates on a single symbol")
@@ -318,10 +323,11 @@ def _curve_point(
 ) -> CurvePoint:
     point_seed = seed ^ index
     gen_seed, noise_seed = np.random.SeedSequence(point_seed).generate_state(2)
+    counts = np.zeros(dist_a.size, np.int64)  # the channel is square, on dist_a's alphabet
     channel, noisy = _noisy_two_class_images(
-        int(gen_seed), int(noise_seed), n_per_class, width, height, dist_a, dist_b, e
+        int(gen_seed), int(noise_seed), n_per_class, width, height, dist_a, dist_b, e, counts
     )
-    table = build_image_scorer(noisy, channel)
+    table = _image_scorer(DiscreteDistribution(counts / noisy.size), noisy, channel)
     labels = np.repeat(np.arange(2, dtype=np.int64), n_per_class)
     error = _separation_error(_row_sums(table.scores, noisy), labels)
     return CurvePoint(

@@ -396,6 +396,23 @@ def test_overflow_prints_one_error_line(tmp_path, capfd, argv, scale_x, scale_y)
     assert err.startswith("error: ") and err.count("\n") == 1 and "rescale" in err
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would print before the error line
+@pytest.mark.parametrize("criterion", ["validation", "aic"])
+@pytest.mark.parametrize("which", ["input", "target"])
+def test_fit_on_a_series_whose_mean_overflows_prints_one_error_line(tmp_path, capfd,
+                                                                     which, criterion):
+    xs, y = gen_fir_series(3, 300, [[0.9, -0.4, 0.2]], noise_sigma=0.05)
+    x = np.abs(xs[0]) * (1e306 if which == "input" else 1.0)
+    x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
+    write_series(x_path, x)
+    write_series(y_path, np.abs(y) * (1e306 if which == "target" else 1.0))
+    argv = ["fit", "--input", str(x_path), "--target", str(y_path), "--max-length", "5",
+            "--select", criterion, "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capfd.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "rescale" in err
+
+
 class TestInfer:
     @pytest.fixture
     def fitted(self, two_channel_files, tmp_path):

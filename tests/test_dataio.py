@@ -1,5 +1,6 @@
 import csv
 import datetime
+import io
 import os
 import tempfile
 import tracemalloc
@@ -37,6 +38,7 @@ from ctda.stats import (
     empirical_distribution,
     identity_channel,
     parametric_channel,
+    uniform_distribution,
 )
 
 from oracles import (
@@ -1011,6 +1013,21 @@ class TestNoisyTwoClassImages:
         assert np.vstack(blocks).tobytes() == whole.tobytes()
 
 
+class TestSymbolTally:
+    """The symbol counts that the sweep's sampler keeps while it draws."""
+
+    @pytest.mark.parametrize("side", [1, 28])
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 300])
+    @pytest.mark.parametrize("e", [0.0, 0.1, 0.25])
+    def test_tally_is_the_bincount_of_the_noisy_corpus(self, e, n, side):
+        dist_a, dist_b = DiscreteDistribution([0.7, 0.1, 0.1, 0.1]), uniform_distribution(4)
+        args = (n + 5, n + 6, n, side, side, dist_a, dist_b, e)
+        tally = np.zeros(4, np.int64)
+        _, noisy = dataio._noisy_two_class_images(*args, tally)
+        np.testing.assert_array_equal(tally, np.bincount(noisy.ravel(), minlength=4))
+        assert noisy.tobytes() == dataio._noisy_two_class_images(*args)[1].tobytes()
+
+
 class TestImagesCsv:
     def test_round_trip_labeled(self, tmp_path):
         ds = gen_two_class_images(
@@ -1292,6 +1309,81 @@ class TestByteReaderMatchesLoop:
         finally:
             csv.field_size_limit(limit)
         assert str(got.value) == f"{p}: line 3: field larger than field limit (5)"
+
+
+@st.composite
+def mutated_grid_texts(draw):
+    """A one-digit grid file, LF or CRLF, with or without its last line's
+    end, and with one byte changed, inserted or deleted at a sampled
+    position (or left as it is)."""
+    n_pixels, n_rows = draw(st.integers(1, 4)), draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(["label"] + [f"p{i}" for i in range(n_pixels)])]
+    lines += [",".join(map(str, row)) for row in rng.integers(0, 10, (n_rows, n_pixels + 1))]
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    edit = draw(st.sampled_from(["change", "insert", "delete", None]))
+    if edit is None:
+        return text
+    at = draw(st.integers(len(lines[0]) + 1, len(text) - (edit != "insert")))
+    byte = draw(st.sampled_from(list("0123456789,\r\n +x\"")))  # no "-": ImageDataset refuses it
+    keep = at + (edit != "insert")  # change and delete drop the byte at `at`
+    return text[:at] + ("" if edit == "delete" else byte) + text[keep:]
+
+
+class TestDigitGrid:
+    """Bodies of one-digit cells are read as one fixed-width grid."""
+
+    @pytest.mark.parametrize("write_file", ["savetxt", "save_images_csv"])
+    def test_benchmark_shaped_file_takes_the_grid_read(self, tmp_path, write_file):
+        # 1,000 x 784 one-digit pixels, LF (numpy) or CRLF (csv) ends, on disk
+        # and in a pipe: no line search (the block loop) and no row reader
+        rng = np.random.default_rng(18)
+        images, labels = rng.integers(0, 4, (1000, 784)), rng.integers(0, 2, 1000)
+        p = tmp_path / "im.csv"
+        if write_file == "savetxt":
+            header = "label," + ",".join(f"p{i}" for i in range(784))
+            np.savetxt(p, np.column_stack([labels, images]), fmt="%d", delimiter=",",
+                       header=header, comments="")
+        else:
+            save_images_csv(ImageDataset(28, 28, 4, images, labels), p)
+        with mock.patch.object(np, "flatnonzero", wraps=np.flatnonzero) as line_search, \
+                mock.patch.object(dataio, "_read_image_rows", side_effect=AssertionError), \
+                fed_pipe(p.read_bytes()) as pipe:
+            for source in (p, pipe):
+                ds = load_images_csv(source, 28, 28, 4)
+                assert ds.images.tobytes() == images.tobytes()
+                assert ds.labels.tobytes() == labels.tobytes()
+        assert line_search.call_count == 0
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=mutated_grid_texts())
+    def test_one_byte_edit_gives_the_loops_images_or_message(self, text):
+        TestLoadImagesCsvMatchesLoop.assert_same(text)
+
+    @pytest.mark.parametrize("text", [
+        "label,p0\n",  # header only: an empty body
+        "label,p0\r\n",
+        "label,p0\n0,1\r\n1,2\n",  # mixed ends
+        "label,p0\r\n0,1\n1,2\r\n",
+        "label,p0\n0,1\n12,2\n",  # one two-digit cell
+        "label,p0\n0,1\n1,\n",  # one blank cell
+        "label,p0\n0,1\n1,2,3\n",
+        "label,p0\n0,1\n\n",
+    ])
+    def test_bodies_off_the_grid(self, text):
+        TestLoadImagesCsvMatchesLoop.assert_same(text)
+
+    def test_field_limit_under_one_digit(self):
+        # A file's "label" cell already needs a limit of 5, so the body
+        # parser is called directly: it hands the grid to the row reader.
+        fh = io.TextIOWrapper(io.BytesIO(b"0,1\n1,2\n"), encoding="utf-8", newline="")
+        limit = csv.field_size_limit(0)
+        try:
+            assert dataio._parse_digit_rows(fh, 0, 1) is None
+        finally:
+            csv.field_size_limit(limit)
+        assert dataio._parse_digit_rows(fh, 0, 1) is not None
 
 
 def piped(text):

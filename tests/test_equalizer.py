@@ -399,6 +399,22 @@ class TestOverflowingMagnitudes:
         with pytest.raises(ValueError, match="no candidate length has a finite score"):
             select_length(x, y, 5)
 
+    def test_fit_weights_on_an_input_whose_mean_overflows(self):
+        x, y = overflowing_fir_case()
+        with pytest.raises(ValueError, match="rescale the series"):
+            fit_weights(1e306 * np.abs(x), y, 2)
+
+    @pytest.mark.parametrize("criterion", ["validation", "aic"])
+    @pytest.mark.parametrize("which", ["input", "target"])
+    def test_select_length_on_a_series_whose_mean_overflows(self, which, criterion):
+        x, y = overflowing_fir_case()
+        if which == "input":
+            x = 1e306 * np.abs(x)
+        else:
+            y = 1e306 * np.abs(y)
+        with pytest.raises(ValueError, match="rescale the series"):
+            select_length(x, y, 5, criterion)
+
     def test_near_float_max_input_reaches_no_lapack_routine(self, capfd):
         x = np.random.default_rng(1).standard_normal(300)
         with pytest.raises(ValueError, match="normal equations overflow float64"):

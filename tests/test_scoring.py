@@ -457,6 +457,23 @@ class TestCurve:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_curve_matches_scoring_each_corpus(self, seed):
+        # points are scored from the symbol counts kept while drawing; here
+        # each corpus is drawn, passed through the channel and scored whole
+        # (near classes: the errors are 0.2-0.475, so the order counts)
+        dist_a, dist_b = DiscreteDistribution([0.3, 0.2, 0.2, 0.3]), uniform_distribution(4)
+        grid = [0.0, 0.025, 0.1, 0.25]
+        expected = []
+        for index, e in enumerate(grid):
+            gen_seed, noise_seed = np.random.SeedSequence(seed ^ index).generate_state(2)
+            clean = gen_two_class_images(int(gen_seed), 40, 7, 7, dist_a, dist_b)
+            channel = parametric_channel(e)
+            noisy = apply_channel_to_dataset(clean, channel, int(noise_seed))
+            items = score_dataset(noisy, build_image_scorer(noisy.images, channel))
+            expected.append(CurvePoint(e, separation_error(items), 80, seed ^ index))
+        assert error_vs_noise_curve(dist_a, dist_b, 7, 7, 40, grid, seed, threads=1) == expected
+
     def test_point_seeds_derived_from_position(self):
         points = error_vs_noise_curve(
             DIST_A, DIST_B, 8, 8, 20, [0.0, 0.05, 0.1], seed=12
