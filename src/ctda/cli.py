@@ -15,7 +15,7 @@ computation or validation failure (running out of memory included), 2 usage
 or I/O trouble.  ``sweep`` parallelism is set by ``--threads`` or the
 ``CTDA_THREADS`` environment variable (0 or unset = one worker per CPU), at
 most one worker per CPU and per grid point; its grid holds at most
-``MAX_GRID_POINTS`` points.  A sweep or baseline whose estimated peak
+``MAX_GRID_POINTS`` points.  A sweep, fit or baseline whose estimated peak
 exceeds physical memory is refused with exit 2 before any point or fit.
 """
 
@@ -193,6 +193,16 @@ def _write_predictions_csv(path, timestamps, iso, y_true, y_hat) -> None:
     )
 
 
+def _mse(y, est):
+    """Mean of ``(y - est) ** 2`` along the last axis; raises ValueError when
+    it overflows float64."""
+    with np.errstate(over="ignore"):
+        mse = np.mean((y - est) ** 2, axis=-1)
+    if not np.isfinite(mse).all():
+        raise ValueError("squared errors overflow float64; rescale the series")
+    return mse
+
+
 def _load_channel_arg(args):
     if args.channel is not None:
         return load_channel(args.channel)
@@ -204,6 +214,10 @@ def _load_channel_arg(args):
 
 def cmd_fit(args) -> None:
     names, _, xs, y, _ = _load_series_bundle(args)
+    _check_memory(  # before any fit
+        f"fit: --max-length {args.max_length} on {y.size} rows",
+        _fit_bytes(y.size, min(args.max_length + 1, y.size)),  # more taps cannot fit
+    )
     stored = []
     for name, x in zip(names, xs):
         model = select_length(x, y, args.max_length, args.select, args.mode)
@@ -266,6 +280,7 @@ def cmd_infer(args) -> None:
     est = np.vstack([_estimate_targets(m, x, targets) for m, x in zip(models, inputs)])
     y_eval = y[targets]
 
+    mses = _mse(y_eval, est)  # finite, so is every squared error
     alphas, degenerate = _initial_alphas(args.fusion, models, est, y_eval)
     fused_model = FusionModel(
         channels=tuple(channels), alphas=alphas, mode=args.fusion, degenerate=degenerate
@@ -280,10 +295,9 @@ def cmd_infer(args) -> None:
     else:
         fused = fused_model.alphas @ est
 
-    for (name, model), alpha, row in zip(channels, fused_model.alphas, est):
-        mse = float(np.mean((y_eval - row) ** 2))
+    fused_mse = float(_mse(y_eval, fused))
+    for (name, _), alpha, mse in zip(channels, fused_model.alphas, mses):
         print(f"{name}: alpha={alpha:.6g} standalone_mse={mse:.6g}")
-    fused_mse = float(np.mean((y_eval - fused) ** 2))
     print(f"fused_mse={fused_mse:.6g} over {targets.size} samples ({args.fusion})")
 
     _write_predictions_csv(args.out, timestamps[targets], iso, y_eval, fused)
@@ -322,7 +336,7 @@ def cmd_baseline(args) -> None:
     targets = np.arange(start, n)
     est = predict_series(model, xs, targets)
     y_eval = y[targets]
-    mse = float(np.mean((y_eval - est) ** 2))
+    mse = float(_mse(y_eval, est))
     scope = "test" if split < n else "training"
     print(
         f"{args.method}: lag={args.lag} residual_mse={model.residual_mse:.6g} "
@@ -450,6 +464,20 @@ def _baseline_bytes(rows: int, k: int) -> int:
     # times this from 0.4 to 72 MB (lag 0 to 500, 1 to 4 inputs), plus at
     # most 50 KB of small objects, which the 256 KiB covers.
     return 8 * (rows * (2 * k + 3) + 3 * k * k) + 2**18
+
+
+def _fit_bytes(n: int, taps: int) -> int:
+    """Estimated peak of ``select_length`` on ``n`` samples with up to
+    ``taps`` = max_length + 1 taps."""
+    # float64 cells: a direct fit's centred design (under n rows), or at
+    # most ten (taps, taps) matrices at once: the held-out Gram; in
+    # _mse_bounds the shared Gram, its centred copy, its running copy and a
+    # tightened length's extra and summed Grams; in _length_bounds a centred
+    # Gram, the two temporaries that centre it and LAPACK's copy (which
+    # tracemalloc does not see).  Plus six series-length vectors.
+    # tracemalloc read 0.36-0.95 times this from 0.5 to 9.4 MB (n = 300 to
+    # 20,000, max_length 10 to 390), the most where n * taps leads.
+    return 8 * (n * taps + 10 * taps * taps + 6 * n) + 2**18
 
 
 class _TooLarge(Exception):

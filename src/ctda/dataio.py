@@ -591,13 +591,13 @@ def load_images_csv(
 
     When the geometry is unknown the images are treated as 1 x n_pixels
     strips; the alphabet defaults to the largest pixel value + 1 (but at
-    least 2 symbols).  A body whose lines are all cells of ASCII digits is
-    parsed from its bytes (see ``_parse_digit_rows``), as one fixed-width
-    grid when every cell is one digit and every line ends alike.  Every
-    other file (blank labels, signed, blank, spaced, quoted or non-ASCII
-    cells, blank lines, any error) is read a row at a time, which also
-    finds the line to report.  The file may be a pipe, whose bytes are held
-    in memory while it is read.
+    least 2 symbols).  A body of one-digit ASCII cells whose lines all end
+    alike is read from its bytes as one fixed-width grid (see
+    ``_parse_digit_rows``).  Every other file (blank labels, wider, signed,
+    blank, spaced, quoted or non-ASCII cells, blank lines, mixed line ends,
+    any error) is read a row at a time, which also finds the line to
+    report.  The file may be a pipe, whose bytes are held in memory while
+    it is read.
     """
     with _reading(path) as (fh, header, body):
         if not header or header[0] != "label" or len(header) < 2:
@@ -618,72 +618,32 @@ def load_images_csv(
     return ImageDataset(width, height, alphabet_size, images, labels)
 
 
-_PARSE_ROWS = 64  # lines per step of _parse_digit_rows: a block's index arrays stay small
-
-
 def _parse_digit_rows(fh, body, n_pixels: int):
-    """``(labels, images)`` of the image file open as ``fh``, parsed by numpy
-    from the bytes of its body at position ``body``, or None unless every
-    line holds ``n_pixels + 1`` cells of 1 to ``min(18,
-    csv.field_size_limit())`` ASCII digits, separated by commas and ended by
-    ``\\n`` or ``\\r\\n`` (the last line's end may be missing).  Eighteen
-    digits fit in int64, and the row reader reports a longer cell.  A
-    non-empty body of one-digit cells whose lines all end alike is one
-    ``(lines, line width)`` grid: its separator and digit columns are
-    checked whole.  Any other body is parsed ``_PARSE_ROWS`` lines at a time
-    into the two results: a block's non-digits are its separators, and each
-    cell's value is summed from its digits."""
-    if body >> 64:  # a decoder state is packed in: the header ends in a lone "\r"
+    """``(labels, images)`` of the image file open as ``fh``, read from the
+    bytes of its body at position ``body`` as one ``(lines, line width)``
+    grid, or None unless the body is non-empty and every line holds
+    ``n_pixels + 1`` one-digit ASCII cells separated by commas, every line
+    ending in ``\\n`` or every line in ``\\r\\n`` (the last ``\\n`` may be
+    missing).  The grid's end, comma and digit columns are checked whole.
+    The row reader reports a cell over ``csv.field_size_limit()``."""
+    # A decoder state is packed into ``body`` when the header ends in a lone "\r".
+    if body >> 64 or csv.field_size_limit() < 1:
         return None
     fh.buffer.seek(body)  # a UTF-8 text position past a whole line is a byte offset
     data = fh.buffer.read()
     if data and not data.endswith(b"\n"):
         data += b"\n"
-    text = np.frombuffer(data, np.uint8)
-    cells, longest = n_pixels + 1, min(18, csv.field_size_limit())
+    cells = n_pixels + 1
     width = data.find(b"\n") + 1  # of the first line; 0 for an empty body
-    if width in (2 * cells, 2 * cells + 1) and len(data) % width == 0 and longest >= 1:
-        grid = text.reshape(-1, width)
-        end = np.frombuffer(b"\r\n"[2 * cells + 1 - width :], np.uint8)
-        digits = grid[:, : 2 * cells : 2] - np.uint8(ord("0"))  # a non-digit wraps above 9
-        if not ((grid[:, 2 * cells - 1 :] != end).any() or (digits > 9).any()
-                or (grid[:, 1 : 2 * cells - 1 : 2] != ord(",")).any()):
-            return digits[:, 0].astype(np.int64), digits[:, 1:].astype(np.int64)
-    line_ends = np.flatnonzero(text == ord("\n"))
-    n = len(line_ends)
-    labels, images = np.empty(n, np.int64), np.empty((n, n_pixels), np.int64)
-    for lo in range(0, n, _PARSE_ROWS):
-        start = line_ends[lo - 1] + 1 if lo else 0
-        ends = line_ends[lo : lo + _PARSE_ROWS] - start
-        rows, block = len(ends), text[start : start + ends[-1] + 1]
-        digits = block - np.uint8(ord("0"))  # every non-digit wraps above 9
-        marks = np.flatnonzero(digits > 9)
-        # A line ended by "\r\n" ends at its "\r", and its "\n" is no mark.
-        # (An empty first line ends at 0, and block[-1] is a "\n".)
-        crlf = block[ends - 1] == ord("\r")
-        if crlf.any():
-            marks = np.delete(marks, np.searchsorted(marks, ends[crlf]))
-        if marks.size != rows * cells:
-            return None
-        marks = marks.reshape(rows, cells)
-        # With each line's last mark at its end, its other marks are commas
-        # when the block holds as many commas as those marks.
-        commas = np.count_nonzero(block == ord(","))
-        if (marks[:, -1] != ends - crlf).any() or commas != rows * n_pixels:
-            return None
-        widths = np.diff(marks.ravel(), prepend=-1).reshape(rows, cells) - 1
-        widths[1:, 0] -= crlf[:-1]  # a line after "\r\n" starts 2 past its last mark
-        if widths.min() < 1 or widths.max() > longest:
-            return None
-        values = digits.take(marks - 1)
-        if widths.max() > 1:
-            values = values.astype(np.int64)
-            for place in range(1, int(widths.max())):
-                more = np.where(widths > place, digits.take(marks - 1 - place), 0)
-                values += more * np.int64(10**place)
-        labels[lo : lo + rows] = values[:, 0]
-        images[lo : lo + rows] = values[:, 1:]
-    return (labels, images) if n else None
+    if width not in (2 * cells, 2 * cells + 1) or len(data) % width:
+        return None
+    grid = np.frombuffer(data, np.uint8).reshape(-1, width)
+    end = np.frombuffer(b"\r\n"[2 * cells + 1 - width :], np.uint8)
+    digits = grid[:, : 2 * cells : 2] - np.uint8(ord("0"))  # a non-digit wraps above 9
+    if ((grid[:, 2 * cells - 1 :] != end).any() or (digits > 9).any()
+            or (grid[:, 1 : 2 * cells - 1 : 2] != ord(",")).any()):
+        return None
+    return digits[:, 0].astype(np.int64), digits[:, 1:].astype(np.int64)
 
 
 def _read_image_rows(path, fh, body, n_pixels: int):

@@ -9,6 +9,7 @@ import json
 import os
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from ctda.dataio import (
     save_csv,
     save_images_csv,
 )
-from ctda.equalizer import estimate_series, model_from_dict
+from ctda.equalizer import estimate_series, model_from_dict, select_length
 from ctda.scoring import (
     _curve_point,
     build_image_scorer,
@@ -996,6 +997,71 @@ class TestBaselineFootprint:
             tracemalloc.stop()
         scored = n - (split if split < n else lag)
         assert peak <= cli._baseline_bytes(max(split - lag, scored), inputs * (lag + 1))
+
+
+@pytest.mark.skipif(not hasattr(os, "sysconf"), reason="needs os.sysconf")
+class TestFitFootprint:
+    """A fit whose estimated peak exceeds physical memory is a usage error,
+    found before any length is selected."""
+
+    def argv(self, paths, out, max_length):
+        a, b, tgt = paths
+        return ["fit", "--input", f"{a},{b}", "--target", str(tgt), "--max-length",
+                str(max_length), "--out", str(out)]
+
+    def test_oversized_max_length_exits_2_before_any_fit(self, two_channel_files, tmp_path,
+                                                         capsys, monkeypatch):
+        # --max-length 400 on 600 rows: 401 taps, about 15 MB estimated
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2**22}.__getitem__)
+        monkeypatch.setattr(cli, "select_length", mock.Mock(side_effect=AssertionError))
+        out = tmp_path / "models.json"
+        with pytest.raises(SystemExit) as exited:
+            main(self.argv(two_channel_files, out, 400))
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "fit: --max-length 400 on 600 rows needs about" in err
+        assert err.count("\n") == 2  # the usage line and the one message
+        assert not out.exists()
+
+    def test_max_length_past_the_series_is_too_short_not_too_large(self, two_channel_files,
+                                                                    tmp_path, capsys):
+        assert main(self.argv(two_channel_files, tmp_path / "models.json", 2**40)) == 1
+        assert "insufficient data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spare", [-1, 0])
+    def test_estimate_counts_design_rows_grams_and_overhead(self, two_channel_files, tmp_path,
+                                                            monkeypatch, spare):
+        # --max-length 4 on 600 rows: 5 taps
+        need = 8 * (600 * 5 + 10 * 5 * 5 + 6 * 600) + 2**18
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need + spare}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        argv = self.argv(two_channel_files, tmp_path / "models.json", 4)
+        if spare < 0:
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            assert exited.value.code == 2
+        else:
+            assert main(argv) == 0
+
+    @pytest.mark.parametrize("n, max_length, criterion, constant", [
+        (600, 250, "validation", False),  # taps ** 2 leads
+        (2000, 100, "aic", False),
+        (5000, 10, "validation", True),  # every length fitted the direct way
+        (20000, 40, "aic", True),  # n * taps leads
+    ])
+    def test_a_fit_peaks_within_the_estimate(self, n, max_length, criterion, constant):
+        rng = np.random.default_rng(5)
+        source = rng.standard_normal(n)
+        x = np.ones(n) if constant else source
+        y = np.convolve(source, [1.0, 0.5, 0.2])[:n] + 0.05 * rng.standard_normal(n)
+        select_length(x[:50], y[:50], 3, criterion)  # lazy imports cost nothing per cell
+        tracemalloc.start()
+        try:
+            select_length(x, y, max_length, criterion)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli._fit_bytes(n, max_length + 1)
 
 
 class TestSweep:

@@ -1215,12 +1215,11 @@ LONG_WIDTHS, LONG_ODDS = [2, 3, 17, 18, 19, 20], [0.3, 0.3, 0.15, 0.15, 0.05, 0.
 
 @st.composite
 def digit_image_texts(draw):
-    """``label,p0,...`` texts of digit cells, mostly in the byte reader's
-    grammar: 0-300 lines (across its 64-line blocks) of 1-20-digit cells,
-    with leading zeros, and with 19 and 20 digits, past its 18-digit limit
-    and past int64; LF and CRLF line ends, mixed or not.  Some texts also
-    hold a lone CR, a blank line or an empty cell, or lack the last line's
-    end."""
+    """``label,p0,...`` texts of digit cells, mostly one digit wide: 0-300
+    lines, some with cells of 2-20 digits (leading zeros included), which
+    the grid read hands to the row reader, up to 19 and 20 digits, past
+    int64; LF and CRLF line ends, mixed or not.  Some texts also hold a lone
+    CR, a blank line or an empty cell, or lack the last line's end."""
     n_pixels = draw(st.integers(1, 4))
     n_rows = draw(st.sampled_from([0, 1, 63, 64, 65, 128, 129]) | st.integers(0, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -1253,8 +1252,8 @@ def digit_image_texts(draw):
 
 
 class TestByteReaderMatchesLoop:
-    """The byte reader, and the row reader it hands other files to, against
-    the row loop in ``tests/oracles.py``."""
+    """The grid read, and the row reader it hands every other file to,
+    against the row loop in ``tests/oracles.py``."""
 
     @settings(max_examples=200, deadline=None)
     @given(text=digit_image_texts())
@@ -1277,32 +1276,9 @@ class TestByteReaderMatchesLoop:
     def test_edges_of_the_grammar(self, text):
         TestLoadImagesCsvMatchesLoop.assert_same(text)
 
-    @pytest.mark.parametrize("write_file", ["savetxt", "save_images_csv"])
-    def test_benchmark_shaped_file_reaches_neither_row_reader_nor_loadtxt(
-        self, tmp_path, write_file
-    ):
-        # 1,000 x 784 one-digit pixels, with LF (numpy) or CRLF (csv) ends,
-        # on disk and in a pipe
-        rng = np.random.default_rng(14)
-        images, labels = rng.integers(0, 4, (1000, 784)), rng.integers(0, 2, 1000)
-        p = tmp_path / "im.csv"
-        if write_file == "savetxt":
-            header = "label," + ",".join(f"p{i}" for i in range(784))
-            np.savetxt(p, np.column_stack([labels, images]), fmt="%d", delimiter=",",
-                       header=header, comments="")
-        else:
-            save_images_csv(ImageDataset(28, 28, 4, images, labels), p)
-        with mock.patch.object(dataio, "_read_image_rows", side_effect=AssertionError), \
-                mock.patch.object(np, "loadtxt", side_effect=AssertionError), \
-                fed_pipe(p.read_bytes()) as pipe:
-            for source in (p, pipe):
-                ds = load_images_csv(source, 28, 28, 4)
-                assert ds.images.tobytes() == images.tobytes()
-                assert ds.labels.tobytes() == labels.tobytes()
-
     def test_cell_over_a_lowered_field_limit_gets_the_row_readers_message(self, tmp_path):
         p = write(tmp_path, "im.csv", "label,p0\n0,1\n1,123456\n")
-        limit = csv.field_size_limit(5)  # under the byte reader's 18 digits, and "label" fits
+        limit = csv.field_size_limit(5)  # "label" fits; the cell of 6 digits does not
         try:
             with pytest.raises(FileFormatError) as got:
                 load_images_csv(p)
@@ -1337,7 +1313,7 @@ class TestDigitGrid:
     @pytest.mark.parametrize("write_file", ["savetxt", "save_images_csv"])
     def test_benchmark_shaped_file_takes_the_grid_read(self, tmp_path, write_file):
         # 1,000 x 784 one-digit pixels, LF (numpy) or CRLF (csv) ends, on disk
-        # and in a pipe: no line search (the block loop) and no row reader
+        # and in a pipe: neither the row reader nor numpy's text reader runs
         rng = np.random.default_rng(18)
         images, labels = rng.integers(0, 4, (1000, 784)), rng.integers(0, 2, 1000)
         p = tmp_path / "im.csv"
@@ -1347,14 +1323,32 @@ class TestDigitGrid:
                        header=header, comments="")
         else:
             save_images_csv(ImageDataset(28, 28, 4, images, labels), p)
-        with mock.patch.object(np, "flatnonzero", wraps=np.flatnonzero) as line_search, \
-                mock.patch.object(dataio, "_read_image_rows", side_effect=AssertionError), \
+        with mock.patch.object(dataio, "_read_image_rows", side_effect=AssertionError), \
+                mock.patch.object(np, "loadtxt", side_effect=AssertionError), \
                 fed_pipe(p.read_bytes()) as pipe:
             for source in (p, pipe):
                 ds = load_images_csv(source, 28, 28, 4)
                 assert ds.images.tobytes() == images.tobytes()
                 assert ds.labels.tobytes() == labels.tobytes()
-        assert line_search.call_count == 0
+
+    @pytest.mark.parametrize("high, ends", [
+        (100, ["\n"]),  # cells of one and two digits
+        (256, ["\r\n"]),  # cells 0-255
+        (10, ["\n", "\r\n"]),  # one-digit cells, LF and CRLF lines alternating
+    ], ids=["two-digit", "0-255", "mixed-ends"])
+    def test_other_digit_files_reach_the_row_reader(self, tmp_path, high, ends):
+        rng = np.random.default_rng(19)
+        rows = rng.integers(0, high, (40, 9))
+        lines = ["label," + ",".join(f"p{i}" for i in range(8))]
+        lines += [",".join(map(str, row)) for row in rows]
+        text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+        p = write(tmp_path, "im.csv", text)
+        with mock.patch.object(dataio, "_read_image_rows",
+                               wraps=dataio._read_image_rows) as row_reader:
+            ds = load_images_csv(p)
+        assert row_reader.call_count == 1
+        assert (ds.labels.tolist(), ds.images.tolist()) == load_images_csv_loop(p)
+        assert ds.images.tolist() == rows[:, 1:].tolist()
 
     @settings(max_examples=400, deadline=None)
     @given(text=mutated_grid_texts())
