@@ -1276,6 +1276,29 @@ class TestByteReaderMatchesLoop:
     def test_edges_of_the_grammar(self, text):
         TestLoadImagesCsvMatchesLoop.assert_same(text)
 
+    @pytest.mark.parametrize("write_file", ["savetxt", "save_images_csv"])
+    def test_benchmark_shaped_file_reaches_neither_row_reader_nor_loadtxt(
+        self, tmp_path, write_file
+    ):
+        # 1,000 x 784 one-digit pixels, with LF (numpy) or CRLF (csv) ends,
+        # on disk and in a pipe
+        rng = np.random.default_rng(14)
+        images, labels = rng.integers(0, 4, (1000, 784)), rng.integers(0, 2, 1000)
+        p = tmp_path / "im.csv"
+        if write_file == "savetxt":
+            header = "label," + ",".join(f"p{i}" for i in range(784))
+            np.savetxt(p, np.column_stack([labels, images]), fmt="%d", delimiter=",",
+                       header=header, comments="")
+        else:
+            save_images_csv(ImageDataset(28, 28, 4, images, labels), p)
+        with mock.patch.object(dataio, "_read_image_rows", side_effect=AssertionError), \
+                mock.patch.object(np, "loadtxt", side_effect=AssertionError), \
+                fed_pipe(p.read_bytes()) as pipe:
+            for source in (p, pipe):
+                ds = load_images_csv(source, 28, 28, 4)
+                assert ds.images.tobytes() == images.tobytes()
+                assert ds.labels.tobytes() == labels.tobytes()
+
     def test_cell_over_a_lowered_field_limit_gets_the_row_readers_message(self, tmp_path):
         p = write(tmp_path, "im.csv", "label,p0\n0,1\n1,123456\n")
         limit = csv.field_size_limit(5)  # "label" fits; the cell of 6 digits does not
@@ -1313,7 +1336,7 @@ class TestDigitGrid:
     @pytest.mark.parametrize("write_file", ["savetxt", "save_images_csv"])
     def test_benchmark_shaped_file_takes_the_grid_read(self, tmp_path, write_file):
         # 1,000 x 784 one-digit pixels, LF (numpy) or CRLF (csv) ends, on disk
-        # and in a pipe: neither the row reader nor numpy's text reader runs
+        # and in a pipe: the grid read itself returns the labels and images
         rng = np.random.default_rng(18)
         images, labels = rng.integers(0, 4, (1000, 784)), rng.integers(0, 2, 1000)
         p = tmp_path / "im.csv"
@@ -1323,13 +1346,20 @@ class TestDigitGrid:
                        header=header, comments="")
         else:
             save_images_csv(ImageDataset(28, 28, 4, images, labels), p)
-        with mock.patch.object(dataio, "_read_image_rows", side_effect=AssertionError), \
-                mock.patch.object(np, "loadtxt", side_effect=AssertionError), \
+        grid_reads, parse = [], dataio._parse_digit_rows
+
+        def grid_read(*args):
+            grid_reads.append(parse(*args))
+            return grid_reads[-1]
+
+        with mock.patch.object(dataio, "_parse_digit_rows", side_effect=grid_read), \
                 fed_pipe(p.read_bytes()) as pipe:
             for source in (p, pipe):
-                ds = load_images_csv(source, 28, 28, 4)
-                assert ds.images.tobytes() == images.tobytes()
-                assert ds.labels.tobytes() == labels.tobytes()
+                load_images_csv(source, 28, 28, 4)
+        assert len(grid_reads) == 2
+        for got_labels, got_images in grid_reads:
+            assert got_labels.tobytes() == labels.tobytes()
+            assert got_images.tobytes() == images.tobytes()
 
     @pytest.mark.parametrize("high, ends", [
         (100, ["\n"]),  # cells of one and two digits
