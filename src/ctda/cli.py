@@ -17,6 +17,7 @@ or I/O trouble.  ``sweep`` parallelism is set by ``--threads`` or the
 most one worker per CPU and per grid point; its grid holds at most
 ``MAX_GRID_POINTS`` points.  A sweep, fit or baseline whose estimated peak
 exceeds physical memory is refused with exit 2 before any point or fit.
+A warning prints as one ``warning: <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import dataclasses
 import math
 import os
 import sys
+import warnings
 from itertools import repeat
 
 import numpy as np
@@ -470,14 +472,13 @@ def _fit_bytes(n: int, taps: int) -> int:
     """Estimated peak of ``select_length`` on ``n`` samples with up to
     ``taps`` = max_length + 1 taps."""
     # float64 cells: a direct fit's centred design (under n rows), or at
-    # most ten (taps, taps) matrices at once: the held-out Gram; in
-    # _mse_bounds the shared Gram, its centred copy, its running copy and a
-    # tightened length's extra and summed Grams; in _length_bounds a centred
-    # Gram, the two temporaries that centre it and LAPACK's copy (which
-    # tracemalloc does not see).  Plus six series-length vectors.
-    # tracemalloc read 0.36-0.95 times this from 0.5 to 9.4 MB (n = 300 to
-    # 20,000, max_length 10 to 390), the most where n * taps leads.
-    return 8 * (n * taps + 10 * taps * taps + 6 * n) + 2**18
+    # most six (taps, taps) matrices at once: the held-out Gram, the shared
+    # Gram (updated in place), then a centred Gram, the two temporaries that
+    # centre it and LAPACK's copy (which tracemalloc does not see).  Plus six
+    # series-length vectors.  tracemalloc read 0.18-0.96 times this from
+    # 0.05 to 11.2 MB (n = 300 to 20,000, max_length 10 to 390), the most
+    # where n * taps leads.
+    return 8 * (n * taps + 6 * taps * taps + 6 * n) + 2**18
 
 
 class _TooLarge(Exception):
@@ -613,11 +614,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "infer" and args.online_window and args.fusion != "mrc_inverse_mse":
         parser.error("infer: --online-window needs --fusion mrc_inverse_mse")
+    # Only how a shown warning reads changes: filters and recorders still apply.
+    shown, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args.func(args)
     except _TooLarge as exc:
@@ -631,6 +638,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # e.g. a sweep that outgrows the memory left free
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = shown
     return 0
 
 

@@ -221,12 +221,11 @@ def _lagged_sums(xc: np.ndarray, yc: np.ndarray, first: int, last: int, taps: in
     return a.T @ a, a.sum(axis=0), a.T @ t, float(t.sum()), float(t @ t), t.size
 
 
-def _length_bounds(gram, sums, rhs, ysum, yy, m, c, held, lam, own):
-    """``(lo, hi, own)`` for the length whose sums these are, or None when
-    only a direct fit can say what it scores.  ``lam`` is a lower bound on
-    the exact centred Gram's smallest eigenvalue.  The Gram's own
-    eigenvalues tighten it when ``own`` is set or ``lam`` fails the rank
-    test; the returned ``own`` says whether they were used."""
+def _length_bounds(gram, sums, rhs, ysum, yy, m, c, held, lam):
+    """``(lo, hi)`` for the length whose sums these are, or None when only a
+    direct fit can say what it scores.  ``lam`` is a lower bound on the
+    exact centred Gram's smallest eigenvalue; the Gram's own eigenvalues
+    replace it only when it fails the rank test."""
     eps = np.finfo(float).eps
     k = sums.size
     cgram = gram - sums[:, None] * sums / m
@@ -236,9 +235,9 @@ def _length_bounds(gram, sums, rhs, ysum, yy, m, c, held, lam, own):
     trace = float(gram.trace())
     eta = 4 * (m + k * k) * eps * trace
     lamax = float(cgram.trace()) + eta
-    if own or not lam > 2 * eta + 2 * k * eps * lamax:
+    if not lam > 2 * eta + 2 * k * eps * lamax:
         eig = np.linalg.eigvalsh(cgram)
-        lam, lamax, own = max(lam, eig[0] - eta), min(lamax, eig[-1] + eta), True
+        lam, lamax = max(lam, eig[0] - eta), min(lamax, eig[-1] + eta)
         if not lam > 2 * eta + 2 * k * eps * lamax:
             return None  # matrix_rank's verdict could go either way
     w = np.linalg.solve(cgram, crhs)
@@ -270,22 +269,21 @@ def _length_bounds(gram, sums, rhs, ysum, yy, m, c, held, lam, own):
         band /= mv
     if not (np.isfinite(mse) and np.isfinite(band)):
         return None
-    return mse - band, mse + band, own
+    return mse - band, mse + band
 
 
-def _mse_bounds(xc, yc, c, last, max_length, shift, held=None, value=None):
+def _mse_bounds(xc, yc, c, last, max_length, shift, held=None):
     """Bounds ``(lo, hi)`` on the MSE that each length ``0 .. max_length``
     gets when fitted the direct way: training MSE, or with ``held`` (the
     validation rows' sums) the held-out MSE.  ``xc`` is the input centred by
     its training mean, ``yc`` the target minus ``c``, and ``last`` the final
-    training window end.  ``value(mse, length)``, the criterion (the MSE
-    itself by default), decides which bands are worth tightening.
+    training window end.
 
     One lag-``max_length`` Gram over the window ends every length shares
     (``>= max_length``) serves all lengths.  Walking down from
     ``max_length``, length ``L`` adds the one earlier row only it and the
-    shorter lengths use to running copies of those sums, and centres
-    through the sums.  One eigen-decomposition of the shared centred Gram
+    shorter lengths use to those sums, in place, and centres through the
+    sums.  One eigen-decomposition of the shared centred Gram
     bounds every length's smallest eigenvalue.  Each band bounds the
     rounding of both computations: it scales with the summed terms (column
     norms, target norm, row count times eps) and with the weights'
@@ -324,12 +322,10 @@ def _mse_bounds(xc, yc, c, last, max_length, shift, held=None, value=None):
     #   lam = eig_S[0] - eta_S (eta at C_S's size and rows) from one
     #   eigvalsh of C_S serves every length.  C is positive semidefinite, so
     #   lambda_max(C) <= trace(C), and lamax = the computed centred trace +
-    #   eta.  Own eigenvalues give lam = eig[0] - eta and lamax = eig[-1] +
-    #   eta; a length takes them (keeping the tighter of each pair) when the
-    #   shared lam fails its rank test, or when its band is one of two or
-    #   more that reach the smallest upper bound, the only bands that send
-    #   lengths to a direct fit.  Those are scored again from per-length
-    #   sums; both bands hold the direct score, so it keeps their overlap.
+    #   eta.  Only when the shared lam fails a length's rank test (a
+    #   singular shared Gram can have regular short lengths) does that
+    #   length take its own eigenvalues: lam = eig[0] - eta and lamax =
+    #   eig[-1] + eta, keeping the tighter of each pair.
     # - rank: matrix_rank calls the direct Gram full rank when its smallest
     #   singular value exceeds k eps times its largest; these lie within eta
     #   of [lam, lamax] (Weyl), hence the test lam > 2 eta + 2 k eps lamax.
@@ -363,14 +359,12 @@ def _mse_bounds(xc, yc, c, last, max_length, shift, held=None, value=None):
     taps = max_length + 1
     lo = np.full(taps, -np.inf)
     hi = np.full(taps, np.inf)
-    own = np.zeros(taps, dtype=bool)
-    shared = _lagged_sums(xc, yc, max_length, last, taps, shift)
-    gram, sums, rhs, ysum, yy, m = shared
+    gram, sums, rhs, ysum, yy, m = _lagged_sums(xc, yc, max_length, last, taps, shift)
     cgram = gram - sums[:, None] * sums / m
     lam = -np.inf
     if np.isfinite(cgram).all():
         lam = np.linalg.eigvalsh(cgram)[0] - 4 * (m + taps * taps) * eps * float(gram.trace())
-    gram, sums, rhs = gram.copy(), sums.copy(), rhs.copy()
+    del cgram  # only the eigvalsh reads it
     for length in range(max_length, -1, -1):
         k = length + 1
         if length < max_length:  # the window ending at t = length, newest first
@@ -379,28 +373,9 @@ def _mse_bounds(xc, yc, c, last, max_length, shift, held=None, value=None):
             sums[:k] += row
             rhs[:k] += row * t
             ysum, yy, m = ysum + t, yy + t * t, m + 1
-        bounds = _length_bounds(gram[:k, :k], sums[:k], rhs[:k], ysum, yy, m, c, held,
-                                lam, False)
+        bounds = _length_bounds(gram[:k, :k], sums[:k], rhs[:k], ysum, yy, m, c, held, lam)
         if bounds:
-            lo[length], hi[length], own[length] = bounds
-    # Tighten, with their own eigenvalues, the bands that could send a
-    # length to a direct fit; a lone one is the winner's, fitted anyway.
-    value = value or (lambda mse, length: mse)
-    reach = min(value(h, length) for length, h in enumerate(hi))
-    near = [length for length, v in enumerate(lo) if value(v, length) <= reach]
-    if len(near) < 2:
-        return lo, hi
-    for length in near:
-        if own[length] or not np.isfinite(hi[length]):
-            continue
-        k = length + 1
-        sums_k = (shared[0][:k, :k], shared[1][:k], shared[2][:k], *shared[3:])
-        if length < max_length:
-            extra = _lagged_sums(xc, yc, length, max_length - 1, k, shift)
-            sums_k = [a + b for a, b in zip(sums_k, extra)]
-        bounds = _length_bounds(*sums_k, c, held, lam, True)
-        if bounds:
-            lo[length], hi[length] = max(lo[length], bounds[0]), min(hi[length], bounds[1])
+            lo[length], hi[length] = bounds
     return lo, hi
 
 
@@ -439,13 +414,15 @@ def select_length(
     ``n * ln(mse) + 2 (L + 1)``, on the full data.  Ties go to the smallest
     length.
 
-    Cost: one lagged Gram pass and one eigen-decomposition per series, plus
-    one small solve per length, O(max_length**4) in all (the covariance
-    method of linear prediction).  Every candidate gets a rounding band
-    around its Gram score; only those whose band reaches the best, or whose
-    rank check is close, are fitted the direct way (:func:`fit_weights`), so
-    the choice is the one that refitting every length would make.  The
-    winner is always fitted the direct way.  A series whose every score
+    Cost: one lagged Gram pass over the fitted rows (and one over the
+    held-out rows under ``validation``) and one eigen-decomposition per
+    series, plus one small solve per length, O(max_length**4) in all (the
+    covariance method of linear prediction).  Every candidate gets a
+    rounding band around its Gram score; :func:`_first_minimum` fits the
+    direct way (:func:`fit_weights`) only those whose band reaches the
+    smallest upper bound or that have no band (a close rank check), so the
+    choice is the one that refitting every length would make.  The winner
+    is always fitted the direct way.  A series whose every score
     overflows float64 raises ``ValueError``.
     """
     x, y = _check_series(x, y)
@@ -484,7 +461,7 @@ def select_length(
         held = None if aic else _lagged_sums(
             xc, yc, split - shift, n - 1 - shift, max_length + 1, shift
         )
-        bounds = _mse_bounds(xc, yc, c, split - 1 - shift, max_length, shift, held, value)
+        bounds = _mse_bounds(xc, yc, c, split - 1 - shift, max_length, shift, held)
     lo, hi = (np.array([value(mse, k) for k, mse in enumerate(b)]) for b in bounds)
     best, best_value = _first_minimum(lo, hi, score)
     if best is None:

@@ -7,6 +7,8 @@ import csv
 import datetime
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -518,6 +520,22 @@ class TestInfer:
             warnings.simplefilter("always")
             assert main(self.infer_argv(fitted, out, ["--online-window", "50"])) == 0
         assert sum("fewer completed errors" in str(w.message) for w in caught) == 1
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--online-window", "25"],
+         "fewer completed errors than the update window; using all available"),
+        (["--top-k", "99"], "requested top 99 of 2 channels; keeping all"),
+    ])
+    def test_warning_prints_as_one_line(self, fitted, tmp_path, capfd, extra, message):
+        # A child process, so the warning meets Python's default filters and
+        # reaches stderr as it does in a shell.
+        argv = self.infer_argv(fitted, tmp_path / "preds.csv", extra)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-m", "ctda.cli", *argv], env=env, timeout=120)
+        assert run.returncode == 0
+        assert capfd.readouterr().err == f"warning: {message}\n"
 
     def test_online_window_matches_per_sample_loop(self, fitted, tmp_path):
         out, fusion_out = tmp_path / "preds.csv", tmp_path / "fusion.json"
@@ -1032,7 +1050,7 @@ class TestFitFootprint:
     def test_estimate_counts_design_rows_grams_and_overhead(self, two_channel_files, tmp_path,
                                                             monkeypatch, spare):
         # --max-length 4 on 600 rows: 5 taps
-        need = 8 * (600 * 5 + 10 * 5 * 5 + 6 * 600) + 2**18
+        need = 8 * (600 * 5 + 6 * 5 * 5 + 6 * 600) + 2**18
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need + spare}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         argv = self.argv(two_channel_files, tmp_path / "models.json", 4)

@@ -236,17 +236,16 @@ def ar_input_series(phi, offset):
 
 
 # Direct fits on these inputs (infer mode) when every length took its own
-# eigen-decomposition, as select_length did before the shared bound.  On the
-# random walk (phi = 1) the shared bound alone would fit 20 lengths under
-# aic; the near bands' own eigenvalues bring that back to 19.  The
-# validation run on AR(0.95) at max_length 400 (233 direct fits both ways,
-# about 20 s) is left out for its time.
+# eigen-decomposition, as select_length did before the shared bound; the
+# shared bound gives the same counts.  The validation run on AR(0.95) at
+# max_length 400 (233 direct fits both ways, about 20 s) is left out for its
+# time.
 DIRECT_FIT_COUNTS = [
     (0.0, 0.0, 40, "validation", 2), (0.0, 0.0, 40, "aic", 1),
     (0.0, 1e6, 40, "validation", 17), (0.0, 1e6, 40, "aic", 23),
     (0.95, 0.0, 40, "validation", 2), (0.95, 0.0, 40, "aic", 1),
     (0.95, 1e6, 40, "validation", 36), (0.95, 1e6, 40, "aic", 39),
-    (1.0, 0.0, 40, "validation", 42), (1.0, 0.0, 40, "aic", 19),
+    (1.0, 0.0, 40, "validation", 42),
     (0.0, 0.0, 400, "validation", 2), (0.0, 0.0, 400, "aic", 1),
     (0.95, 0.0, 400, "aic", 1),
 ]
@@ -258,6 +257,40 @@ def test_direct_fit_counts_match_per_length_eigenvalues(
 ):
     select_length(*ar_input_series(phi, offset), max_length, criterion)
     assert len(fitted_lengths) == count
+
+
+def test_random_walk_aic_direct_fit_count(fitted_lengths):
+    # Per-length eigenvalues fit 19 lengths here; the shared bound, which
+    # only a failed rank test replaces, leaves one more band reaching the
+    # best.  A looser band can only add direct fits, never change the model.
+    x, y = ar_input_series(1.0, 0.0)
+    model = select_length(x, y, 40, "aic")
+    assert len(fitted_lengths) == 20
+    want = select_length_loop(x, y, 40, "aic", "infer")
+    assert json.dumps(model_to_dict(model)) == json.dumps(want)
+
+
+@pytest.mark.parametrize("criterion, passes", [("aic", 1), ("validation", 2)])
+@pytest.mark.parametrize("series", ["tie", "random-walk"])
+def test_each_row_set_is_summed_once(monkeypatch, series, criterion, passes):
+    # aic sums its fitted rows once; validation sums its training rows and
+    # its held-out rows once each.  Every other length is scored from those
+    # sums or fitted directly, never summed again.
+    calls = []
+    real = equalizer._lagged_sums
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(equalizer, "_lagged_sums", spy)
+    if series == "tie":  # the near-tie test's input
+        x = np.random.default_rng(5).standard_normal(300)
+        case = x, 2.0 * x + 1.0, 6
+    else:
+        case = *ar_input_series(1.0, 0.0), 40
+    select_length(*case, criterion)
+    assert len(calls) == passes
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -285,13 +318,13 @@ def check_shared_bound_below_own_eigenvalues(monkeypatch, x, y, max_length, mode
     pairs = []
     real = equalizer._length_bounds
 
-    def spy(gram, sums, rhs, ysum, yy, m, c, held, lam, own):
+    def spy(gram, sums, rhs, ysum, yy, m, c, held, lam):
         k = sums.size
         cgram = gram - np.outer(sums, sums) / m
         if np.isfinite(cgram).all():
             eta = 4 * (m + k * k) * np.finfo(float).eps * np.trace(gram)
             pairs.append((lam, np.linalg.eigvalsh(cgram)[0] + eta))
-        return real(gram, sums, rhs, ysum, yy, m, c, held, lam, own)
+        return real(gram, sums, rhs, ysum, yy, m, c, held, lam)
 
     monkeypatch.setattr(equalizer, "_length_bounds", spy)
     n, shift = x.size, int(mode == "predict")
