@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equalizer import _centered_lstsq, _window_span, _windows
+from .equalizer import _lagged_sums, _solve_loaded, _window_span
 
 METHODS = ("ols", "bayes")
 
@@ -68,24 +68,34 @@ def _as_matrix(xs) -> np.ndarray:
     return x
 
 
-def _design(x: np.ndarray, lag: int) -> np.ndarray:
-    """Rows y-index t = lag..T-1; columns (channel, lag) with newest first."""
-    return np.hstack([_windows(xm, lag) for xm in x])
-
-
-def _prepare(xs, y, common_lag: int):
-    """Validate a fit's inputs; return its design and the targets it regresses."""
+def _prepare(xs, y, lag: int):
+    """Validate a fit's inputs; return its centred normal equations, from
+    :func:`_lagged_sums` of the series shifted by their means, and
+    ``finish(coef) -> (intercept, residual MSE)``, by ``np.convolve``."""
     x = _as_matrix(xs)
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size != x.shape[1]:
         raise ValueError("target must be a series matching the inputs' length")
-    if common_lag < 0:
+    if lag < 0:
         raise ValueError("lag must be >= 0")
-    if x.shape[1] <= common_lag + 1:
-        raise ValueError(
-            f"insufficient data: {x.shape[1]} samples cannot fit lag {common_lag}"
-        )
-    return _design(x, common_lag), y[common_lag:]
+    if x.shape[1] <= lag + 1:
+        raise ValueError(f"insufficient data: {x.shape[1]} samples cannot fit lag {lag}")
+    # Overflows are silent: _solve_loaded, then the models, refuse what is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        means, c = x.mean(axis=1), float(y[lag:].mean())
+        xc, yc = x - means[:, None], y - c
+        gram, sums, rhs, ysum, _, m, _ = _lagged_sums(xc, yc, lag, y.size - 1, lag + 1, 0)
+        cgram, crhs = gram - sums[:, None] * sums / m, rhs - sums * (ysum / m)
+
+    def finish(coef):
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = (ysum - coef @ sums) / m  # intercept of the centred fit
+            w = coef.reshape(x.shape[0], -1)
+            est = sum(np.convolve(xm, wm, "valid") for xm, wm in zip(xc, w))
+            mse = float(np.mean((yc[lag:] - b - est) ** 2))
+            return c + b - float(w.sum(axis=1) @ means), mse
+
+    return cgram, crhs, finish
 
 
 def fit_ols(xs, y, common_lag: int) -> LinearModel:
@@ -94,7 +104,9 @@ def fit_ols(xs, y, common_lag: int) -> LinearModel:
     Rank-deficient designs (collinear channels) are diagonally loaded and
     flagged ``degenerate``.
     """
-    coef, intercept, mse, degenerate = _centered_lstsq(*_prepare(xs, y, common_lag))
+    cgram, crhs, finish = _prepare(xs, y, common_lag)
+    coef, degenerate = _solve_loaded(cgram, crhs)
+    intercept, mse = finish(coef)
     return LinearModel(coef, intercept, common_lag, mse, "ols", degenerate)
 
 
@@ -113,15 +125,16 @@ def fit_bayes(
     """
     if not prior_variance > 0:  # NaN fails too; +inf is the flat prior, i.e. OLS
         raise ValueError("prior variance must be positive")
-    a, targets = _prepare(xs, y, common_lag)
+    cgram, crhs, finish = _prepare(xs, y, common_lag)
     if noise_variance is None:
-        noise_variance = _centered_lstsq(a, targets)[2]
+        noise_variance = finish(_solve_loaded(cgram, crhs)[0])[1]
     if not 0 <= noise_variance < np.inf:
         raise ValueError("noise variance must be finite and nonnegative")
     penalty = noise_variance / prior_variance
     if not np.isfinite(penalty):
         raise ValueError("noise variance / prior variance overflows; raise the prior variance")
-    coef, intercept, mse, degenerate = _centered_lstsq(a, targets, penalty)
+    coef, degenerate = _solve_loaded(cgram, crhs, penalty)
+    intercept, mse = finish(coef)
     return LinearModel(coef, intercept, common_lag, mse, "bayes", degenerate)
 
 
@@ -139,8 +152,10 @@ def predict_series(model: LinearModel, xs, indices) -> np.ndarray:
     if idx.size == 0:
         return np.zeros(0)
     span, at = _window_span(idx, x.shape[1], model.common_lag)
-    rows = _design(x[:, span], model.common_lag)[at]
-    return model.intercept + rows @ model.coefficients
+    w = model.coefficients.reshape(x.shape[0], -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = sum(np.convolve(xm, wm, "valid") for xm, wm in zip(x[:, span], w))
+        return model.intercept + est[at]
 
 
 def linear_model_to_dict(model: LinearModel) -> dict:

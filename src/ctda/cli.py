@@ -323,7 +323,8 @@ def cmd_baseline(args) -> None:
     start = split if split < n else args.lag
     _check_memory(  # before any fit
         f"baseline: --lag {args.lag} on {xs.shape[0]} input(s) of {n} rows",
-        _baseline_bytes(max(split - args.lag, n - start), xs.shape[0] * (args.lag + 1)),
+        _baseline_bytes(max(split - args.lag, n - start), xs.shape[0] * (args.lag + 1),
+                        xs.shape[0]),
     )
     if args.method == "ols":
         model = fit_ols(xs[:, :split], y[:split], args.lag)
@@ -457,15 +458,15 @@ def cmd_sweep(args) -> None:
 SWEEP_BYTES_PER_PIXEL = 12
 
 
-def _baseline_bytes(rows: int, k: int) -> int:
-    """Estimated peak of a baseline's fit or predictions over ``rows``
-    design rows of ``k`` = inputs * (lag + 1) columns."""
-    # float64 cells: the design and its centred copy, three row vectors
-    # (targets, residuals, their squares) and three (k, k) matrices (the
-    # Gram, its loaded copy, LAPACK's copy).  tracemalloc read 0.996-1.002
-    # times this from 0.4 to 72 MB (lag 0 to 500, 1 to 4 inputs), plus at
-    # most 50 KB of small objects, which the 256 KiB covers.
-    return 8 * (rows * (2 * k + 3) + 3 * k * k) + 2**18
+def _baseline_bytes(rows: int, k: int, inputs: int = 0) -> int:
+    """Estimated peak of a baseline over ``rows`` window rows of ``k`` =
+    inputs * (lag + 1) columns; ``inputs`` = 0 means ``k`` of them (lag 0)."""
+    # float64 cells: four (k, k) matrices (a rank-deficient solve holds the
+    # centred Gram, np.eye, the loaded Gram and the sum LAPACK solves), the
+    # inputs shifted by their means (under inputs * (rows + k)) and six row
+    # vectors.  tracemalloc read 0.04-0.998 times this from 0.01 to 129 MB (n
+    # = 300 to 20,000, lag 0 to 500, 1 to 4 inputs), the most where k^2 leads.
+    return 8 * (4 * k * k + (inputs or k) * (rows + k) + 6 * rows) + 2**18
 
 
 def _fit_bytes(n: int, taps: int) -> int:

@@ -327,7 +327,11 @@ def local_mi_approx(p_u, psis, delta: float) -> float:
         raise ValueError("directions must be finite")
     if not 0 <= delta < np.inf:
         raise ValueError("delta must be finite and nonnegative")
-    return float(0.5 * delta * np.sum(pu * np.sum(rows**2, axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(0.5 * delta * np.sum(pu * np.sum(rows**2, axis=1)))
+    if not np.isfinite(value):
+        raise ValueError("local MI overflows float64; rescale the directions or delta")
+    return value
 
 
 @dataclass(frozen=True, eq=False)

@@ -335,16 +335,19 @@ def align(series: Sequence[TimeSeries], policy: str = "inner"):
         raise ValueError("alignment needs at least two series")
     if policy not in ALIGN_POLICIES:
         raise ValueError(f"unknown alignment policy {policy!r}")
+    shared = series[0].timestamps
+    if all(np.array_equal(s.timestamps, shared) for s in series[1:]):  # one clock: no merge
+        return shared.copy(), np.vstack([s.values for s in series])
     if policy == "inner":
-        shared = series[0].timestamps
         for s in series[1:]:
             shared = np.intersect1d(shared, s.timestamps, assume_unique=True)
         if shared.size == 0:
             raise ValueError("series share no timestamps under inner alignment")
     else:
         start = max(int(s.timestamps[0]) for s in series)
-        shared = np.unique(np.concatenate([s.timestamps for s in series]))
+        shared = np.sort(np.concatenate([s.timestamps for s in series]), kind="stable")
         shared = shared[shared >= start]
+        shared = shared[np.append(True, shared[1:] != shared[:-1])]  # drop repeats
     rows = []
     for s in series:
         # index of the last observation at or before each shared timestamp;

@@ -94,32 +94,13 @@ def _solve_loaded(gram: np.ndarray, rhs: np.ndarray, penalty: float = 0.0):
     return np.linalg.solve(gram + penalty * eye, rhs), degenerate
 
 
-def _centered_lstsq(a: np.ndarray, targets: np.ndarray, penalty: float = 0.0):
-    """Affine least squares of ``targets`` on the columns of ``a`` (ridge
-    ``penalty`` on the slopes); returns ``(coef, intercept, mse, degenerate)``.
-
-    Columns and targets are centered by their means over the rows actually
-    regressed on, so noiseless affine data is recovered exactly.
-    """
-    # Overflows are silent: _solve_loaded, then the models, refuse what is not finite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        col_means = a.mean(axis=0)
-        target_mean = float(targets.mean())
-        ac = a - col_means
-        tc = targets - target_mean
-        coef, degenerate = _solve_loaded(ac.T @ ac, ac.T @ tc, penalty)
-        residuals = tc - ac @ coef
-        intercept = target_mean - float(coef @ col_means)
-        mse = float(np.mean(residuals**2))
-    return coef, intercept, mse, degenerate
-
-
 def fit_weights(x, y, length: int, mode: str = "infer") -> EqualizerModel:
     """Least-squares tap weights for a fixed model length.
 
-    Solves the normal equations on mean-centered data over every index with
-    a full window.  Rank-deficient Gram matrices (constant or collinear
-    inputs) are diagonally loaded and flagged ``degenerate``.
+    Solves the normal equations over every index with a full window,
+    centred over those rows (noiseless affine data is recovered exactly).
+    Rank-deficient Gram matrices (constant or collinear inputs) are
+    diagonally loaded and flagged ``degenerate``.
     """
     x, y = _check_series(x, y)
     if length < 0:
@@ -131,21 +112,18 @@ def fit_weights(x, y, length: int, mode: str = "infer") -> EqualizerModel:
         raise ValueError(
             f"insufficient data: {n} samples cannot fit length {length}"
         )
-    with np.errstate(over="ignore"):  # an overflowed mean fails in _solve_loaded
-        mean_x = float(x.mean())
     shift = _lead(mode)
-    a = _windows(x - mean_x, length)[: n - length - shift]
-    targets = y[length + shift :]
-    weights, mean_y, training_mse, degenerate = _centered_lstsq(a, targets)
-    return EqualizerModel(
-        length=length,
-        weights=weights,
-        mean_x=mean_x,
-        mean_y=mean_y,
-        training_mse=training_mse,
-        mode=mode,
-        degenerate=degenerate,
-    )
+    # Overflows are silent: _solve_loaded, then the model, refuse what is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_x = float(x.mean())
+        a = _windows(x - mean_x, length)[: n - length - shift]
+        col_means, mean_y = a.mean(axis=0), float(y[length + shift :].mean())
+        ac, tc = a - col_means, y[length + shift :] - mean_y
+        weights, degenerate = _solve_loaded(ac.T @ ac, ac.T @ tc)
+        mean_y -= float(weights @ col_means)
+        training_mse = float(np.mean((tc - ac @ weights) ** 2))
+    return EqualizerModel(length, weights, mean_x, mean_y, training_mse, mode=mode,
+                          degenerate=degenerate)
 
 
 def infer(model: EqualizerModel, x, n: int) -> float:
@@ -210,18 +188,38 @@ def _validation_mse(model: EqualizerModel, x, y, start: int) -> float:
         return float(np.mean((y[start:] - est) ** 2))
 
 
-def _lagged_sums(xc: np.ndarray, yc: np.ndarray, first: int, last: int, taps: int,
-                 shift: int):
-    """Sums over the windows of ``taps`` samples ending at ``first .. last``
-    (newest sample first) paired with targets ``yc[end + shift]``: the Gram
-    matrix, column sums, right-hand side, target sum, target sum of squares
-    and row count."""
-    a = np.ascontiguousarray(_windows(xc[first - taps + 1 : last + 1], taps - 1))
-    t = yc[first + shift : last + 1 + shift]
-    return a.T @ a, a.sum(axis=0), a.T @ t, float(t.sum()), float(t @ t), t.size
+def _lagged_sums(xs, yc: np.ndarray, first: int, last: int, taps: int, shift: int):
+    """Sums over the windows of ``taps`` samples of each series in ``xs``
+    ending at ``first .. last`` (newest sample first, one block of columns
+    per series) paired with targets ``yc[end + shift]``: the Gram matrix,
+    column sums, right-hand side, target sum, target sum of squares, row
+    count and ``tails``, twice the energy of the ``i`` samples ending at
+    ``last`` for column ``i``, which widens its rounding (see _mse_bounds).
+
+    O(rows * taps) per pair of series, by the covariance method (Morf,
+    Dickinson, Kailath and Vieira, IEEE Trans. ASSP 1977): ``np.correlate``
+    gives each pair's first Gram row and column, and every other entry steps
+    down its diagonal, ``G[i+1, j+1] = G[i, j] + x_a[first-1-i] x_b[first-1-j]
+    - x_a[last-i] x_b[last-j]``, as do the column sums."""
+    xs = np.atleast_2d(xs)
+    n_ch, k = xs.shape[0], taps
+    span = xs[:, first - k + 1 : last + 1]  # every sample the windows read
+    ends, t = span[:, k - 1 :], yc[first + shift : last + 1 + shift]
+    enter, leave = span[:, : k - 1][:, ::-1], span[:, ::-1][:, : k - 1]
+    row0 = np.array([[np.correlate(b, a)[::-1] for b in span] for a in ends])  # [a, b, j]
+    gram = np.empty((n_ch, k, n_ch, k))  # [a, i, b, j]: x_a lag i times x_b lag j
+    gram[:, 0], gram[:, :, :, 0] = row0, row0.transpose(1, 2, 0)
+    for i in range(k - 1):
+        step = enter[:, i, None, None] * enter - leave[:, i, None, None] * leave
+        np.add(gram[:, i, :, :-1], step, out=gram[:, i + 1, :, 1:])
+    sums = np.cumsum(np.column_stack([ends.sum(axis=1), enter - leave]), axis=1)
+    tails = 2 * np.cumsum(np.column_stack([np.zeros(n_ch), leave * leave]), axis=1)
+    rhs = np.array([np.correlate(a, t)[::-1] for a in span])
+    return (gram.reshape(n_ch * k, n_ch * k), sums.ravel(), rhs.ravel(), float(t.sum()),
+            float(t @ t), t.size, tails.ravel())
 
 
-def _length_bounds(gram, sums, rhs, ysum, yy, m, c, held, lam):
+def _length_bounds(gram, sums, rhs, ysum, yy, m, c, held, lam, tails):
     """``(lo, hi)`` for the length whose sums these are, or None when only a
     direct fit can say what it scores.  ``lam`` is a lower bound on the
     exact centred Gram's smallest eigenvalue; the Gram's own eigenvalues
@@ -232,7 +230,7 @@ def _length_bounds(gram, sums, rhs, ysum, yy, m, c, held, lam):
     crhs = rhs - sums * (ysum / m)
     if not (np.isfinite(cgram).all() and np.isfinite(crhs).all()):
         return None
-    trace = float(gram.trace())
+    trace = float(gram.trace() + tails.sum())
     eta = 4 * (m + k * k) * eps * trace
     lamax = float(cgram.trace()) + eta
     if not lam > 2 * eta + 2 * k * eps * lamax:
@@ -244,7 +242,7 @@ def _length_bounds(gram, sums, rhs, ysum, yy, m, c, held, lam):
     b = (ysum - w @ sums) / m  # intercept minus c
     g = (m + k + 6) * eps
     raw_y = np.sqrt(yy) + np.sqrt(m) * abs(c)
-    wd = np.abs(w) @ np.sqrt(gram.diagonal())
+    wd = np.abs(w) @ np.sqrt(gram.diagonal() + tails)
     eta_r = 4 * g * np.sqrt(trace) * (np.sqrt(yy) + g * raw_y)
     dw = 2 * (eta * np.linalg.norm(w) + eta_r) / (lam - eta)
     if held is None:
@@ -253,16 +251,16 @@ def _length_bounds(gram, sums, rhs, ysum, yy, m, c, held, lam):
         band = 8 * g * e * (e + r) + 2 * (g * r) ** 2 + 4 * dw * dw * lamax
         band /= m
     else:
-        vgram, vsums, vrhs, vysum, vyy, mv = held
+        vgram, vsums, vrhs, vysum, vyy, mv, vtails = held
         vgram, vsums, vrhs = vgram[:k, :k], vsums[:k], vrhs[:k]
         mse = (
             w @ vgram @ w + 2 * b * (w @ vsums) + b * b * mv
             - 2 * (w @ vrhs) - 2 * b * vysum + vyy
         ) / mv
-        dv = np.sqrt(vgram.diagonal())
+        dv = np.sqrt(vgram.diagonal() + vtails[:k])
         db = 2 * g * (raw_y + wd) / np.sqrt(m) + 4 * eps * (abs(b) + abs(c))
         delta = dw * np.linalg.norm(dv) + np.sqrt(mv) * (db + dw * np.sqrt(trace / m))
-        e = np.abs(w) @ dv + np.sqrt(mv) * abs(b) + np.sqrt(vyy) + delta
+        e = np.abs(w) @ dv + np.sqrt(mv + 2 * k) * abs(b) + np.sqrt(vyy) + delta
         r = e + np.sqrt(mv) * abs(c)
         gv = (mv + 2 * k + 6) * eps
         band = 8 * gv * e * (e + r) + 2 * (gv * r) ** 2 + 4 * e * delta + 2 * delta**2
@@ -296,21 +294,30 @@ def _mse_bounds(xc, yc, c, last, max_length, shift, held=None):
     # the sum of its terms' magnitudes (Higham, "Accuracy and Stability of
     # Numerical Algorithms", 2nd ed., sec. 3.1).  By Cauchy-Schwarz each such
     # magnitude sum is at most a product of column norms d_i = sqrt(G_ii),
-    # target norms and sqrt(rows).  Every constant below but eta is at least
-    # twice what its term needs; that slack absorbs the second-order terms.
-    # The running sums add a length's rows to the shared sums one at a time:
-    # each entry is still a sum of the same terms, so all of this holds.
+    # target norms and sqrt(rows).  Every constant below but eta and db is
+    # at least twice what its term needs; that slack absorbs the
+    # second-order terms.  A band needs a regular C (lam > 0), so m > k.
+    # - The sums' terms.  _lagged_sums correlates the right-hand side and the
+    #   first Gram row over the m rows; other Gram entries and column sums
+    #   step down a diagonal, adding the entering sample and subtracting the
+    #   leaving one, and the running updates add rows.  So entry (i, j) sums
+    #   at most m + 2k terms over t = L - i .. last, the last i twice, whose
+    #   magnitudes add up to at most D_i D_j, D_i^2 = d_i^2 + tails[i]; a
+    #   column sum's to sqrt(m + 2k) D_i.  Below, d_i and trace(G) use D_i.
     # - eta: per computation, the largest 2-norm distance from the exact
     #   centred Gram C to a matrix whose exact eigenvalues, singular values
     #   or solution it returns.  Forming and centring the Gram errs by at
-    #   most (3 gamma_(m+1) + 5 u) d_i d_j per entry, so (3 m + 8) u trace(G)
-    #   in norm (the d_i d_j matrix has Frobenius norm trace(G)).  LAPACK's
-    #   eigen, SVD and LU routines add a backward error p(k) u |C| with p
-    #   only called "modestly growing" in the LAPACK Users' Guide (the LU
-    #   worst case is O(k^3) times the pivot growth).  eta = 8 (m + k^2) u
-    #   trace(G) leaves p(k) <= 5 m + 8 k^2 - 8.  That is an assumption,
-    #   checked by tests/test_select_length.py at the benchmark's size
-    #   (n = 20,000, max_length = 40).
+    #   most (gamma_(m+2k) (1 + 2 sqrt(1 + 2k/m)) + 5 u) d_i d_j per entry,
+    #   under (3 m + 12 k + 5) u d_i d_j when m > k (the direct path's
+    #   3 gamma_(m+1) + 5 u is less), so under that times trace(G) in norm
+    #   (the d_i d_j matrix has Frobenius norm trace(G)).  LAPACK's eigen,
+    #   SVD and LU routines add a backward error p(k) u |C| with p only
+    #   called "modestly growing" in the LAPACK Users' Guide (the LU worst
+    #   case is O(k^3) times the pivot growth).  eta = 8 (m + k^2) u trace(G)
+    #   leaves p(k) <= 5 m + 8 k^2 - 12 k - 5 (when m <= k too, but for
+    #   m = k = 1, where C = 0 exactly).  That is an assumption, checked by
+    #   tests/test_select_length.py at the benchmark's size (n = 20,000,
+    #   max_length = 40).
     # - lam <= lambda_min(C) and lamax >= lambda_max(C).  Length L's rows,
     #   the window ends L .. last, include the shared ends max_length ..
     #   last, and its k columns are the shared windows' leading k.  A row r
@@ -330,40 +337,43 @@ def _mse_bounds(xc, yc, c, last, max_length, shift, held=None):
     #   singular value exceeds k eps times its largest; these lie within eta
     #   of [lam, lamax] (Weyl), hence the test lam > 2 eta + 2 k eps lamax.
     # - eta_r: per computation, the right-hand side's error, 3 gamma_(m+1)
-    #   d_i |yc| per entry, plus in the direct path the target mean's error
+    #   d_i |yc| per entry ((3 m + 5 k + 3) u d_i |yc| through the Gram
+    #   path's column sums), plus in the direct path the target mean's error
     #   (gamma_m raw_y / sqrt(m), raw_y counting the offset c) times the sum
     #   of the rounded centred column (gamma_m sqrt(m) d_i).
     # - dw: a solution of (C + E) w = rhs + f, |E| <= eta, |f| <= eta_r, lies
     #   within (eta |w| + eta_r) / lambda_min(C + E) of the exact one.
     #   Summing both computations' distances bounds their weights' distance
     #   by 2 (eta |w| + eta_r) / (lam - eta).
-    # - db: each intercept sums m targets and m-row columns
-    #   (gamma_(m+k) (raw_y + wd) / sqrt(m)) and rounds one subtraction
-    #   (u (|b| + |c|)); the weights' distance moves it by at most
-    #   dw |mean column| <= dw sqrt(trace / m).
+    # - db: each intercept sums m targets and m-row columns (gamma_(m+k)
+    #   (raw_y + wd) / sqrt(m); (m + 5 k) u times that through the Gram
+    #   path's column sums, under 2 g but not twice over when m < 3 k) and
+    #   rounds one subtraction (u (|b| + |c|)); the weights' distance moves
+    #   it by at most dw |mean column| <= dw sqrt(trace / m).
     # - training band, on m times the MSE: the training MSE is stationary in
     #   the weights, so the two fits' exact scores differ by at most
     #   dw^2 lamax, and the direct path's rounded target mean adds
     #   m (gamma_m r / sqrt(m))^2, with r = raw_y + wd.  Evaluating either
-    #   score errs by at most gamma_(m+k+2) e^2, e = 2 (wd + |yc|).
+    #   score errs by at most gamma_(m+3k+2) e^2, e = 2 (wd + |yc|).
     # - held-out band, on mv times the MSE: e bounds either fit's residual
     #   norm on the held rows and r adds the offset the direct path's
     #   uncentred estimates carry.  The quadratic form here errs by
-    #   gamma_(mv+2k+8) e^2 (its six sums' magnitudes add up to e^2).  The
-    #   direct path errs by at most gamma_(k+1) 2 r per residual in norm, so
-    #   by gv e r + (gv r)^2 + gamma_(mv+1) e^2 in the sum of squares.  The
-    #   score is linear in the parameters here: the two fits' residuals
-    #   differ by at most delta in norm, so their sums of squares by
-    #   2 e delta + delta^2.
+    #   gamma_(mv+4k+8) e^2 (with the held rows' D_i, and sqrt(mv + 2k) |b|,
+    #   its six sums' magnitudes add up to e^2).  The direct path errs by at
+    #   most gamma_(k+1) 2 r per residual in norm, so by gv e r + (gv r)^2 +
+    #   gamma_(mv+1) e^2 in the sum of squares.  The score is linear in the
+    #   parameters here: the two fits' residuals differ by at most delta in
+    #   norm, so their sums of squares by 2 e delta + delta^2.
     eps = np.finfo(float).eps
     taps = max_length + 1
     lo = np.full(taps, -np.inf)
     hi = np.full(taps, np.inf)
-    gram, sums, rhs, ysum, yy, m = _lagged_sums(xc, yc, max_length, last, taps, shift)
+    gram, sums, rhs, ysum, yy, m, tails = _lagged_sums(xc, yc, max_length, last, taps, shift)
     cgram = gram - sums[:, None] * sums / m
     lam = -np.inf
     if np.isfinite(cgram).all():
-        lam = np.linalg.eigvalsh(cgram)[0] - 4 * (m + taps * taps) * eps * float(gram.trace())
+        trace = float(gram.trace() + tails.sum())
+        lam = np.linalg.eigvalsh(cgram)[0] - 4 * (m + taps * taps) * eps * trace
     del cgram  # only the eigvalsh reads it
     for length in range(max_length, -1, -1):
         k = length + 1
@@ -373,7 +383,8 @@ def _mse_bounds(xc, yc, c, last, max_length, shift, held=None):
             sums[:k] += row
             rhs[:k] += row * t
             ysum, yy, m = ysum + t, yy + t * t, m + 1
-        bounds = _length_bounds(gram[:k, :k], sums[:k], rhs[:k], ysum, yy, m, c, held, lam)
+        bounds = _length_bounds(gram[:k, :k], sums[:k], rhs[:k], ysum, yy, m, c, held, lam,
+                                tails[:k])
         if bounds:
             lo[length], hi[length] = bounds
     return lo, hi
@@ -414,16 +425,16 @@ def select_length(
     ``n * ln(mse) + 2 (L + 1)``, on the full data.  Ties go to the smallest
     length.
 
-    Cost: one lagged Gram pass over the fitted rows (and one over the
-    held-out rows under ``validation``) and one eigen-decomposition per
-    series, plus one small solve per length, O(max_length**4) in all (the
-    covariance method of linear prediction).  Every candidate gets a
-    rounding band around its Gram score; :func:`_first_minimum` fits the
-    direct way (:func:`fit_weights`) only those whose band reaches the
-    smallest upper bound or that have no band (a close rank check), so the
-    choice is the one that refitting every length would make.  The winner
-    is always fitted the direct way.  A series whose every score
-    overflows float64 raises ``ValueError``.
+    Cost: one O(n * max_length) pass of lagged sums over the fitted rows
+    (and one over the held-out rows under ``validation``) and one
+    eigen-decomposition per series, plus one small solve per length,
+    O(max_length**4) in all.  Every candidate gets a rounding band around
+    its Gram score; :func:`_first_minimum` fits the direct way
+    (:func:`fit_weights`) only those whose band reaches the smallest upper
+    bound or that have no band (a close rank check), so the choice is the
+    one that refitting every length would make.  The winner is always
+    fitted the direct way.  A series whose every score overflows float64
+    raises ``ValueError``.
     """
     x, y = _check_series(x, y)
     if max_length < 0:
@@ -474,7 +485,10 @@ def select_length(
 
 def default_lms_step(x) -> float:
     """Conventional step size ``0.01 / var(x)`` for stable adaptation."""
-    var = float(np.var(np.asarray(x, dtype=float)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = float(np.var(np.asarray(x, dtype=float)))
+    if not np.isfinite(var):
+        raise ValueError("the series' variance overflows float64; rescale the series")
     if var == 0:
         raise ValueError("cannot scale an LMS step for a constant series")
     return 0.01 / var

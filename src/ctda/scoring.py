@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -388,6 +387,8 @@ def error_vs_noise_curve(
     )
     if workers == 1:  # serial: a one-thread pool raised `images` peak RSS 60.7 -> 64.6 MB
         return list(map(point, range(len(grid)), grid))
+    from concurrent.futures import ThreadPoolExecutor  # costs ctda.cli's start-up 4-7 ms
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(point, range(len(grid)), grid))
 

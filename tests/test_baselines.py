@@ -312,3 +312,49 @@ class TestOverflowingMagnitudes:
         with pytest.raises(ValueError, match="normal equations overflow float64"):
             fit_ols(1e300 * x, x[0], 1)
         assert "DLASCL" not in capfd.readouterr().err
+
+
+# The fits build their normal equations from lagged sums and their residuals
+# and predictions by convolution; before, they centred an explicit design.
+# That design path is kept here as the oracle.  The two round differently,
+# so they agree to DESIGN_TOL times the largest magnitude involved (measured:
+# about 1e-14 on the benchmark's inputs, with or without a 1e6 offset).
+DESIGN_TOL = 1e-12
+
+
+def design_path(xs, y, lag, noise_variance=None, prior_variance=1.0):
+    """``(coefficients, intercept, residual MSE)`` from the centred explicit
+    design; ridge when ``noise_variance`` is given, else OLS."""
+    rows, targets = joint_lag_design(xs, y, lag)
+    col_means, target_mean = rows.mean(axis=0), targets.mean()
+    ac, tc = rows - col_means, targets - target_mean
+    penalty = 0.0 if noise_variance is None else noise_variance / prior_variance
+    coef = np.linalg.solve(ac.T @ ac + penalty * np.eye(rows.shape[1]), ac.T @ tc)
+    return coef, target_mean - coef @ col_means, np.mean((tc - ac @ coef) ** 2)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_benchmark_shaped_fits_match_the_design_path(offset):
+    # series_batch's shape: four white inputs of 20,000 rows, each through
+    # its own FIR, plus noise; lag 10 fitted on the first 80 %
+    rng = np.random.default_rng(15)
+    taps = ([0.9, -0.4, 0.25], [0.5, 0.3, -0.2, 0.1], [-0.6, 0.2], [0.3, 0.3, -0.3, 0.2])
+    x = rng.standard_normal((4, 20_000))
+    y = sum(np.convolve(xm, c)[:20_000] for xm, c in zip(x, taps))
+    x, y = x + offset, y + 0.5 * rng.standard_normal(20_000) + offset
+    split, scale = 16_000, np.abs(y).max()
+    ols_coef, ols_intercept, ols_mse = design_path(x[:, :split], y[:split], 10)
+    want = {
+        "ols": (ols_coef, ols_intercept, ols_mse),
+        "bayes": design_path(x[:, :split], y[:split], 10, noise_variance=ols_mse),
+    }
+    for method, fit in (("ols", fit_ols), ("bayes", fit_bayes)):
+        model = fit(x[:, :split], y[:split], 10)
+        coef, intercept, mse = want[method]
+        assert np.abs(model.coefficients - coef).max() <= DESIGN_TOL * max(1, np.abs(coef).max())
+        assert abs(model.intercept - intercept) <= DESIGN_TOL * scale
+        assert model.residual_mse == pytest.approx(mse, rel=DESIGN_TOL)
+        rows, _ = joint_lag_design(x[:, split - 10 :], y[split - 10 :], 10)
+        got = predict_series(model, x, np.arange(split, 20_000))
+        want_pred = rows @ model.coefficients + model.intercept
+        assert np.abs(got - want_pred).max() <= DESIGN_TOL * scale

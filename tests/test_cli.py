@@ -170,6 +170,17 @@ class TestParserHelpers:
         assert args.p_a == [0.7, 0.1, 0.1, 0.1]
         assert args.p_b == [0.1, 0.1, 0.1, 0.7]
 
+    def test_start_up_imports_no_thread_pool_or_logging(self):
+        # a fresh interpreter: this one has imported both long ago
+        code = ("import sys, ctda.cli; ctda.cli.build_parser(); "
+                "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert run.stdout == "[]\n"
+
 
 def csv_writer_predictions(path, timestamps, iso, y_true, y_hat):
     """The predictions file as ``csv.writer`` writes it, one row at a time."""
@@ -987,7 +998,7 @@ class TestBaselineFootprint:
     def test_estimate_counts_design_rows_gram_and_overhead(self, two_channel_files, tmp_path,
                                                            monkeypatch, spare):
         # lag 5 on 2 inputs: k = 12 columns; 475 fit rows beat 120 scored rows
-        need = 8 * (475 * (2 * 12 + 3) + 3 * 12 * 12) + 2**18
+        need = 8 * (4 * 12 * 12 + 2 * (475 + 12) + 6 * 475) + 2**18
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need + spare}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         argv = self.argv(two_channel_files, tmp_path / "base.csv", 5)
@@ -1015,6 +1026,26 @@ class TestBaselineFootprint:
             tracemalloc.stop()
         scored = n - (split if split < n else lag)
         assert peak <= cli._baseline_bytes(max(split - lag, scored), inputs * (lag + 1))
+
+    @pytest.mark.parametrize("method", ["ols", "bayes"])
+    @pytest.mark.parametrize("n, inputs, lag, frac", [
+        (600, 2, 5, 0.8), (1000, 4, 200, 0.8), (20000, 4, 0, 1.0), (20000, 8, 1, 0.8),
+    ])
+    def test_a_baseline_peaks_within_the_estimate_for_its_inputs(self, n, inputs, lag, frac,
+                                                                  method):
+        # what cmd_baseline checks: the estimate given the number of inputs
+        rng = np.random.default_rng(4)
+        xs, y = rng.standard_normal((inputs, n)), rng.standard_normal(n)
+        split = int(frac * n)
+        baseline_job(xs, y, lag, split, method)
+        tracemalloc.start()
+        try:
+            baseline_job(xs, y, lag, split, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = max(split - lag, n - (split if split < n else lag))
+        assert peak <= cli._baseline_bytes(rows, inputs * (lag + 1), inputs)
 
 
 @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="needs os.sysconf")

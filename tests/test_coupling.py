@@ -286,6 +286,12 @@ class TestLocalMi:
     def test_zero_directions(self):
         assert local_mi_approx(uniform_distribution(2), np.zeros((2, 4)), 1e-3) == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_value_says_to_rescale(self):
+        # the squared directions overflow float64: the value was inf
+        with pytest.raises(ValueError, match="overflows float64; rescale"):
+            local_mi_approx(uniform_distribution(2), 1e200 * np.ones((2, 2)), 1e200)
+
     def test_binary_unit_value_vs_exact(self):
         psi = np.array([SQ2, -SQ2])
         delta = 1e-4

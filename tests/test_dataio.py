@@ -1624,6 +1624,46 @@ def aligned_inputs(draw):
     return series, draw(st.sampled_from(ALIGN_POLICIES))
 
 
+@st.composite
+def one_clock_inputs(draw):
+    """2-4 series on copies of one clock, or on that clock with rows dropped
+    from some series (each keeps its first and last row)."""
+    gaps = draw(st.lists(st.integers(1, 4), max_size=30))
+    clock = draw(st.integers(-(10**12), 10**12)) + np.cumsum([0] + gaps)
+    series = []
+    for i in range(draw(st.integers(2, 4))):
+        keep = np.ones(clock.size, dtype=bool)
+        if draw(st.booleans()):
+            inner = max(clock.size - 2, 0)
+            keep[1:-1] = draw(st.lists(st.booleans(), min_size=inner, max_size=inner))
+        rows = int(keep.sum())
+        values = draw(st.lists(st.floats(-1e6, 1e6), min_size=rows, max_size=rows))
+        series.append(TimeSeries(f"s{i}", clock[keep], values))
+    return series, draw(st.sampled_from(ALIGN_POLICIES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_clock_inputs())
+def test_align_on_shared_and_gappy_clocks_matches_the_scan(case):
+    series, policy = case
+    want_ts, want_rows = align_loop([(s.timestamps, s.values) for s in series], policy)
+    ts, mat = align(series, policy)
+    assert ts.tolist() == want_ts
+    assert mat.tolist() == want_rows
+    assert not any(np.shares_memory(ts, s.timestamps) for s in series)
+
+
+@pytest.mark.parametrize("policy", ALIGN_POLICIES)
+def test_one_clock_is_returned_as_a_copy(policy):
+    clock = np.arange(5, dtype=np.int64)
+    series = [TimeSeries(f"s{i}", clock, np.arange(5.0) + i) for i in range(3)]
+    ts, mat = align(series, policy)
+    ts[0] = 99
+    assert series[0].timestamps[0] == 0
+    assert mat.tolist() == [[0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0, 5.0],
+                            [2.0, 3.0, 4.0, 5.0, 6.0]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(aligned_inputs())
 def test_align_matches_per_timestamp_scan(case):

@@ -257,6 +257,14 @@ class TestLms:
         with pytest.raises(ValueError, match="constant"):
             default_lms_step(np.ones(5))
 
+    @pytest.mark.filterwarnings("error")
+    def test_default_step_of_an_overflowing_variance_says_to_rescale(self):
+        # np.var overflows to inf here: the step was 0.0, which lms_update
+        # then refused without saying why
+        x = 1e200 * np.random.default_rng(0).standard_normal(100)
+        with pytest.raises(ValueError, match="variance overflows float64; rescale"):
+            default_lms_step(x)
+
     def test_length_and_means_preserved(self):
         model = EqualizerModel(1, [0.1, 0.2], 5.0, 6.0, 0.3)
         updated = lms_update(model, np.array([7.0, 8.0]), np.array([0.0, 9.0]), 1, 0.1)

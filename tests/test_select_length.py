@@ -318,13 +318,13 @@ def check_shared_bound_below_own_eigenvalues(monkeypatch, x, y, max_length, mode
     pairs = []
     real = equalizer._length_bounds
 
-    def spy(gram, sums, rhs, ysum, yy, m, c, held, lam):
+    def spy(gram, sums, rhs, ysum, yy, m, c, held, lam, tails):
         k = sums.size
         cgram = gram - np.outer(sums, sums) / m
         if np.isfinite(cgram).all():
             eta = 4 * (m + k * k) * np.finfo(float).eps * np.trace(gram)
             pairs.append((lam, np.linalg.eigvalsh(cgram)[0] + eta))
-        return real(gram, sums, rhs, ysum, yy, m, c, held, lam)
+        return real(gram, sums, rhs, ysum, yy, m, c, held, lam, tails)
 
     monkeypatch.setattr(equalizer, "_length_bounds", spy)
     n, shift = x.size, int(mode == "predict")
