@@ -84,7 +84,7 @@ def _prepare(xs, y, lag: int):
     with np.errstate(over="ignore", invalid="ignore"):
         means, c = x.mean(axis=1), float(y[lag:].mean())
         xc, yc = x - means[:, None], y - c
-        gram, sums, rhs, ysum, _, m, _ = _lagged_sums(xc, yc, lag, y.size - 1, lag + 1, 0)
+        gram, sums, rhs, ysum, m = _lagged_sums(xc, yc, lag, y.size - 1, lag + 1, 0)
         cgram, crhs = gram - sums[:, None] * sums / m, rhs - sums * (ysum / m)
 
     def finish(coef):

@@ -461,25 +461,28 @@ SWEEP_BYTES_PER_PIXEL = 12
 def _baseline_bytes(rows: int, k: int, inputs: int = 0) -> int:
     """Estimated peak of a baseline over ``rows`` window rows of ``k`` =
     inputs * (lag + 1) columns; ``inputs`` = 0 means ``k`` of them (lag 0)."""
-    # float64 cells: four (k, k) matrices (a rank-deficient solve holds the
-    # centred Gram, np.eye, the loaded Gram and the sum LAPACK solves), the
-    # inputs shifted by their means (under inputs * (rows + k)) and six row
-    # vectors.  tracemalloc read 0.04-0.998 times this from 0.01 to 129 MB (n
-    # = 300 to 20,000, lag 0 to 500, 1 to 4 inputs), the most where k^2 leads.
-    return 8 * (4 * k * k + (inputs or k) * (rows + k) + 6 * rows) + 2**18
+    # float64 cells: three (k, k) matrices (the lagged Gram, the product
+    # that centres it and the centred Gram; then the centred Gram, the loaded
+    # copy _solve_loaded checks and solves, and LAPACK's copy of it, which
+    # tracemalloc does not see), the inputs shifted by their means (under
+    # inputs * (rows + k)) and six row vectors.  tracemalloc read 0.09-0.98
+    # times this from 0.03 to 14.8 MiB (n = 600 to 20,000, lag 5 to 500, 1
+    # to 4 inputs, collinear ones too), the most where k^2 leads.
+    return 8 * (3 * k * k + (inputs or k) * (rows + k) + 6 * rows) + 2**18
 
 
 def _fit_bytes(n: int, taps: int) -> int:
     """Estimated peak of ``select_length`` on ``n`` samples with up to
     ``taps`` = max_length + 1 taps."""
-    # float64 cells: a direct fit's centred design (under n rows), or at
-    # most six (taps, taps) matrices at once: the held-out Gram, the shared
-    # Gram (updated in place), then a centred Gram, the two temporaries that
-    # centre it and LAPACK's copy (which tracemalloc does not see).  Plus six
-    # series-length vectors.  tracemalloc read 0.18-0.96 times this from
-    # 0.05 to 11.2 MB (n = 300 to 20,000, max_length 10 to 390), the most
-    # where n * taps leads.
-    return 8 * (n * taps + 6 * taps * taps + 6 * n) + 2**18
+    # float64 cells: at most four (taps, taps) matrices at once: the walk's
+    # sums, then a length's centred Gram, the loaded copy _solve_loaded
+    # checks and solves, and LAPACK's copy of it (which tracemalloc does not
+    # see), or while centring, a temporary in place of LAPACK's copy.  Plus
+    # six series-length vectors (the centred fitted rows and one score's
+    # estimates and residuals).  tracemalloc read 0.06-0.72 times this from
+    # 0.02 to 4.05 MiB (n = 300 to 20,000, max_length 10 to 400, both
+    # criteria), the most where taps^2 leads.
+    return 8 * (4 * taps * taps + 6 * n) + 2**18
 
 
 class _TooLarge(Exception):

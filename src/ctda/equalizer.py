@@ -17,7 +17,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 MODES = ("infer", "predict")
 
@@ -66,11 +65,6 @@ class EqualizerModel:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-def _windows(xc: np.ndarray, length: int) -> np.ndarray:
-    # Row t-L is the window ending at t, newest sample first.
-    return sliding_window_view(xc, length + 1)[:, ::-1]
-
-
 def _check_series(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -82,16 +76,65 @@ def _check_series(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solve_loaded(gram: np.ndarray, rhs: np.ndarray, penalty: float = 0.0):
-    """Solve ``(gram + penalty I) w = rhs``; returns ``(w, degenerate)``.
-    A rank-deficient system is diagonally loaded and flagged ``degenerate``;
-    an overflowed one is refused before LAPACK sees it."""
+    """Solve ``(gram + penalty I) w = rhs`` for a symmetric ``gram``; returns
+    ``(w, degenerate)``.  A rank-deficient system is diagonally loaded and
+    flagged ``degenerate``; an overflowed one is refused before LAPACK sees it."""
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
         raise ValueError("normal equations overflow float64; rescale the series")
-    eye = np.eye(gram.shape[0])
-    degenerate = bool(np.linalg.matrix_rank(gram + penalty * eye) < gram.shape[0])
+    a, diag = gram.copy(), slice(None, None, gram.shape[0] + 1)
+    a.flat[diag] += penalty
+    degenerate = bool(np.linalg.matrix_rank(a, hermitian=True) < a.shape[0])
     if degenerate:
-        gram = gram + _JITTER * max(np.trace(gram), 1.0) * eye
-    return np.linalg.solve(gram + penalty * eye, rhs), degenerate
+        a.flat[diag] = gram.diagonal() + _JITTER * max(np.trace(gram), 1.0) + penalty
+    return np.linalg.solve(a, rhs), degenerate
+
+
+def _walk(xc: np.ndarray, yc: np.ndarray, shift: int, max_length: int):
+    """Yield ``(gram, sums, rhs, ysum, m)`` for each length ``L = 0 ..
+    max_length``: the sums over the windows of ``L + 1`` samples of ``xc``
+    ending at ``L .. last`` (newest sample first; ``last = xc.size - 1 -
+    shift``) paired with targets ``yc[end + shift]``, and their count ``m``.
+    The arrays are views that the next step overwrites.
+
+    Order-recursive, by the covariance method (Morf, Dickinson, Kailath and
+    Vieira, IEEE Trans. ASSP 1977): length ``L`` subtracts the window ending
+    at ``L - 1`` from length ``L - 1``'s sums and adds the lag-``L`` column,
+    one dot for its first entry and its right-hand side, and a step down
+    each diagonal, ``G[i, L] = G[i-1, L-1] + xc[L-i] xc[0] - xc[last-i+1]
+    xc[last-L+1]``, for the rest.  O(rows) per length plus O(L**2) for the
+    downdate, and length ``L``'s sums never depend on ``max_length``, so a
+    walk to ``L`` alone reproduces them bit for bit."""
+    last = xc.size - 1 - shift
+    taps = max_length + 1
+    gram, sums, rhs = np.empty((taps, taps)), np.empty(taps), np.empty(taps)
+    head, t = xc[: last + 1], yc[shift : last + 1 + shift]
+    gram[0, 0], sums[0], rhs[0], ysum = head @ head, head.sum(), head @ t, t.sum()
+    for length in range(taps):
+        if length:
+            row, gone = xc[length - 1 :: -1], yc[length - 1 + shift]  # the window leaving
+            gram[:length, :length] -= row[:, None] * row
+            sums[:length] -= row
+            rhs[:length] -= row * gone
+            ysum -= gone
+            end = xc[last - length + 1]  # the oldest sample of the last window
+            gram[0, length] = xc[length : last + 1] @ xc[: last + 1 - length]
+            gram[1 : length + 1, length] = (gram[:length, length - 1] + row * xc[0]
+                                            - xc[last - length + 1 : last + 1][::-1] * end)
+            gram[length, :length] = gram[:length, length]
+            sums[length] = sums[length - 1] + xc[0] - end
+            rhs[length] = xc[: last + 1 - length] @ yc[length + shift : last + 1 + shift]
+        k = length + 1
+        yield gram[:k, :k], sums[:k], rhs[:k], ysum, last + 1 - length
+
+
+def _walk_model(state, length: int, mean_x: float, c: float, mode: str) -> EqualizerModel:
+    """The least-squares model of one :func:`_walk` state of series centred
+    by ``mean_x`` and ``c``; its training MSE is left at 0."""
+    gram, sums, rhs, ysum, m = state
+    weights, degenerate = _solve_loaded(gram - sums[:, None] * sums / m,
+                                        rhs - sums * (ysum / m))
+    mean_y = c + (ysum - weights @ sums) / m
+    return EqualizerModel(length, weights, mean_x, mean_y, 0.0, mode=mode, degenerate=degenerate)
 
 
 def fit_weights(x, y, length: int, mode: str = "infer") -> EqualizerModel:
@@ -99,6 +142,8 @@ def fit_weights(x, y, length: int, mode: str = "infer") -> EqualizerModel:
 
     Solves the normal equations over every index with a full window,
     centred over those rows (noiseless affine data is recovered exactly).
+    They come from a :func:`_walk` of the series centred by their means, so
+    no window matrix is built, and the training MSE from ``np.convolve``.
     Rank-deficient Gram matrices (constant or collinear inputs) are
     diagonally loaded and flagged ``degenerate``.
     """
@@ -109,21 +154,15 @@ def fit_weights(x, y, length: int, mode: str = "infer") -> EqualizerModel:
         raise ValueError(f"unknown mode {mode!r}")
     n = x.size
     if n <= length + 1:
-        raise ValueError(
-            f"insufficient data: {n} samples cannot fit length {length}"
-        )
+        raise ValueError(f"insufficient data: {n} samples cannot fit length {length}")
     shift = _lead(mode)
     # Overflows are silent: _solve_loaded, then the model, refuse what is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_x = float(x.mean())
-        a = _windows(x - mean_x, length)[: n - length - shift]
-        col_means, mean_y = a.mean(axis=0), float(y[length + shift :].mean())
-        ac, tc = a - col_means, y[length + shift :] - mean_y
-        weights, degenerate = _solve_loaded(ac.T @ ac, ac.T @ tc)
-        mean_y -= float(weights @ col_means)
-        training_mse = float(np.mean((tc - ac @ weights) ** 2))
-    return EqualizerModel(length, weights, mean_x, mean_y, training_mse, mode=mode,
-                          degenerate=degenerate)
+        mean_x, c = float(x.mean()), float(y.mean())
+        *_, state = _walk(x - mean_x, y - c, shift, length)  # the last state
+        model = _walk_model(state, length, mean_x, c, mode)
+        mse = _validation_mse(model, x, y, length + shift)
+    return dataclasses.replace(model, training_mse=mse)
 
 
 def infer(model: EqualizerModel, x, n: int) -> float:
@@ -158,16 +197,23 @@ def _window_span(idx: np.ndarray, n: int, length: int) -> tuple[slice, np.ndarra
 def estimate_series(model: EqualizerModel, x, indices) -> np.ndarray:
     """Window estimates at several window-end indices.
 
-    Only the span of ``x`` that the requested windows read is centered, so
-    one index costs O(L) and every index O(n).
+    ``np.convolve`` runs over the span of ``x`` that the requested windows
+    read, so one index costs O(L) and every index O(n * L); a few indices
+    far apart still cost O(span * L).
     """
     x = np.asarray(x, dtype=float)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
         return np.zeros(0)
     span, at = _window_span(idx, x.size, model.length)
-    rows = _windows(x[span] - model.mean_x, model.length)[at]
-    return model.mean_y + rows @ model.weights
+    return _span_estimates(model, x, span.start + model.length, span.stop)[at]
+
+
+def _span_estimates(model: EqualizerModel, x: np.ndarray, first: int, stop: int) -> np.ndarray:
+    """Estimates at the window ends ``first .. stop - 1``, which must have
+    full windows in ``x``.  Any sub-span gives the same values bit for bit."""
+    return model.mean_y + np.convolve(x[first - model.length : stop] - model.mean_x,
+                                      model.weights, "valid")
 
 
 def _lead(mode: str) -> int:
@@ -183,7 +229,8 @@ def _estimate_targets(model: EqualizerModel, x, targets) -> np.ndarray:
 
 def _validation_mse(model: EqualizerModel, x, y, start: int) -> float:
     """MSE of the model on targets ``y[start:]`` (windows may reach back)."""
-    est = _estimate_targets(model, x, np.arange(start, x.size))
+    lead = _lead(model.mode)
+    est = _span_estimates(model, x, start - lead, x.size - lead)
     with np.errstate(over="ignore"):  # select_length refuses a score that is not finite
         return float(np.mean((y[start:] - est) ** 2))
 
@@ -192,9 +239,7 @@ def _lagged_sums(xs, yc: np.ndarray, first: int, last: int, taps: int, shift: in
     """Sums over the windows of ``taps`` samples of each series in ``xs``
     ending at ``first .. last`` (newest sample first, one block of columns
     per series) paired with targets ``yc[end + shift]``: the Gram matrix,
-    column sums, right-hand side, target sum, target sum of squares, row
-    count and ``tails``, twice the energy of the ``i`` samples ending at
-    ``last`` for column ``i``, which widens its rounding (see _mse_bounds).
+    column sums, right-hand side, target sum and row count.
 
     O(rows * taps) per pair of series, by the covariance method (Morf,
     Dickinson, Kailath and Vieira, IEEE Trans. ASSP 1977): ``np.correlate``
@@ -213,201 +258,8 @@ def _lagged_sums(xs, yc: np.ndarray, first: int, last: int, taps: int, shift: in
         step = enter[:, i, None, None] * enter - leave[:, i, None, None] * leave
         np.add(gram[:, i, :, :-1], step, out=gram[:, i + 1, :, 1:])
     sums = np.cumsum(np.column_stack([ends.sum(axis=1), enter - leave]), axis=1)
-    tails = 2 * np.cumsum(np.column_stack([np.zeros(n_ch), leave * leave]), axis=1)
     rhs = np.array([np.correlate(a, t)[::-1] for a in span])
-    return (gram.reshape(n_ch * k, n_ch * k), sums.ravel(), rhs.ravel(), float(t.sum()),
-            float(t @ t), t.size, tails.ravel())
-
-
-def _length_bounds(gram, sums, rhs, ysum, yy, m, c, held, lam, tails):
-    """``(lo, hi)`` for the length whose sums these are, or None when only a
-    direct fit can say what it scores.  ``lam`` is a lower bound on the
-    exact centred Gram's smallest eigenvalue; the Gram's own eigenvalues
-    replace it only when it fails the rank test."""
-    eps = np.finfo(float).eps
-    k = sums.size
-    cgram = gram - sums[:, None] * sums / m
-    crhs = rhs - sums * (ysum / m)
-    if not (np.isfinite(cgram).all() and np.isfinite(crhs).all()):
-        return None
-    trace = float(gram.trace() + tails.sum())
-    eta = 4 * (m + k * k) * eps * trace
-    lamax = float(cgram.trace()) + eta
-    if not lam > 2 * eta + 2 * k * eps * lamax:
-        eig = np.linalg.eigvalsh(cgram)
-        lam, lamax = max(lam, eig[0] - eta), min(lamax, eig[-1] + eta)
-        if not lam > 2 * eta + 2 * k * eps * lamax:
-            return None  # matrix_rank's verdict could go either way
-    w = np.linalg.solve(cgram, crhs)
-    b = (ysum - w @ sums) / m  # intercept minus c
-    g = (m + k + 6) * eps
-    raw_y = np.sqrt(yy) + np.sqrt(m) * abs(c)
-    wd = np.abs(w) @ np.sqrt(gram.diagonal() + tails)
-    eta_r = 4 * g * np.sqrt(trace) * (np.sqrt(yy) + g * raw_y)
-    dw = 2 * (eta * np.linalg.norm(w) + eta_r) / (lam - eta)
-    if held is None:
-        mse = (yy - ysum * ysum / m - 2 * (w @ crhs) + w @ cgram @ w) / m
-        e, r = 2 * (wd + np.sqrt(yy)), raw_y + wd
-        band = 8 * g * e * (e + r) + 2 * (g * r) ** 2 + 4 * dw * dw * lamax
-        band /= m
-    else:
-        vgram, vsums, vrhs, vysum, vyy, mv, vtails = held
-        vgram, vsums, vrhs = vgram[:k, :k], vsums[:k], vrhs[:k]
-        mse = (
-            w @ vgram @ w + 2 * b * (w @ vsums) + b * b * mv
-            - 2 * (w @ vrhs) - 2 * b * vysum + vyy
-        ) / mv
-        dv = np.sqrt(vgram.diagonal() + vtails[:k])
-        db = 2 * g * (raw_y + wd) / np.sqrt(m) + 4 * eps * (abs(b) + abs(c))
-        delta = dw * np.linalg.norm(dv) + np.sqrt(mv) * (db + dw * np.sqrt(trace / m))
-        e = np.abs(w) @ dv + np.sqrt(mv + 2 * k) * abs(b) + np.sqrt(vyy) + delta
-        r = e + np.sqrt(mv) * abs(c)
-        gv = (mv + 2 * k + 6) * eps
-        band = 8 * gv * e * (e + r) + 2 * (gv * r) ** 2 + 4 * e * delta + 2 * delta**2
-        band /= mv
-    if not (np.isfinite(mse) and np.isfinite(band)):
-        return None
-    return mse - band, mse + band
-
-
-def _mse_bounds(xc, yc, c, last, max_length, shift, held=None):
-    """Bounds ``(lo, hi)`` on the MSE that each length ``0 .. max_length``
-    gets when fitted the direct way: training MSE, or with ``held`` (the
-    validation rows' sums) the held-out MSE.  ``xc`` is the input centred by
-    its training mean, ``yc`` the target minus ``c``, and ``last`` the final
-    training window end.
-
-    One lag-``max_length`` Gram over the window ends every length shares
-    (``>= max_length``) serves all lengths.  Walking down from
-    ``max_length``, length ``L`` adds the one earlier row only it and the
-    shorter lengths use to those sums, in place, and centres through the
-    sums.  One eigen-decomposition of the shared centred Gram
-    bounds every length's smallest eigenvalue.  Each band bounds the
-    rounding of both computations: it scales with the summed terms (column
-    norms, target norm, row count times eps) and with the weights'
-    sensitivity (smallest eigenvalue), never with the MSE itself.  Lengths
-    whose rank check is degenerate or close get ``(-inf, inf)``: only a
-    direct fit can say what they score.
-    """
-    # Where the band comes from.  u = eps / 2.  A sum or dot product of n
-    # terms, in any order, is off by at most gamma_n = n u / (1 - n u) times
-    # the sum of its terms' magnitudes (Higham, "Accuracy and Stability of
-    # Numerical Algorithms", 2nd ed., sec. 3.1).  By Cauchy-Schwarz each such
-    # magnitude sum is at most a product of column norms d_i = sqrt(G_ii),
-    # target norms and sqrt(rows).  Every constant below but eta and db is
-    # at least twice what its term needs; that slack absorbs the
-    # second-order terms.  A band needs a regular C (lam > 0), so m > k.
-    # - The sums' terms.  _lagged_sums correlates the right-hand side and the
-    #   first Gram row over the m rows; other Gram entries and column sums
-    #   step down a diagonal, adding the entering sample and subtracting the
-    #   leaving one, and the running updates add rows.  So entry (i, j) sums
-    #   at most m + 2k terms over t = L - i .. last, the last i twice, whose
-    #   magnitudes add up to at most D_i D_j, D_i^2 = d_i^2 + tails[i]; a
-    #   column sum's to sqrt(m + 2k) D_i.  Below, d_i and trace(G) use D_i.
-    # - eta: per computation, the largest 2-norm distance from the exact
-    #   centred Gram C to a matrix whose exact eigenvalues, singular values
-    #   or solution it returns.  Forming and centring the Gram errs by at
-    #   most (gamma_(m+2k) (1 + 2 sqrt(1 + 2k/m)) + 5 u) d_i d_j per entry,
-    #   under (3 m + 12 k + 5) u d_i d_j when m > k (the direct path's
-    #   3 gamma_(m+1) + 5 u is less), so under that times trace(G) in norm
-    #   (the d_i d_j matrix has Frobenius norm trace(G)).  LAPACK's eigen,
-    #   SVD and LU routines add a backward error p(k) u |C| with p only
-    #   called "modestly growing" in the LAPACK Users' Guide (the LU worst
-    #   case is O(k^3) times the pivot growth).  eta = 8 (m + k^2) u trace(G)
-    #   leaves p(k) <= 5 m + 8 k^2 - 12 k - 5 (when m <= k too, but for
-    #   m = k = 1, where C = 0 exactly).  That is an assumption, checked by
-    #   tests/test_select_length.py at the benchmark's size (n = 20,000,
-    #   max_length = 40).
-    # - lam <= lambda_min(C) and lamax >= lambda_max(C).  Length L's rows,
-    #   the window ends L .. last, include the shared ends max_length ..
-    #   last, and its k columns are the shared windows' leading k.  A row r
-    #   added to m rows of mean mu adds m / (m + 1) (r - mu)(r - mu)^T to
-    #   the centred scatter, so C is at least the leading k block of the
-    #   shared centred Gram C_S in the positive semidefinite order.  By
-    #   Cauchy interlacing (Horn and Johnson, "Matrix Analysis", ch. 4) that
-    #   block's smallest eigenvalue is at least lambda_min(C_S), hence
-    #   lam = eig_S[0] - eta_S (eta at C_S's size and rows) from one
-    #   eigvalsh of C_S serves every length.  C is positive semidefinite, so
-    #   lambda_max(C) <= trace(C), and lamax = the computed centred trace +
-    #   eta.  Only when the shared lam fails a length's rank test (a
-    #   singular shared Gram can have regular short lengths) does that
-    #   length take its own eigenvalues: lam = eig[0] - eta and lamax =
-    #   eig[-1] + eta, keeping the tighter of each pair.
-    # - rank: matrix_rank calls the direct Gram full rank when its smallest
-    #   singular value exceeds k eps times its largest; these lie within eta
-    #   of [lam, lamax] (Weyl), hence the test lam > 2 eta + 2 k eps lamax.
-    # - eta_r: per computation, the right-hand side's error, 3 gamma_(m+1)
-    #   d_i |yc| per entry ((3 m + 5 k + 3) u d_i |yc| through the Gram
-    #   path's column sums), plus in the direct path the target mean's error
-    #   (gamma_m raw_y / sqrt(m), raw_y counting the offset c) times the sum
-    #   of the rounded centred column (gamma_m sqrt(m) d_i).
-    # - dw: a solution of (C + E) w = rhs + f, |E| <= eta, |f| <= eta_r, lies
-    #   within (eta |w| + eta_r) / lambda_min(C + E) of the exact one.
-    #   Summing both computations' distances bounds their weights' distance
-    #   by 2 (eta |w| + eta_r) / (lam - eta).
-    # - db: each intercept sums m targets and m-row columns (gamma_(m+k)
-    #   (raw_y + wd) / sqrt(m); (m + 5 k) u times that through the Gram
-    #   path's column sums, under 2 g but not twice over when m < 3 k) and
-    #   rounds one subtraction (u (|b| + |c|)); the weights' distance moves
-    #   it by at most dw |mean column| <= dw sqrt(trace / m).
-    # - training band, on m times the MSE: the training MSE is stationary in
-    #   the weights, so the two fits' exact scores differ by at most
-    #   dw^2 lamax, and the direct path's rounded target mean adds
-    #   m (gamma_m r / sqrt(m))^2, with r = raw_y + wd.  Evaluating either
-    #   score errs by at most gamma_(m+3k+2) e^2, e = 2 (wd + |yc|).
-    # - held-out band, on mv times the MSE: e bounds either fit's residual
-    #   norm on the held rows and r adds the offset the direct path's
-    #   uncentred estimates carry.  The quadratic form here errs by
-    #   gamma_(mv+4k+8) e^2 (with the held rows' D_i, and sqrt(mv + 2k) |b|,
-    #   its six sums' magnitudes add up to e^2).  The direct path errs by at
-    #   most gamma_(k+1) 2 r per residual in norm, so by gv e r + (gv r)^2 +
-    #   gamma_(mv+1) e^2 in the sum of squares.  The score is linear in the
-    #   parameters here: the two fits' residuals differ by at most delta in
-    #   norm, so their sums of squares by 2 e delta + delta^2.
-    eps = np.finfo(float).eps
-    taps = max_length + 1
-    lo = np.full(taps, -np.inf)
-    hi = np.full(taps, np.inf)
-    gram, sums, rhs, ysum, yy, m, tails = _lagged_sums(xc, yc, max_length, last, taps, shift)
-    cgram = gram - sums[:, None] * sums / m
-    lam = -np.inf
-    if np.isfinite(cgram).all():
-        trace = float(gram.trace() + tails.sum())
-        lam = np.linalg.eigvalsh(cgram)[0] - 4 * (m + taps * taps) * eps * trace
-    del cgram  # only the eigvalsh reads it
-    for length in range(max_length, -1, -1):
-        k = length + 1
-        if length < max_length:  # the window ending at t = length, newest first
-            row, t = xc[length::-1], yc[length + shift]
-            gram[:k, :k] += row[:, None] * row
-            sums[:k] += row
-            rhs[:k] += row * t
-            ysum, yy, m = ysum + t, yy + t * t, m + 1
-        bounds = _length_bounds(gram[:k, :k], sums[:k], rhs[:k], ysum, yy, m, c, held, lam,
-                                tails[:k])
-        if bounds:
-            lo[length], hi[length] = bounds
-    return lo, hi
-
-
-def _first_minimum(lo, hi, score):
-    """``(result, value)`` at the first strict minimum over all lengths of
-    ``score(length) = (value, result)``, calling ``score`` only where
-    ``[lo, hi]``, which holds its value, can reach the smallest upper bound."""
-    lo, hi = lo.copy(), hi.copy()
-    exact = {}
-    for length in map(int, np.flatnonzero(np.isinf(hi))):
-        # No bound: score these first, so their values tighten the others'.
-        exact[length] = score(length)
-        if np.isfinite(exact[length][0]):
-            lo[length] = hi[length] = exact[length][0]
-    reach = hi.min()
-    best, best_value = None, np.inf
-    for length in map(int, np.flatnonzero(lo <= reach)):
-        value, result = exact[length] if length in exact else score(length)
-        if value < best_value:
-            best, best_value = result, value
-    return best, best_value
+    return gram.reshape(n_ch * k, n_ch * k), sums.ravel(), rhs.ravel(), float(t.sum()), t.size
 
 
 def select_length(
@@ -422,19 +274,17 @@ def select_length(
     ``validation`` fits each candidate on the first 80% of the samples,
     scores it on the held-back 20%, then refits the winner on everything
     (recording both MSEs).  ``aic`` trades training MSE against tap count,
-    ``n * ln(mse) + 2 (L + 1)``, on the full data.  Ties go to the smallest
+    ``n * ln(mse) + 2 (L + 1)``, on the full data.  Either score reads an
+    MSE below ``eps`` times the centred fitted target's energy per row as
+    that floor, so fits exact to rounding tie, and ties go to the smallest
     length.
 
-    Cost: one O(n * max_length) pass of lagged sums over the fitted rows
-    (and one over the held-out rows under ``validation``) and one
-    eigen-decomposition per series, plus one small solve per length,
-    O(max_length**4) in all.  Every candidate gets a rounding band around
-    its Gram score; :func:`_first_minimum` fits the direct way
-    (:func:`fit_weights`) only those whose band reaches the smallest upper
-    bound or that have no band (a close rank check), so the choice is the
-    one that refitting every length would make.  The winner is always
-    fitted the direct way.  A series whose every score overflows float64
-    raises ``ValueError``.
+    Cost: one :func:`_walk` over the fitted rows, O(n * max_length) dots,
+    plus one rank check, one solve and one ``np.convolve`` score per
+    length.  Each candidate is the model :func:`fit_weights` returns for its
+    rows, bit for bit, so the choice is the one that refitting every length
+    makes.  A series whose every score overflows float64 raises
+    ``ValueError``.
     """
     x, y = _check_series(x, y)
     if max_length < 0:
@@ -453,34 +303,30 @@ def select_length(
             "insufficient data for the largest candidate length" if aic
             else "insufficient data for an 80/20 validation split"
         )
-
-    def value(mse, length):
-        if not aic:
-            return mse
-        # log of an exactly-zero residual is clamped rather than -inf so
-        # noiseless data still selects the smallest adequate length
-        return n * np.log(max(mse, 1e-300)) + 2 * (length + 1)
-
-    def score(length):
-        model = fit_weights(x[:split], y[:split], length, mode)
-        mse = model.training_mse if aic else _validation_mse(model, x, y, split)
-        return value(mse, length), model
-
-    with np.errstate(all="ignore"):
-        c = float(y[:split].mean())
-        xc, yc = x - float(x[:split].mean()), y - c
-        held = None if aic else _lagged_sums(
-            xc, yc, split - shift, n - 1 - shift, max_length + 1, shift
-        )
-        bounds = _mse_bounds(xc, yc, c, split - 1 - shift, max_length, shift, held)
-    lo, hi = (np.array([value(mse, k) for k, mse in enumerate(b)]) for b in bounds)
-    best, best_value = _first_minimum(lo, hi, score)
+    best, best_value, best_mse = None, np.inf, np.inf
+    # Overflows are silent: _solve_loaded, the models and the scores refuse them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_x, c = float(x[:split].mean()), float(y[:split].mean())
+        xc, yc = x[:split] - mean_x, y[:split] - c
+        energy = float(yc @ yc) / split  # of the centred fitted target, per row
+        floor = max(np.finfo(float).eps * energy if np.isfinite(energy) else 0.0,
+                    np.finfo(float).tiny)
+        for length, state in enumerate(_walk(xc, yc, shift, max_length)):
+            model = _walk_model(state, length, mean_x, c, mode)
+            mse = _validation_mse(model, x, y, length + shift if aic else split)
+            value = max(mse, floor)
+            if aic:
+                model = dataclasses.replace(model, training_mse=mse, validation_mse=mse)
+                value = n * np.log(value) + 2 * (length + 1)
+            if value < best_value:
+                best, best_value, best_mse = model, value, mse
+    del state  # the walk's buffers, before the refit walks again
     if best is None:
         raise ValueError("no candidate length has a finite score; rescale the series")
     if aic:
-        return dataclasses.replace(best, validation_mse=best.training_mse)
+        return best
     final = fit_weights(x, y, best.length, mode)  # the winner on all the data
-    return dataclasses.replace(final, validation_mse=best_value)
+    return dataclasses.replace(final, validation_mse=best_mse)
 
 
 def default_lms_step(x) -> float:

@@ -453,9 +453,10 @@ def per_pixel_scores_loop(images, channel_matrix, smooth: bool):
 
 
 def _direct_tap_fit(x, y, length: int, mode: str) -> dict:
-    """One tap fit exactly as the library's direct path does it: centred
-    normal equations, diagonally loaded when rank deficient, same operations
-    in the same order.  Returns the ``model_to_dict`` fields."""
+    """One tap fit from an explicit window matrix: centred normal equations,
+    diagonally loaded when rank deficient, as the library's fits were built
+    before they summed lagged products instead.  Returns the
+    ``model_to_dict`` fields."""
     mean_x = float(x.mean())
     a = sliding_window_view(x - mean_x, length + 1)[:, ::-1]
     if mode == "infer":
@@ -492,7 +493,7 @@ def _held_out_mse(fit: dict, x, y, start: int) -> float:
     length = fit["length"]
     first = start - offset
     span = x[first - length : x.size - offset] - fit["mean_x"]
-    # a gathered copy of the windows, as the library takes them
+    # a gathered copy of the windows
     rows = sliding_window_view(span, length + 1)[:, ::-1][np.arange(x.size - start)]
     est = fit["mean_y"] + rows @ np.asarray(fit["weights"])
     return float(np.mean((y[start:] - est) ** 2))
@@ -503,26 +504,31 @@ def select_length_loop(x, y, max_length: int, criterion: str, mode: str) -> dict
 
     ``validation`` fits each length on the first 80% of the samples and
     scores it on the rest, then refits the winner on everything; ``aic``
-    scores ``n ln(max(mse, 1e-300)) + 2 (L + 1)`` on the full data.  The
-    first strict minimum wins, so ties go to the shortest length.  Returns
-    the winner's ``model_to_dict`` fields.
+    scores ``n ln(mse) + 2 (L + 1)`` on the full data.  Either reads an MSE
+    below ``floor``, eps times the centred fitted target's energy per row
+    (at least the smallest normal float), as ``floor``.  The first strict
+    minimum wins, so ties go to the shortest length.  Returns the winner's
+    ``model_to_dict`` fields.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.size
+    split = n if criterion == "aic" else int(0.8 * n)
+    energy = float(np.mean((y[:split] - y[:split].mean()) ** 2))
+    floor = max(np.finfo(float).eps * energy if np.isfinite(energy) else 0.0,
+                np.finfo(float).tiny)
     if criterion == "aic":
         best, best_aic = None, np.inf
         for length in range(max_length + 1):
             fit = _direct_tap_fit(x, y, length, mode)
-            aic = n * np.log(max(fit["training_mse"], 1e-300)) + 2 * (length + 1)
+            aic = n * np.log(max(fit["training_mse"], floor)) + 2 * (length + 1)
             if aic < best_aic:
                 best, best_aic = fit, aic
         return {**best, "validation_mse": best["training_mse"]}
-    split = int(0.8 * n)
-    best_length, best_val = None, np.inf
+    best_length, best_val, best_score = None, np.inf, np.inf
     for length in range(max_length + 1):
         fit = _direct_tap_fit(x[:split], y[:split], length, mode)
         val = _held_out_mse(fit, x, y, split)
-        if val < best_val:
-            best_length, best_val = length, val
+        if max(val, floor) < best_score:
+            best_length, best_val, best_score = length, val, max(val, floor)
     return {**_direct_tap_fit(x, y, best_length, mode), "validation_mse": best_val}

@@ -979,8 +979,8 @@ class TestBaselineFootprint:
 
     def test_oversized_lag_exits_2_before_any_fit(self, two_channel_files, tmp_path, capsys,
                                                    monkeypatch):
-        # lag 200 on 600 rows of 2 inputs: the fit alone would take about 6 MB
-        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2**22}.__getitem__)
+        # lag 200 on 600 rows of 2 inputs: the fit alone would take about 4 MB
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2**21}.__getitem__)
         out = tmp_path / "base.csv"
         tracemalloc.start()
         try:
@@ -998,7 +998,7 @@ class TestBaselineFootprint:
     def test_estimate_counts_design_rows_gram_and_overhead(self, two_channel_files, tmp_path,
                                                            monkeypatch, spare):
         # lag 5 on 2 inputs: k = 12 columns; 475 fit rows beat 120 scored rows
-        need = 8 * (4 * 12 * 12 + 2 * (475 + 12) + 6 * 475) + 2**18
+        need = 8 * (3 * 12 * 12 + 2 * (475 + 12) + 6 * 475) + 2**18
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need + spare}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         argv = self.argv(two_channel_files, tmp_path / "base.csv", 5)
@@ -1060,7 +1060,7 @@ class TestFitFootprint:
 
     def test_oversized_max_length_exits_2_before_any_fit(self, two_channel_files, tmp_path,
                                                          capsys, monkeypatch):
-        # --max-length 400 on 600 rows: 401 taps, about 15 MB estimated
+        # --max-length 400 on 600 rows: 401 taps, about 5.4 MB estimated
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2**22}.__getitem__)
         monkeypatch.setattr(cli, "select_length", mock.Mock(side_effect=AssertionError))
         out = tmp_path / "models.json"
@@ -1078,10 +1078,10 @@ class TestFitFootprint:
         assert "insufficient data" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spare", [-1, 0])
-    def test_estimate_counts_design_rows_grams_and_overhead(self, two_channel_files, tmp_path,
-                                                            monkeypatch, spare):
+    def test_estimate_counts_grams_vectors_and_overhead(self, two_channel_files, tmp_path,
+                                                        monkeypatch, spare):
         # --max-length 4 on 600 rows: 5 taps
-        need = 8 * (600 * 5 + 6 * 5 * 5 + 6 * 600) + 2**18
+        need = 8 * (4 * 5 * 5 + 6 * 600) + 2**18
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need + spare}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         argv = self.argv(two_channel_files, tmp_path / "models.json", 4)
@@ -1095,8 +1095,8 @@ class TestFitFootprint:
     @pytest.mark.parametrize("n, max_length, criterion, constant", [
         (600, 250, "validation", False),  # taps ** 2 leads
         (2000, 100, "aic", False),
-        (5000, 10, "validation", True),  # every length fitted the direct way
-        (20000, 40, "aic", True),  # n * taps leads
+        (5000, 10, "validation", True),  # every length degenerate
+        (20000, 40, "aic", True),  # n leads
     ])
     def test_a_fit_peaks_within_the_estimate(self, n, max_length, criterion, constant):
         rng = np.random.default_rng(5)

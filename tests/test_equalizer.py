@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ctda.dataio import gen_fir_series
 from ctda.equalizer import (
@@ -29,6 +30,14 @@ def centered_lstsq(x, y, length, mode="infer"):
     rows = np.hstack([rows, np.ones((rows.shape[0], 1))])
     w, *_ = np.linalg.lstsq(rows, targets, rcond=None)
     return w[:-1]
+
+
+def gathered_estimates(model, x, indices):
+    """Window estimates from a gathered (indices, taps) copy of the windows,
+    as ``estimate_series`` formed them before it convolved."""
+    first = int(np.min(indices)) - model.length
+    windows = sliding_window_view(x[first:] - model.mean_x, model.length + 1)[:, ::-1]
+    return model.mean_y + windows[np.asarray(indices) - model.length - first] @ model.weights
 
 
 class TestModelInvariants:
@@ -208,6 +217,21 @@ class TestInferPredict:
         batch = estimate_series(model, x, idx)
         single = [infer(model, x, int(i)) for i in idx]
         np.testing.assert_allclose(batch, single, atol=1e-12)
+
+    @pytest.mark.parametrize("length", [2, 14, 400])
+    def test_estimate_series_matches_a_gather_of_windows(self, length):
+        rng = np.random.default_rng(11)
+        x = 3.0 + rng.standard_normal(20_000)
+        model = EqualizerModel(length, rng.standard_normal(length + 1), 3.0, -1.5, 0.0)
+        idx = np.arange(length, x.size)
+        got = estimate_series(model, x, idx)
+        want = gathered_estimates(model, x, idx)
+        windows = sliding_window_view(x - 3.0, length + 1)[:, ::-1]
+        scale = abs(model.mean_y) + np.abs(windows) @ np.abs(model.weights)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+        # a sub-span, or indices in any order, give the full span's values
+        part = rng.permutation(idx[5_000:5_300])
+        np.testing.assert_array_equal(estimate_series(model, x, part), got[part - length])
 
     def test_estimate_series_empty(self):
         model = EqualizerModel(0, [1.0], 0.0, 0.0, 0.0)

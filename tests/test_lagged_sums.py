@@ -1,9 +1,10 @@
 """``equalizer._lagged_sums`` builds lagged normal equations without a design
 matrix: lag products by ``np.correlate`` for each pair's first Gram row and
 column, and a diagonal recursion for the rest.  These tests hold it to the
-sums of an explicit design (``oracles.joint_lag_design``) within the
-rounding bound ``_mse_bounds`` derives for it, and bound what it and the
-baselines built on it allocate."""
+sums of an explicit design (``oracles.joint_lag_design``) within a
+summation rounding bound (Higham, "Accuracy and Stability of Numerical
+Algorithms", 2nd ed., sec. 3.1), and bound what it and the baselines built
+on it allocate."""
 
 import functools
 import tracemalloc
@@ -46,27 +47,24 @@ def test_sums_match_an_explicit_design(channels, lag, shift, kind):
     a = rows[first - lag : last - lag + 1]
     t = y[first + shift : last + 1 + shift]
     m = t.size
-    gram, sums, rhs, ysum, yy, count, tails = equalizer._lagged_sums(x, y, first, last, k, shift)
+    gram, sums, rhs, ysum, count = equalizer._lagged_sums(x, y, first, last, k, shift)
 
     # Entry (i, j) sums at most m + 2k terms over the samples first - i ..
-    # last, the last i of them twice, so its rounding is at most
-    # gamma_(m+2k) D_i D_j with D_i^2 that energy (see _mse_bounds); the
-    # explicit design's own products add gamma_m d_i d_j <= gamma_m D_i D_j.
-    # (m + k) eps = (2m + 2k) u covers both, and a column sum's, times
-    # sqrt(m + 2k) / D_j.
+    # last, the last i of them twice (u = eps / 2; a sum of n terms is off
+    # by at most n u / (1 - n u) times their magnitudes' sum).  So its
+    # rounding is at most gamma_(m+2k) D_i D_j, with D_i^2 the energy of
+    # those terms; the explicit design's own products add gamma_m d_i d_j
+    # <= gamma_m D_i D_j.  (m + k) eps = (2m + 2k) u covers both, and a
+    # column sum's, times sqrt(m + 2k) / D_j.
     eps = np.finfo(float).eps
-    want_tails = np.array([2 * np.sum(xm[last - i + 1 : last + 1] ** 2)
-                           for xm in x for i in range(k)])
-    energy = np.array([np.sum(xm[first - i : last + 1] ** 2) for xm in x for i in range(k)])
-    big = np.sqrt(energy + want_tails / 2)
-    np.testing.assert_allclose(tails, want_tails, rtol=(k + 1) * eps)
+    big = np.sqrt([np.sum(xm[first - i : last + 1] ** 2) + np.sum(xm[last - i + 1 : last + 1] ** 2)
+                   for xm in x for i in range(k)])
     assert np.array_equal(gram, gram.T)
     assert np.all(np.abs(gram - a.T @ a) <= (m + k) * eps * np.outer(big, big))
     assert np.all(np.abs(sums - a.sum(axis=0)) <= (m + k) * eps * np.sqrt(m + 2 * k) * big)
     assert np.all(np.abs(rhs - a.T @ t) <= (m + k) * eps * big * np.linalg.norm(t))
     assert count == m
     assert abs(ysum - t.sum()) <= m * eps * np.abs(t).sum()
-    assert abs(yy - t @ t) <= m * eps * (t @ t)
 
 
 def test_single_series_may_be_one_dimensional():

@@ -1,7 +1,13 @@
-"""``select_length`` scores every length from one lagged Gram pass; these
-tests hold it to the choice that refitting every length from scratch makes
-(``oracles.select_length_loop``), down to the bytes of the saved model."""
+"""``select_length`` scores every length from one order-recursive walk of
+lagged sums (``equalizer._walk``), and ``fit_weights`` walks the same way to
+its own length, so each candidate is the model ``fit_weights`` returns for
+its rows.  These tests hold the choice to a loop of ``fit_weights`` down to
+the bytes of the saved model, hold ``fit_weights`` to the design-matrix fit
+(``oracles._direct_tap_fit``) within a tolerance set by its Gram's
+conditioning, and hold the choice at the benchmark's size to
+``oracles.select_length_loop``."""
 
+import dataclasses
 import functools
 import json
 
@@ -9,14 +15,48 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ctda import equalizer
-from ctda.equalizer import MODES, model_to_dict, select_length
+from ctda.equalizer import MODES, fit_weights, model_to_dict, select_length
 
-from oracles import select_length_loop
+from oracles import _direct_tap_fit, select_length_loop
 
 CRITERIA = ("validation", "aic")
 KINDS = ("random", "noiseless", "collinear", "constant", "offset", "tie")
+EPS = np.finfo(float).eps
+
+
+def refit_every_length(x, y, max_length, criterion, mode):
+    """The selection rule as a loop of ``fit_weights``: score each length's
+    fit (training MSE for ``aic``, held-out MSE for ``validation``), floored
+    at eps times the centred fitted target's energy per row, and keep the
+    first strict minimum."""
+    n = x.size
+    split = n if criterion == "aic" else int(0.8 * n)
+    yc = y[:split] - y[:split].mean()
+    energy = float(yc @ yc) / split
+    floor = max(EPS * energy if np.isfinite(energy) else 0.0, np.finfo(float).tiny)
+    best, best_value, best_mse = None, np.inf, None
+    for length in range(max_length + 1):
+        model = fit_weights(x[:split], y[:split], length, mode)
+        if criterion == "aic":
+            mse = model.training_mse
+            value = n * np.log(max(mse, floor)) + 2 * (length + 1)
+        else:
+            mse = equalizer._validation_mse(model, x, y, split)
+            value = max(mse, floor)
+        if value < best_value:
+            best, best_value, best_mse = model, value, mse
+    if criterion == "validation":
+        best = fit_weights(x, y, best.length, mode)
+    return dataclasses.replace(best, validation_mse=best_mse)
+
+
+def assert_same_bytes(x, y, max_length, criterion, mode):
+    got = model_to_dict(select_length(x, y, max_length, criterion, mode))
+    want = model_to_dict(refit_every_length(x, y, max_length, criterion, mode))
+    assert json.dumps(got) == json.dumps(want)
 
 
 @st.composite
@@ -48,82 +88,128 @@ def selection_inputs(draw):
 @settings(max_examples=100, deadline=None)
 @given(case=selection_inputs())
 def test_matches_refitting_every_length(criterion, mode, case):
-    x, y, max_length = case
-    got = model_to_dict(select_length(x, y, max_length, criterion, mode))
-    want = select_length_loop(x, y, max_length, criterion, mode)
-    assert (got["length"], got["degenerate"]) == (want["length"], want["degenerate"])
-    assert json.dumps(got) == json.dumps(want)
-
-
-def assert_bands_hold(x, y, max_length, mode):
-    """The lemma the selection rests on: a candidate that gets a finite band
-    scores inside it when fitted the direct way."""
-    n, shift = x.size, int(mode == "predict")
-    split = int(0.8 * n)
-    c = float(y[:split].mean())
-    xc, yc = x - float(x[:split].mean()), y - c
-    with np.errstate(all="ignore"):
-        held = equalizer._lagged_sums(xc, yc, split - shift, n - 1 - shift,
-                                      max_length + 1, shift)
-        lo, hi = equalizer._mse_bounds(xc, yc, c, split - 1 - shift, max_length, shift,
-                                       held)
-        c = float(y.mean())
-        train_lo, train_hi = equalizer._mse_bounds(
-            x - float(x.mean()), y - c, c, n - 1 - shift, max_length, shift)
-    for length in range(max_length + 1):
-        if np.isfinite(hi[length]):
-            model = equalizer.fit_weights(x[:split], y[:split], length, mode)
-            assert lo[length] <= equalizer._validation_mse(model, x, y, split) <= hi[length]
-        if np.isfinite(train_hi[length]):
-            model = equalizer.fit_weights(x, y, length, mode)
-            assert train_lo[length] <= model.training_mse <= train_hi[length]
-
-
-@pytest.mark.parametrize("mode", MODES)
-@settings(max_examples=60, deadline=None)
-@given(case=selection_inputs())
-def test_every_bounded_direct_score_lies_in_its_band(mode, case):
-    assert_bands_hold(*case, mode)
-
-
-# The benchmark's size: series_batch fits 20,000 rows with --max-length 40.
-# The band's solver constant is an assumption (see equalizer._mse_bounds),
-# so it is checked here at that size too, on white and near-unit-root
-# inputs, with and without a large offset.
-BENCH_ROWS, BENCH_MAX_LENGTH = 20_000, 40
-BENCH_CASES = [("white", 0.0), ("white", 1e3), ("white", 1e6), ("ar999", 0.0),
-               ("ar999", 1e6)]
+    assert_same_bytes(*case, criterion, mode)
 
 
 @functools.lru_cache(maxsize=None)
-def benchmark_scale_series(kind, offset):
+def ar_input_series(phi, offset, rows=20_000):
+    """An AR(``phi``) input (phi = 0 is white, 1 a random walk) and a noisy
+    FIR(2) target, both offset."""
     rng = np.random.default_rng(12)
-    drive = rng.standard_normal(BENCH_ROWS)
-    if kind == "ar999":
-        x = np.empty(BENCH_ROWS)
-        x[0] = drive[0]
-        for t in range(1, BENCH_ROWS):
-            x[t] = 0.999 * x[t - 1] + drive[t]
-    else:
-        x = drive
-    y = np.convolve(x, [0.9, -0.4, 0.25])[:BENCH_ROWS] + 0.5 * rng.standard_normal(BENCH_ROWS)
+    drive = rng.standard_normal(rows)
+    x = drive.copy()
+    for t in range(1, rows):
+        x[t] = phi * x[t - 1] + drive[t]
+    y = np.convolve(x, [0.9, -0.4, 0.25])[:rows] + 0.5 * rng.standard_normal(rows)
     return x + offset, y - offset
 
 
+def former_band_case(name):
+    """Inputs on which the rounding bands of the former selection could not
+    separate the lengths, so it refitted them directly."""
+    if name == "near-tie":  # every length fits exactly
+        x = np.random.default_rng(5).standard_normal(300)
+        return x, 2.0 * x + 1.0, 6
+    if name == "alternating":  # every window of two or more taps is collinear
+        x = np.tile([1.0, -1.0], 200)
+        return x, 0.7 * x + 0.1 * np.random.default_rng(6).standard_normal(400), 4
+    if name == "sinusoid":  # windows of three or more taps are collinear
+        x = np.sin(0.3 * np.arange(400))
+        noise = 0.1 * np.random.default_rng(7).standard_normal(400)
+        return x, np.convolve(x, [0.8, 0.3])[:400] + noise, 6
+    return (*ar_input_series(1.0, 0.0), 40)  # a random walk
+
+
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("kind, offset", BENCH_CASES)
-def test_bands_hold_at_benchmark_scale(kind, offset, mode):
-    assert_bands_hold(*benchmark_scale_series(kind, offset), BENCH_MAX_LENGTH, mode)
+@pytest.mark.parametrize("criterion", CRITERIA)
+@pytest.mark.parametrize("name", ["near-tie", "alternating", "sinusoid", "random-walk"])
+def test_matches_refitting_former_band_cases(name, criterion, mode):
+    assert_same_bytes(*former_band_case(name), criterion, mode)
+
+
+def weight_tolerance(x, y, length, mode, weights):
+    """First-order bound on how far two least-squares solutions of one fit
+    can lie apart when each forms its sums with rounding, or None when the
+    fit's rank is in doubt.  Both fits' Gram entries err by at most about
+    m eps trace(G) and their right-hand sides by m eps sqrt(trace(G)) |t|
+    (G the uncentred Gram of m window rows, t the centred targets), so
+    their weights differ by at most that over lambda_min of the centred
+    Gram, which must stay clear of the rank test's threshold."""
+    shift = int(mode == "predict")
+    a = sliding_window_view(x - x.mean(), length + 1)[:, ::-1][: x.size - length - shift]
+    t = y[length + shift :] - y[length + shift :].mean()
+    m, k = a.shape
+    ac = a - a.mean(axis=0)
+    eig = np.linalg.eigvalsh(ac.T @ ac)
+    trace = float(np.einsum("ij,ij->", a, a))
+    slack = m * EPS * trace
+    if not eig[0] > 2 * slack + 2 * k * EPS * eig[-1]:
+        return None
+    return (slack * np.linalg.norm(weights) + m * EPS * np.sqrt(trace) * np.linalg.norm(t)) / (
+        eig[0] - slack)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(max_examples=150, deadline=None)
+@given(case=selection_inputs())
+def test_fit_matches_the_design_within_its_conditioning(mode, case):
+    x, y, length = case
+    got = fit_weights(x, y, length, mode)
+    want = _direct_tap_fit(x, y, length, mode)
+    tol = weight_tolerance(x, y, length, mode, np.asarray(want["weights"]))
+    t = y[length + int(mode == "predict") :]
+    if tol is None:
+        # a close or failed rank test: either fit may be loaded, but both
+        # still fit the targets to within the loading's size
+        tc = t - t.mean()
+        assert abs(got.training_mse - want["training_mse"]) <= 1e-9 * (tc @ tc) / t.size
+        return
+    assert not got.degenerate and not want["degenerate"]
+    assert np.linalg.norm(got.weights - want["weights"]) <= tol
+    assert abs(got.training_mse - want["training_mse"]) <= EPS * (t @ t)
+
+
+# The benchmark's size: series_batch fits 20,000 rows with --max-length 40.
+BENCH_ROWS, BENCH_MAX_LENGTH = 20_000, 40
+BENCH_CASES = [("white", 0.0), ("white", 1e3), ("white", 1e6), ("ar999", 0.0),
+               ("ar999", 1e6)]
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("criterion", CRITERIA)
 @pytest.mark.parametrize("kind, offset", BENCH_CASES)
 def test_matches_refitting_at_benchmark_scale(kind, offset, criterion, mode):
-    x, y = benchmark_scale_series(kind, offset)
-    got = model_to_dict(select_length(x, y, BENCH_MAX_LENGTH, criterion, mode))
+    x, y = ar_input_series(0.999 if kind == "ar999" else 0.0, offset)
+    got = select_length(x, y, BENCH_MAX_LENGTH, criterion, mode)
     want = select_length_loop(x, y, BENCH_MAX_LENGTH, criterion, mode)
-    assert json.dumps(got) == json.dumps(want)
+    assert (got.length, got.degenerate) == (want["length"], want["degenerate"])
+    tol = weight_tolerance(x, y, got.length, mode, np.asarray(want["weights"]))
+    assert np.linalg.norm(got.weights - want["weights"]) <= tol
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("criterion", CRITERIA)
+@pytest.mark.parametrize("phi", [0.0, 0.95, 1.0])
+def test_noiseless_fir_picks_its_length(phi, criterion, mode):
+    # Every length from 2 up fits to rounding; the floor ties them, so the
+    # shortest wins.  In predict mode the target leads the input by one.
+    x, _ = ar_input_series(phi, 0.0, 20_000)
+    y = np.convolve(x, [0.9, -0.4, 0.25])[: x.size] + 2.0
+    if mode == "predict":
+        y = np.concatenate([[2.0], y[:-1]])
+    assert select_length(x, y, 40, criterion, mode).length == 2
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_affine_target_picks_length_zero(criterion, mode):
+    x = np.random.default_rng(1).standard_normal(2000)
+    y = 2.0 * x + 1.0
+    if mode == "predict":
+        y = np.concatenate([[1.0], y[:-1]])
+    model = select_length(x, y, 10, criterion, mode)
+    assert model.length == 0
+    assert model.validation_mse < 1e-25  # reported raw, not floored
 
 
 @pytest.fixture
@@ -145,205 +231,59 @@ def test_separated_scores_fit_only_the_winner(fitted_lengths):
     x = rng.standard_normal(2000)
     y = np.convolve(x, [0.9, -0.4, 0.2])[:2000] + 0.3 * rng.standard_normal(2000)
     model = select_length(x, y, 12)
-    # the winner on the 80% split, then on all the data
-    assert fitted_lengths == [model.length, model.length]
-    assert json.dumps(model_to_dict(model)) == json.dumps(
-        select_length_loop(x, y, 12, "validation", "infer")
-    )
-
-
-@pytest.mark.parametrize("criterion", CRITERIA)
-def test_near_tie_band_refits_the_tied_lengths(fitted_lengths, criterion):
-    # y is an exact affine image of x, so every length scores zero up to
-    # rounding: the bands all reach the best, and only direct fits can say
-    # which length today's loop picks.
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(300)
-    y = 2.0 * x + 1.0
-    model = select_length(x, y, 6, criterion)
-    assert set(fitted_lengths) == set(range(7))
-    assert not model.degenerate
-    want = select_length_loop(x, y, 6, criterion, "infer")
-    assert json.dumps(model_to_dict(model)) == json.dumps(want)
-
-
-@pytest.mark.parametrize("criterion", CRITERIA)
-def test_rank_fallback_fits_collinear_lengths_directly(fitted_lengths, criterion):
-    # x alternates sign, so x[t - 1] = -x[t]: every window of two or more
-    # taps is collinear and only length 0 passes the rank check.
-    rng = np.random.default_rng(6)
-    x = np.tile([1.0, -1.0], 200)
-    y = 0.7 * x + 0.1 * rng.standard_normal(400)
-    model = select_length(x, y, 4, criterion)
-    assert set(range(1, 5)) <= set(fitted_lengths)
-    want = select_length_loop(x, y, 4, criterion, "infer")
-    assert json.dumps(model_to_dict(model)) == json.dumps(want)
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_separated_aic_scores_fit_only_the_winner_once(fitted_lengths, mode):
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal(2000)
-    y = np.convolve(x, [0.9, -0.4, 0.2])[:2000] + 0.3 * rng.standard_normal(2000)
-    model = select_length(x, y, 12, "aic", mode)
-    # AIC scores the fit on all the data, which is then the model returned
+    # every candidate comes from the walk; only the winner is refitted, on
+    # all the data
     assert fitted_lengths == [model.length]
+    fitted_lengths.clear()
     assert json.dumps(model_to_dict(model)) == json.dumps(
-        select_length_loop(x, y, 12, "aic", mode)
-    )
-
-
-# One eigen-decomposition bounds every length: a length's centred Gram is at
-# least the leading block of the shared lag-max_length one, so by Cauchy
-# interlacing the shared smallest eigenvalue bounds each length's from below.
-
-
-@pytest.fixture
-def eigvalsh_sizes(monkeypatch):
-    """Orders of the matrices passed to ``np.linalg.eigvalsh``, in order."""
-    sizes = []
-    real = np.linalg.eigvalsh
-
-    def spy(a, *args, **kwargs):
-        sizes.append(a.shape[0])
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    return sizes
-
-
-@pytest.mark.parametrize("criterion", CRITERIA)
-def test_shared_bound_takes_one_eigen_decomposition_per_series(
-    eigvalsh_sizes, fitted_lengths, criterion
-):
-    x, y = benchmark_scale_series("white", 0.0)
-    model = select_length(x, y, BENCH_MAX_LENGTH, criterion)
-    assert eigvalsh_sizes == [BENCH_MAX_LENGTH + 1]
-    assert set(fitted_lengths) == {model.length}  # only the winner is fitted
-
-
-@functools.lru_cache(maxsize=None)
-def ar_input_series(phi, offset):
-    """``benchmark_scale_series``' recipe with an AR(``phi``) input; phi = 0
-    gives its white input."""
-    rng = np.random.default_rng(12)
-    drive = rng.standard_normal(BENCH_ROWS)
-    x = drive.copy()
-    for t in range(1, BENCH_ROWS):
-        x[t] = phi * x[t - 1] + drive[t]
-    y = np.convolve(x, [0.9, -0.4, 0.25])[:BENCH_ROWS] + 0.5 * rng.standard_normal(BENCH_ROWS)
-    return x + offset, y - offset
-
-
-# Direct fits on these inputs (infer mode) when every length took its own
-# eigen-decomposition, as select_length did before the shared bound; the
-# shared bound gives the same counts.  The validation run on AR(0.95) at
-# max_length 400 (233 direct fits both ways, about 20 s) is left out for its
-# time.
-DIRECT_FIT_COUNTS = [
-    (0.0, 0.0, 40, "validation", 2), (0.0, 0.0, 40, "aic", 1),
-    (0.0, 1e6, 40, "validation", 17), (0.0, 1e6, 40, "aic", 23),
-    (0.95, 0.0, 40, "validation", 2), (0.95, 0.0, 40, "aic", 1),
-    (0.95, 1e6, 40, "validation", 36), (0.95, 1e6, 40, "aic", 39),
-    (1.0, 0.0, 40, "validation", 42),
-    (0.0, 0.0, 400, "validation", 2), (0.0, 0.0, 400, "aic", 1),
-    (0.95, 0.0, 400, "aic", 1),
-]
-
-
-@pytest.mark.parametrize("phi, offset, max_length, criterion, count", DIRECT_FIT_COUNTS)
-def test_direct_fit_counts_match_per_length_eigenvalues(
-    fitted_lengths, phi, offset, max_length, criterion, count
-):
-    select_length(*ar_input_series(phi, offset), max_length, criterion)
-    assert len(fitted_lengths) == count
-
-
-def test_random_walk_aic_direct_fit_count(fitted_lengths):
-    # Per-length eigenvalues fit 19 lengths here; the shared bound, which
-    # only a failed rank test replaces, leaves one more band reaching the
-    # best.  A looser band can only add direct fits, never change the model.
-    x, y = ar_input_series(1.0, 0.0)
-    model = select_length(x, y, 40, "aic")
-    assert len(fitted_lengths) == 20
-    want = select_length_loop(x, y, 40, "aic", "infer")
-    assert json.dumps(model_to_dict(model)) == json.dumps(want)
+        model_to_dict(refit_every_length(x, y, 12, "validation", "infer")))
 
 
 @pytest.mark.parametrize("criterion, passes", [("aic", 1), ("validation", 2)])
 @pytest.mark.parametrize("series", ["tie", "random-walk"])
 def test_each_row_set_is_summed_once(monkeypatch, series, criterion, passes):
-    # aic sums its fitted rows once; validation sums its training rows and
-    # its held-out rows once each.  Every other length is scored from those
-    # sums or fitted directly, never summed again.
+    # aic walks its fitted rows once; validation walks its training rows
+    # once and the winner's refit walks all the rows.  No length is summed
+    # again.
     calls = []
-    real = equalizer._lagged_sums
+    real = equalizer._walk
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def spy(xc, yc, shift, max_length):
+        calls.append((xc.size, max_length))
+        return real(xc, yc, shift, max_length)
 
-    monkeypatch.setattr(equalizer, "_lagged_sums", spy)
-    if series == "tie":  # the near-tie test's input
-        x = np.random.default_rng(5).standard_normal(300)
-        case = x, 2.0 * x + 1.0, 6
-    else:
-        case = *ar_input_series(1.0, 0.0), 40
-    select_length(*case, criterion)
+    monkeypatch.setattr(equalizer, "_walk", spy)
+    x, y, max_length = former_band_case("near-tie" if series == "tie" else series)
+    model = select_length(x, y, max_length, criterion)
     assert len(calls) == passes
+    split = x.size if criterion == "aic" else int(0.8 * x.size)
+    assert calls[0] == (split, max_length)
+    if criterion == "validation":
+        assert calls[1] == (x.size, model.length)
 
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("criterion", CRITERIA)
-def test_singular_shared_gram_with_regular_short_lengths(eigvalsh_sizes, criterion, mode):
+def test_singular_shared_gram_with_regular_short_lengths(criterion, mode):
     # sin(w t - 2w) = 2 cos(w) sin(w t - w) - sin(w t): every window of three
-    # or more taps is collinear, so the shared lag-6 Gram is singular while
-    # lengths 0 and 1 are not, and those two take their own eigenvalues.
-    rng = np.random.default_rng(7)
-    x = np.sin(0.3 * np.arange(400))
-    y = np.convolve(x, [0.8, 0.3])[:400] + 0.1 * rng.standard_normal(400)
-    got = model_to_dict(select_length(x, y, 6, criterion, mode))
-    assert json.dumps(got) == json.dumps(select_length_loop(x, y, 6, criterion, mode))
-    n, shift = x.size, int(mode == "predict")
-    c = float(y.mean())
-    with np.errstate(all="ignore"):
-        _, hi = equalizer._mse_bounds(x - float(x.mean()), y - c, c, n - 1 - shift, 6, shift)
-    assert np.isfinite(hi[:2]).all() and np.isinf(hi[2:]).all()
-    assert len(eigvalsh_sizes) > 1
+    # or more taps is collinear, so the lag-6 Gram is singular while lengths
+    # 0 and 1 are not; the walk's sums find the same ranks as each length's
+    # own fit.
+    x, y, max_length = former_band_case("sinusoid")
+    split = int(0.8 * x.size)
+    flags = [fit_weights(x[:split], y[:split], length, mode).degenerate
+             for length in range(max_length + 1)]
+    assert flags == [False, False] + [True] * (max_length - 1)
+    assert_same_bytes(x, y, max_length, criterion, mode)
 
 
-def check_shared_bound_below_own_eigenvalues(monkeypatch, x, y, max_length, mode):
-    """The bound every length gets from the shared Gram is at most its own
-    computed smallest eigenvalue plus that eigenvalue's rounding."""
-    pairs = []
-    real = equalizer._length_bounds
-
-    def spy(gram, sums, rhs, ysum, yy, m, c, held, lam, tails):
-        k = sums.size
-        cgram = gram - np.outer(sums, sums) / m
-        if np.isfinite(cgram).all():
-            eta = 4 * (m + k * k) * np.finfo(float).eps * np.trace(gram)
-            pairs.append((lam, np.linalg.eigvalsh(cgram)[0] + eta))
-        return real(gram, sums, rhs, ysum, yy, m, c, held, lam, tails)
-
-    monkeypatch.setattr(equalizer, "_length_bounds", spy)
-    n, shift = x.size, int(mode == "predict")
-    c = float(y.mean())
-    with np.errstate(all="ignore"):
-        equalizer._mse_bounds(x - float(x.mean()), y - c, c, n - 1 - shift, max_length, shift)
-    assert pairs
-    assert all(lam <= own for lam, own in pairs)
-
-
-@pytest.mark.parametrize("mode", MODES)
-@settings(max_examples=60, deadline=None)
-@given(case=selection_inputs())
-def test_shared_bound_is_below_every_length_own_eigenvalue(mode, case):
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        check_shared_bound_below_own_eigenvalues(monkeypatch, *case, mode)
-
-
-@pytest.mark.parametrize("kind, offset", BENCH_CASES)
-def test_shared_bound_is_below_own_eigenvalues_at_benchmark_scale(monkeypatch, kind, offset):
-    check_shared_bound_below_own_eigenvalues(
-        monkeypatch, *benchmark_scale_series(kind, offset), BENCH_MAX_LENGTH, "infer")
+def test_walk_to_a_length_matches_a_longer_walk():
+    # a state never depends on how far the walk goes
+    x, y = ar_input_series(1.0, 0.0, 2_000)
+    xc, yc = x - x.mean(), y - y.mean()
+    for shift in (0, 1):
+        long = [tuple(np.copy(v) for v in state) for state in equalizer._walk(xc, yc, shift, 12)]
+        for length in (0, 5, 12):
+            *_, short = equalizer._walk(xc, yc, shift, length)
+            for got, want in zip(short, long[length]):
+                np.testing.assert_array_equal(got, want)
