@@ -419,7 +419,11 @@ class ImageDataset:
     """Flattened discrete-valued images with optional integer labels.
 
     ``images[i]`` is image ``i`` in row-major pixel order; every pixel is a
-    symbol in ``0 .. alphabet_size - 1``.
+    symbol in ``0 .. alphabet_size - 1``.  An integer array of pixels is
+    kept with its dtype (``load_images_csv`` gives ``uint8``), so cast it
+    before arithmetic that may leave that range; any other input becomes
+    int64, as do the labels.  A pixel or label that is not a whole number
+    in the 64-bit range raises ValueError.
     """
 
     width: int
@@ -429,7 +433,7 @@ class ImageDataset:
     labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        imgs = np.asarray(self.images, dtype=np.int64)
+        imgs = _integers(self.images, "pixel")
         object.__setattr__(self, "images", imgs)
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be positive")
@@ -442,7 +446,7 @@ class ImageDataset:
         if imgs.size and (imgs.min() < 0 or imgs.max() >= self.alphabet_size):
             raise ValueError("pixel value outside alphabet")
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
+            labels = _integers(self.labels, "label", np.int64)
             object.__setattr__(self, "labels", labels)
             if labels.shape != (imgs.shape[0],):
                 raise ValueError("need exactly one label per image")
@@ -454,6 +458,23 @@ class ImageDataset:
     @property
     def n_pixels(self) -> int:
         return int(self.images.shape[1])
+
+
+def _integers(values, what: str, dtype=None) -> np.ndarray:
+    """``values`` as an array of integers: an integer array as it is unless
+    ``dtype`` names another, any other as ``dtype`` (default int64) once
+    each value is checked to be a whole number that it holds (NaN, 0.7,
+    1 + 1j and, for int64, 2**63 are not)."""
+    values = np.asarray(values)
+    if values.dtype.kind in "iu" and dtype in (None, values.dtype):
+        return values
+    with np.errstate(invalid="ignore"):  # NaN and out-of-range casts are caught below
+        whole = values.real.astype(dtype or np.int64)
+    wrong = whole != values
+    if wrong.any():
+        bad = values[wrong][:1].tolist()[0]
+        raise ValueError(f"{what} {bad!r} is not a whole number in the 64-bit range")
+    return whole
 
 
 def gen_two_class_images(
@@ -594,13 +615,15 @@ def load_images_csv(
 
     When the geometry is unknown the images are treated as 1 x n_pixels
     strips; the alphabet defaults to the largest pixel value + 1 (but at
-    least 2 symbols).  A body of one-digit ASCII cells whose lines all end
-    alike is read from its bytes as one fixed-width grid (see
-    ``_parse_digit_rows``).  Every other file (blank labels, wider, signed,
-    blank, spaced, quoted or non-ASCII cells, blank lines, mixed line ends,
-    any error) is read a row at a time, which also finds the line to
-    report.  The file may be a pipe, whose bytes are held in memory while
-    it is read.
+    least 2 symbols).  Pixels load as ``uint8`` when every one is in
+    ``0 .. 255`` (otherwise as int64), whichever reader ran; cast them
+    before arithmetic that may leave that range.  A body of one-digit
+    ASCII cells whose lines all end alike is read from its bytes as one
+    fixed-width grid (see ``_parse_digit_rows``).  Every other file (blank
+    labels, wider, signed, blank, spaced, quoted or non-ASCII cells, blank
+    lines, mixed line ends, any error) is read a row at a time, which also
+    finds the line to report.  The file may be a pipe, whose bytes are held
+    in memory while it is read.
     """
     with _reading(path) as (fh, header, body):
         if not header or header[0] != "label" or len(header) < 2:
@@ -627,7 +650,8 @@ def _parse_digit_rows(fh, body, n_pixels: int):
     grid, or None unless the body is non-empty and every line holds
     ``n_pixels + 1`` one-digit ASCII cells separated by commas, every line
     ending in ``\\n`` or every line in ``\\r\\n`` (the last ``\\n`` may be
-    missing).  The grid's end, comma and digit columns are checked whole.
+    missing).  The images are the grid's ``uint8`` digits, the labels int64.
+    The grid's end, comma and digit columns are checked whole.
     The row reader reports a cell over ``csv.field_size_limit()``."""
     # A decoder state is packed into ``body`` when the header ends in a lone "\r".
     if body >> 64 or csv.field_size_limit() < 1:
@@ -642,20 +666,23 @@ def _parse_digit_rows(fh, body, n_pixels: int):
         return None
     grid = np.frombuffer(data, np.uint8).reshape(-1, width)
     end = np.frombuffer(b"\r\n"[2 * cells + 1 - width :], np.uint8)
-    digits = grid[:, : 2 * cells : 2] - np.uint8(ord("0"))  # a non-digit wraps above 9
-    if ((grid[:, 2 * cells - 1 :] != end).any() or (digits > 9).any()
+    labels = grid[:, 0] - np.uint8(ord("0"))  # a non-digit wraps above 9
+    images = grid[:, 2 : 2 * cells : 2] - np.uint8(ord("0"))
+    if ((grid[:, 2 * cells - 1 :] != end).any() or (labels > 9).any() or (images > 9).any()
             or (grid[:, 1 : 2 * cells - 1 : 2] != ord(",")).any()):
         return None
-    return digits[:, 0].astype(np.int64), digits[:, 1:].astype(np.int64)
+    return labels.astype(np.int64), images
 
 
 def _read_image_rows(path, fh, body, n_pixels: int):
     """``(labels or None, images)`` of the image file ``path`` open as ``fh``,
     read a row at a time from its body at position ``body``; raises
-    FileFormatError naming the line of the first bad row."""
+    FileFormatError naming the line of the first bad row.  The images are
+    ``uint8`` when every pixel is in ``0 .. 255``, as from the grid read."""
     rows = []
     labels: list[int] = []
     blank_labels = 0
+    lo = hi = 0
     for where, row in _body_rows(path, fh, body):
         if len(row) != n_pixels + 1:
             raise FileFormatError(
@@ -676,14 +703,15 @@ def _read_image_rows(path, fh, body, n_pixels: int):
             values = [int(c) for c in row[1:]]
         except ValueError:
             raise FileFormatError(f"{where}: non-integer pixel value") from None
-        if min(values) not in _INT64 or max(values) not in _INT64:
+        lo, hi = min(lo, min(values)), max(hi, max(values))
+        if lo not in _INT64 or hi not in _INT64:
             bad = next(c for c, v in zip(row[1:], values) if v not in _INT64)
             raise FileFormatError(f"{where}: pixel value {bad!r} outside the 64-bit range")
         rows.append(values)
     if blank_labels and labels:
         raise FileFormatError(f"{path}: mix of labeled and unlabeled rows")
     labels = np.asarray(labels, dtype=np.int64) if labels else None
-    return labels, np.asarray(rows, dtype=np.int64)
+    return labels, np.asarray(rows, dtype=np.uint8 if 0 <= lo and hi <= 255 else np.int64)
 
 
 def save_images_csv(dataset: ImageDataset, path) -> None:

@@ -235,10 +235,10 @@ def _validation_mse(model: EqualizerModel, x, y, start: int) -> float:
         return float(np.mean((y[start:] - est) ** 2))
 
 
-def _lagged_sums(xs, yc: np.ndarray, first: int, last: int, taps: int, shift: int):
+def _lagged_sums(xs, yc: np.ndarray, first: int, last: int, taps: int):
     """Sums over the windows of ``taps`` samples of each series in ``xs``
     ending at ``first .. last`` (newest sample first, one block of columns
-    per series) paired with targets ``yc[end + shift]``: the Gram matrix,
+    per series) paired with targets ``yc[end]``: the Gram matrix,
     column sums, right-hand side, target sum and row count.
 
     O(rows * taps) per pair of series, by the covariance method (Morf,
@@ -249,7 +249,7 @@ def _lagged_sums(xs, yc: np.ndarray, first: int, last: int, taps: int, shift: in
     xs = np.atleast_2d(xs)
     n_ch, k = xs.shape[0], taps
     span = xs[:, first - k + 1 : last + 1]  # every sample the windows read
-    ends, t = span[:, k - 1 :], yc[first + shift : last + 1 + shift]
+    ends, t = span[:, k - 1 :], yc[first : last + 1]
     enter, leave = span[:, : k - 1][:, ::-1], span[:, ::-1][:, : k - 1]
     row0 = np.array([[np.correlate(b, a)[::-1] for b in span] for a in ends])  # [a, b, j]
     gram = np.empty((n_ch, k, n_ch, k))  # [a, i, b, j]: x_a lag i times x_b lag j

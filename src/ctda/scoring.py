@@ -182,13 +182,18 @@ _BLOCK_IMAGES = 256  # images per step of a corpus-sized gather or count: no (n,
 def _row_sums(values: np.ndarray, index: np.ndarray, offset=None) -> np.ndarray:
     """Checked finite, each row's sum of ``values.take(index + offset)``
     (``offset``: None, or added to each row), gathered ``_BLOCK_IMAGES`` rows
-    at a time.  A row's sum does not depend on the blocking."""
+    at a time.  Unless ``index`` is intp with no offset, each block is cast
+    with its offset into one reused intp buffer, so ``take`` never converts
+    a narrow dtype itself.  A row's sum does not depend on the blocking."""
     sums = np.empty(len(index))
+    cast = offset is not None or index.dtype != np.intp
+    rows = np.empty((min(len(index), _BLOCK_IMAGES), index.shape[1]), np.intp) if cast else None
     for lo in range(0, len(index), _BLOCK_IMAGES):
-        rows = index[lo : lo + _BLOCK_IMAGES]
-        if offset is not None:
-            rows = rows + offset
-        values.take(rows).sum(axis=1, out=sums[lo : lo + len(rows)])
+        block = index[lo : lo + _BLOCK_IMAGES]
+        if cast:  # unsafe is exact: the indices are in range of ``values``
+            block = np.add(block, 0 if offset is None else offset, out=rows[: len(block)],
+                           dtype=np.intp, casting="unsafe")
+        values.take(block).sum(axis=1, out=sums[lo : lo + len(block)])
     return _finite(sums)
 
 
@@ -207,7 +212,8 @@ def _symbol_counts(rows: np.ndarray, alphabet: int) -> np.ndarray:
     for lo in range(0, len(rows), _BLOCK_IMAGES):
         block = counts[lo : lo + _BLOCK_IMAGES]
         n = len(block)
-        np.add(rows[lo : lo + n], alphabet * np.arange(n)[:, None], out=bins[:n])
+        np.add(rows[lo : lo + n], alphabet * np.arange(n)[:, None], out=bins[:n],
+               dtype=np.int64, casting="unsafe")  # uint64 + int64 would be float
         block.flat = np.bincount(bins[:n].ravel(), minlength=block.size)
     return counts
 
@@ -261,7 +267,7 @@ def _pixel_counts(images: np.ndarray, k: int, stop: int) -> np.ndarray:
     bins = np.empty((min(len(images), _BLOCK_IMAGES), stop), np.int64)
     for lo in range(0, len(images), _BLOCK_IMAGES):
         rows = images[lo : lo + _BLOCK_IMAGES, :stop]
-        np.add(rows, offset, out=bins[: len(rows)])
+        np.add(rows, offset, out=bins[: len(rows)], dtype=np.int64, casting="unsafe")
         counts += np.bincount(bins[: len(rows)].ravel(), minlength=counts.size)
     return counts.reshape(stop, k)
 

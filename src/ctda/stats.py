@@ -139,8 +139,13 @@ def parametric_channel(e: float) -> Channel:
     return Channel(w)
 
 
+_BLOCK_SYMBOLS = 1 << 16  # symbols per bincount: a narrow dtype is widened this many at a time
+
+
 def empirical_distribution(samples, alphabet_size: int) -> DiscreteDistribution:
-    """Relative symbol frequencies of integer ``samples`` over ``0 .. K-1``."""
+    """Relative symbol frequencies of integer ``samples`` over ``0 .. K-1``,
+    counted ``_BLOCK_SYMBOLS`` at a time, so ``uint8`` samples are never
+    copied whole to ``bincount``'s intp."""
     s = np.asarray(samples)
     if s.size == 0:
         raise ValueError("cannot estimate a distribution from no samples")
@@ -149,8 +154,12 @@ def empirical_distribution(samples, alphabet_size: int) -> DiscreteDistribution:
         raise ValueError("samples must be integer symbols")
     if alphabet_size < 2:
         raise ValueError("alphabet needs at least 2 symbols")
+    counts = None
     try:  # bincount rejects a negative symbol; at 2**63 - 1 its length overflows
-        counts = np.bincount(s, minlength=alphabet_size) if s.max() < alphabet_size else None
+        if s.max() < alphabet_size:
+            counts = np.zeros(alphabet_size, np.intp)
+            for lo in range(0, s.size, _BLOCK_SYMBOLS):
+                counts += np.bincount(s[lo : lo + _BLOCK_SYMBOLS], minlength=alphabet_size)
     except ValueError:
         counts = None
     if counts is None:

@@ -959,6 +959,27 @@ class TestSweepFootprint:
         assert peak / (2 * n * side * side) <= cli.SWEEP_BYTES_PER_PIXEL
 
 
+class TestScoreFootprint:
+    """``score`` keeps a one-digit corpus at one byte a pixel: an int64 copy
+    of a 1,000 x 784 corpus alone would be 6 MiB."""
+
+    @pytest.mark.parametrize("mode", ["pooled", "per_pixel"])
+    def test_a_benchmark_sized_file_peaks_under_5_mib(self, tmp_path, mode):
+        clean = gen_two_class_images(24, 500, 28, 28, DIST_A, DIST_B)
+        path = tmp_path / "images.csv"
+        save_images_csv(apply_channel_to_dataset(clean, parametric_channel(0.1), seed=25), path)
+        argv = ["score", "--images", str(path), "--channel-e", "0.1", "--mode", mode,
+                "--out", str(tmp_path / "scores.csv")]
+        assert main(argv) == 0  # lazy imports cost no bytes per pixel
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
+
 def baseline_job(xs, y, lag, split, method):
     """What ``cmd_baseline`` computes between reading and writing."""
     fit = fit_ols if method == "ols" else fit_bayes

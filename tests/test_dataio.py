@@ -2,6 +2,7 @@ import csv
 import datetime
 import io
 import os
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -795,6 +796,32 @@ class TestImageDataset:
         with pytest.raises(ValueError):
             ImageDataset(2, 2, 2, [[0, 1]])
 
+    @pytest.mark.parametrize("images, labels, message", [
+        ([[0.7], [1.9]], None, "pixel 0.7 "),
+        ([[0.0], [np.nan]], None, "pixel nan "),
+        ([[0.0], [2.0**63]], None, "pixel 9.223372036854776e+18 "),
+        ([[0], [1]], [0.0, 0.5], "label 0.5 "),
+        ([[0], [1]], np.array([0, 2**64 - 1], np.uint64), "label 18446744073709551615 "),
+        ([[0], [1 + 1j]], None, "pixel (1+1j) "),
+    ], ids=["fractions", "nan", "past-int64", "fractional-label", "label-past-int64", "complex"])
+    def test_values_that_are_not_whole_numbers(self, images, labels, message):
+        with pytest.raises(ValueError, match=re.escape(message + "is not a whole number")):
+            ImageDataset(1, 1, 2, images, labels)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64, np.int64])
+    def test_an_integer_array_keeps_its_dtype(self, dtype):
+        images = np.array([[0, 1], [1, 0]], dtype=dtype)
+        ds = ImageDataset(2, 1, 2, images, np.array([0, 1], dtype=dtype))
+        assert ds.images is images
+        assert ds.labels.dtype == np.int64
+
+    @pytest.mark.parametrize("images", [[[0, 1]], [[0.0, 1.0]], [[False, True]]],
+                             ids=["list", "whole-floats", "bools"])
+    def test_other_input_becomes_int64(self, images):
+        ds = ImageDataset(2, 1, 2, images, [1.0])
+        assert ds.images.dtype == ds.labels.dtype == np.int64
+        assert ds.images.tolist() == [[0, 1]] and ds.labels.tolist() == [1]
+
 
 class TestGenTwoClassImages:
     def test_shapes_and_labels(self):
@@ -1296,7 +1323,8 @@ class TestByteReaderMatchesLoop:
                 fed_pipe(p.read_bytes()) as pipe:
             for source in (p, pipe):
                 ds = load_images_csv(source, 28, 28, 4)
-                assert ds.images.tobytes() == images.tobytes()
+                assert ds.images.dtype == np.uint8
+                np.testing.assert_array_equal(ds.images, images)
                 assert ds.labels.tobytes() == labels.tobytes()
 
     def test_cell_over_a_lowered_field_limit_gets_the_row_readers_message(self, tmp_path):
@@ -1359,7 +1387,8 @@ class TestDigitGrid:
         assert len(grid_reads) == 2
         for got_labels, got_images in grid_reads:
             assert got_labels.tobytes() == labels.tobytes()
-            assert got_images.tobytes() == images.tobytes()
+            assert got_images.dtype == np.uint8
+            np.testing.assert_array_equal(got_images, images)
 
     @pytest.mark.parametrize("high, ends", [
         (100, ["\n"]),  # cells of one and two digits
@@ -1379,6 +1408,34 @@ class TestDigitGrid:
         assert row_reader.call_count == 1
         assert (ds.labels.tolist(), ds.images.tolist()) == load_images_csv_loop(p)
         assert ds.images.tolist() == rows[:, 1:].tolist()
+
+    def test_row_reader_loads_the_grid_reads_dtype(self, tmp_path):
+        # one corpus, saved as a plain grid and with one quoted cell, which
+        # sends the file to the row reader: the same uint8 images either way
+        rng = np.random.default_rng(24)
+        images, labels = rng.integers(0, 10, (30, 6)), rng.integers(0, 2, 30)
+        grid = tmp_path / "grid.csv"
+        save_images_csv(ImageDataset(6, 1, 10, images, labels), grid)
+        head, first, rest = grid.read_text().split("\n", 2)
+        cells = first.split(",")
+        cells[1] = f'"{cells[1]}"'
+        quoted = write(tmp_path, "quoted.csv", "\n".join([head, ",".join(cells), rest]))
+        with mock.patch.object(dataio, "_read_image_rows",
+                               wraps=dataio._read_image_rows) as row_reader:
+            loaded = [load_images_csv(p) for p in (grid, quoted)]
+        assert row_reader.call_count == 1
+        for ds in loaded:
+            assert ds.images.dtype == np.uint8
+            np.testing.assert_array_equal(ds.images, images)
+            assert ds.labels.tobytes() == labels.tobytes()
+
+    @pytest.mark.parametrize("cells, dtype", [
+        ("0,255", np.uint8), ("0,256", np.int64), ("0,12\n1,1000", np.int64),
+    ])
+    def test_row_reader_widens_past_a_byte(self, tmp_path, cells, dtype):
+        ds = load_images_csv(write(tmp_path, "im.csv", "label,p0\n" + cells + "\n"))
+        assert ds.images.dtype == dtype
+        assert ds.images.ravel().tolist() == [int(r.split(",")[1]) for r in cells.split("\n")]
 
     @settings(max_examples=400, deadline=None)
     @given(text=mutated_grid_texts())

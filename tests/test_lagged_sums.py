@@ -47,7 +47,8 @@ def test_sums_match_an_explicit_design(channels, lag, shift, kind):
     a = rows[first - lag : last - lag + 1]
     t = y[first + shift : last + 1 + shift]
     m = t.size
-    gram, sums, rhs, ysum, count = equalizer._lagged_sums(x, y, first, last, k, shift)
+    # shift 1: a target array that starts a sample later, read at its own ends
+    gram, sums, rhs, ysum, count = equalizer._lagged_sums(x, y[shift:], first, last, k)
 
     # Entry (i, j) sums at most m + 2k terms over the samples first - i ..
     # last, the last i of them twice (u = eps / 2; a sum of n terms is off
@@ -69,8 +70,8 @@ def test_sums_match_an_explicit_design(channels, lag, shift, kind):
 
 def test_single_series_may_be_one_dimensional():
     x, y = series("white", 1)
-    flat = equalizer._lagged_sums(x[0], y, 40, N - 1, 41, 0)
-    stacked = equalizer._lagged_sums(x, y, 40, N - 1, 41, 0)
+    flat = equalizer._lagged_sums(x[0], y, 40, N - 1, 41)
+    stacked = equalizer._lagged_sums(x, y, 40, N - 1, 41)
     for got, want in zip(flat, stacked):
         np.testing.assert_array_equal(got, want)
 
@@ -80,10 +81,10 @@ def test_lagged_sums_peak_at_the_gram_size():
     n, taps = 20_000, 401
     rng = np.random.default_rng(22)
     x, y = rng.standard_normal(n), rng.standard_normal(n)
-    equalizer._lagged_sums(x[:50], y[:50], 3, 49, 4, 0)
+    equalizer._lagged_sums(x[:50], y[:50], 3, 49, 4)
     tracemalloc.start()
     try:
-        equalizer._lagged_sums(x, y, taps - 1, n - 1, taps, 0)
+        equalizer._lagged_sums(x, y, taps - 1, n - 1, taps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -515,6 +515,29 @@ class TestScoresSummedInBlocks:
         assert seen[0].tobytes() == table.scores[noisy].sum(axis=1).tobytes()
 
 
+class TestPixelDtypes:
+    """A corpus kept in a narrow or unsigned dtype (a loaded file is
+    ``uint8``) scores bit for bit as its int64 copy, on either side of a
+    256-image block's edge."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.uint64])
+    @pytest.mark.parametrize("e", [0.0, 0.1])  # e = 0 also counts symbols in the tie-break
+    def test_scores_match_int64(self, dtype, e):
+        clean = gen_two_class_images(5, 150, 4, 3, DIST_A, DIST_B)
+        wide = apply_channel_to_dataset(clean, parametric_channel(e), seed=6)
+        narrow = ImageDataset(4, 3, 4, wide.images.astype(dtype), wide.labels)
+        assert narrow.images.dtype == dtype
+        channel = parametric_channel(e)
+        for smooth in (False, True):
+            tables = [build_image_scorer(ds.images, channel, smooth) for ds in (narrow, wide)]
+            assert tables[0].scores.tobytes() == tables[1].scores.tobytes()
+            got, want = (_pooled_totals(ds, tables[1]) for ds in (narrow, wide))
+            assert got.tobytes() == want.tobytes()
+        if e:  # per-pixel inversion needs an invertible channel
+            got, want = (_per_pixel_totals(ds, channel, smooth=True) for ds in (narrow, wide))
+            assert got.tobytes() == want.tobytes()
+
+
 class TestResolveThreads:
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv("CTDA_THREADS", "7")

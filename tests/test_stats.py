@@ -1,10 +1,13 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctda import stats
 from ctda.stats import (
     Channel,
     DiscreteDistribution,
@@ -172,6 +175,41 @@ class TestEmpiricalDistribution:
             assert got == expected
         else:
             assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_counts_in_blocks_match_the_three_pass_rule(self, data):
+        # blocks of 3 symbols: each is widened and counted on its own, and
+        # the first symbol outside the alphabet is named from any block
+        dtype = np.dtype(data.draw(st.sampled_from(INTEGER_DTYPES)))
+        size = data.draw(st.integers(2, 6))
+        info = np.iinfo(dtype)
+        near = st.integers(max(info.min, -2), size + 2)
+        values = data.draw(st.lists(st.one_of(near, st.integers(0, size - 1)),
+                                    min_size=1, max_size=20))
+        samples = np.array(values, dtype=dtype)
+        try:
+            expected = empirical_distribution_three_pass(samples, size).tobytes()
+        except ValueError as exc:
+            expected = str(exc)
+        with mock.patch.object(stats, "_BLOCK_SYMBOLS", 3):
+            try:
+                got = empirical_distribution(samples, size).probs.tobytes()
+            except ValueError as exc:
+                got = str(exc)
+        assert got == expected
+
+    def test_narrow_samples_are_never_widened_whole(self):
+        # a million uint8 symbols: bincount's intp copy of them is 8 MB
+        samples = np.random.default_rng(25).integers(0, 4, 10**6).astype(np.uint8)
+        empirical_distribution(samples[:10], 4)
+        tracemalloc.start()
+        try:
+            empirical_distribution(samples, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * stats._BLOCK_SYMBOLS
 
     def test_smoothed_strictly_positive(self):
         d = smoothed_distribution([0, 0, 0], 4)
