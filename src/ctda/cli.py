@@ -246,12 +246,17 @@ def _initial_alphas(mode, models, est, y_eval):
     return selective_weights([m.validation_mse for m in models]), False
 
 
+def _model_bank(obj) -> dict:
+    bank = {}
+    for c in obj["channels"]:
+        if c["name"] in bank:
+            raise ValueError(f"duplicate channel name {c['name']!r}")
+        bank[c["name"]] = model_from_dict(c["model"])
+    return bank
+
+
 def cmd_infer(args) -> None:
-    bank = _read_json(
-        args.models,
-        lambda obj: {c["name"]: model_from_dict(c["model"]) for c in obj["channels"]},
-        "model file",
-    )
+    bank = _read_json(args.models, _model_bank, "model file")
 
     names, timestamps, xs, y, iso = _load_series_bundle(args)
     missing = [n for n in bank if n not in names]
@@ -261,8 +266,6 @@ def cmd_infer(args) -> None:
     channels = [(name, bank[name]) for name in sorted(bank)]
 
     forced = False
-    if args.top_k and args.mse_threshold is not None:
-        raise ValueError("give at most one of --top-k and --mse-threshold")
     if args.top_k:
         channels, forced = select_channels(channels, "top_k", k=args.top_k)
     elif args.mse_threshold is not None:
@@ -540,10 +543,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", required=True, help="model JSON from 'fit'")
     _add_series_flags(p)
     p.add_argument("--fusion", choices=FUSION_MODES, default="mrc_inverse_mse")
-    p.add_argument(
+    select = p.add_mutually_exclusive_group()
+    select.add_argument(
         "--top-k", type=_nonnegative_int, default=0, help="keep only the k best channels"
     )
-    p.add_argument(
+    select.add_argument(
         "--mse-threshold",
         type=float,
         default=None,

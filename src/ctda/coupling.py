@@ -216,6 +216,11 @@ def _complement_svd(b, px):
     return basis, s, vt
 
 
+def _tied(s, vt, sigma2):
+    """Rows of ``vt`` attaining ``sigma2``; rows past ``s`` are mapped to 0."""
+    return np.abs(np.pad(s, (0, len(vt) - s.size)) - sigma2) < _SIGMA_TOL
+
+
 def _direction(basis, vt):
     """The sign-normalised top direction ``basis @ vt[0]`` of each complement SVD."""
     psi = _matvec(basis, vt[..., 0, :])
@@ -234,13 +239,12 @@ def solve_coupling(dtm: Dtm) -> CouplingSolution:
     basis, s, vt = _complement_svd(dtm.matrix, dtm.p_x.probs)
     sigma2 = float(s[0])
     psi_x = _direction(basis, vt)
-    degenerate = int(np.sum(np.abs(dtm.singular_values - sigma2) < _SIGMA_TOL)) > 1
     return CouplingSolution(
         singular_values=dtm.singular_values,
         second_singular_value=sigma2,
         psi_x=psi_x,
         psi_y=_matvec(dtm.matrix, psi_x),
-        degenerate_subspace=degenerate,
+        degenerate_subspace=bool(np.count_nonzero(_tied(s, vt, sigma2)) > 1),
     )
 
 
@@ -255,8 +259,7 @@ def optimal_directions(dtm: Dtm, solution: CouplingSolution) -> np.ndarray:
     information).
     """
     basis, s, vt = _complement_svd(dtm.matrix, dtm.p_x.probs)
-    tied = np.abs(s - solution.second_singular_value) < _SIGMA_TOL
-    return basis @ vt[tied].T
+    return basis @ vt[_tied(s, vt, solution.second_singular_value)].T
 
 
 def replace_direction(solution: CouplingSolution, dtm: Dtm, psi_x) -> CouplingSolution:

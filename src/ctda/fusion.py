@@ -206,11 +206,10 @@ def online_alpha_update(model: FusionModel, squared_errors, window: int) -> Fusi
     """Refresh inverse-MSE weights from a trailing window of squared errors.
 
     ``squared_errors[m]`` holds channel ``m``'s past squared estimation
-    errors, oldest first.  Only the last ``window`` entries count; if fewer
-    are available they are all used (with a warning).  With no completed
-    errors at all the model is returned unchanged.  The histories may differ
-    in length, which the ``(M, n)`` array of ``online_inverse_mse_weights``
-    cannot hold, so this keeps its own body.
+    errors, oldest first; every history has the same length.  The new
+    weights are the final row of :func:`online_inverse_mse_weights` over the
+    last ``window`` errors, with its warning when fewer are available.  With
+    no completed errors at all the model is returned unchanged.
     """
     if model.mode != "mrc_inverse_mse":
         raise ValueError("online weight updates require mrc_inverse_mse fusion")
@@ -218,16 +217,13 @@ def online_alpha_update(model: FusionModel, squared_errors, window: int) -> Fusi
         raise ValueError("window must be >= 1")
     if len(squared_errors) != len(model.channels):
         raise ValueError("need one error history per channel")
-    histories = [np.asarray(h, dtype=float) for h in squared_errors]
-    if any(h.size == 0 for h in histories):
+    if len({np.shape(h) for h in squared_errors}) > 1:
+        raise ValueError("error histories must share one length")
+    err = np.asarray(squared_errors, dtype=float)
+    if err.size == 0:
         return model
-    if any(h.size < window for h in histories):
-        warnings.warn(
-            "fewer completed errors than the update window; using all available",
-            stacklevel=2,
-        )
-    mses = np.array([h[-window:].mean() for h in histories])
-    return dataclasses.replace(model, alphas=mrc_weights_inverse_mse(mses))
+    rows = online_inverse_mse_weights(err[:, -window:], window, model.alphas)
+    return dataclasses.replace(model, alphas=rows[-1])
 
 
 def online_inverse_mse_weights(squared_errors, window: int, initial) -> np.ndarray:
@@ -238,9 +234,9 @@ def online_inverse_mse_weights(squared_errors, window: int, initial) -> np.ndarr
     array whose row ``i`` holds the weights in force for sample ``i``: row 0
     is ``initial``, and row ``i >= 1`` comes from the mean of the last
     ``window`` errors of samples ``0 .. i - 1`` (all of them while fewer
-    exist, with one warning).  Row ``n`` holds the final weights.  This is
-    :func:`online_alpha_update` applied after every sample, computed in one
-    vectorized pass of at most ``M * n * window`` additions.
+    exist).  Row ``n`` holds the final weights; one warning is given when
+    even it rests on fewer than ``window`` errors (``0 < n < window``).
+    Computed in one vectorized pass of at most ``M * n * window`` additions.
     """
     err = np.asarray(squared_errors, dtype=float)
     if err.ndim != 2:
@@ -254,20 +250,16 @@ def online_inverse_mse_weights(squared_errors, window: int, initial) -> np.ndarr
         raise ValueError("need one initial weight per channel")
     n = err.shape[1]
     short = min(n, window - 1)
-    if short:
+    if 0 < n < window:
         warnings.warn(
             "fewer completed errors than the update window; using all available",
             stacklevel=2,
         )
     # Rows 1 .. short average every error so far; later rows a full window.
-    warm = np.cumsum(err[:, :short], axis=1) / np.arange(1, short + 1)
-    full = (
-        sliding_window_view(err, window, axis=1).mean(axis=-1)
-        if n >= window
-        else err[:, :0]
-    )
-    mses = np.concatenate([warm, full], axis=1).T
-    rows = np.vstack([initial, mrc_weights_inverse_mse(mses)])
+    mses = np.cumsum(err[:, :short], axis=1) / np.arange(1, short + 1)
+    if n >= window:
+        mses = np.hstack([mses, sliding_window_view(err, window, axis=1).mean(axis=-1)])
+    rows = np.vstack([initial, mrc_weights_inverse_mse(mses.T)])
     _check_weights(rows, "mrc_inverse_mse")
     return rows
 

@@ -508,32 +508,32 @@ class TestInfer:
 
     def test_top_k_and_threshold_conflict(self, fitted, tmp_path, capsys):
         out = tmp_path / "preds.csv"
-        rc = main(
-            self.infer_argv(
-                fitted, out, ["--top-k", "1", "--mse-threshold", "0.5"]
-            )
-        )
-        assert rc == 1
-        assert "at most one" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(self.infer_argv(fitted, out, ["--top-k", "1", "--mse-threshold", "0.5"]))
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_online_window(self, fitted, tmp_path):
         out = tmp_path / "preds.csv"
-        # warm-up samples have fewer errors banked than the window holds
-        with pytest.warns(UserWarning, match="fewer completed errors"):
+        # the warm-up samples' short windows are routine: no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(
                 self.infer_argv(fitted, out, ["--online-window", "25"])
             ) == 0
         assert len(out.read_text().splitlines()) > 1
 
     def test_online_window_warns_once(self, fitted, tmp_path):
+        # a window longer than the 600-row series: even the final weights are short
         out = tmp_path / "preds.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(self.infer_argv(fitted, out, ["--online-window", "50"])) == 0
+            assert main(self.infer_argv(fitted, out, ["--online-window", "1000"])) == 0
         assert sum("fewer completed errors" in str(w.message) for w in caught) == 1
 
     @pytest.mark.parametrize("extra, message", [
-        (["--online-window", "25"],
+        (["--online-window", "1000"],
          "fewer completed errors than the update window; using all available"),
         (["--top-k", "99"], "requested top 99 of 2 channels; keeping all"),
     ])
@@ -600,6 +600,18 @@ class TestInfer:
         )
         assert rc == 2
         assert "malformed model file" in capsys.readouterr().err
+
+    def test_repeated_channel_name_exits_2(self, fitted, tmp_path, capsys):
+        # b's model under a's name must not silently replace a's
+        _, model_path = fitted
+        stored = json.loads(model_path.read_text())
+        stored["channels"][1]["name"] = stored["channels"][0]["name"]
+        model_path.write_text(json.dumps(stored))
+        out = tmp_path / "preds.csv"
+        assert main(self.infer_argv(fitted, out)) == 2
+        err = capsys.readouterr().err
+        assert "malformed model file (duplicate channel name 'a')" in err
+        assert not out.exists()
 
     def test_model_without_matching_series_exits_1(self, fitted, tmp_path, capsys):
         (a, _, tgt), model_path = fitted

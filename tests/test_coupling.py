@@ -226,6 +226,54 @@ class TestOptimalDirections:
         assert lead[0] > 0
         assert swapped.degenerate_subspace == sol.degenerate_subspace
 
+    @pytest.mark.parametrize("channel", [identity_channel(2), binary_symmetric_channel(0.0)])
+    def test_lone_perfect_direction_is_not_degenerate(self, channel):
+        # sigma_2 = 1 ties with the trivial sigma_1, which is no valid direction
+        dtm = build_dtm(channel, uniform_distribution(2))
+        sol = solve_coupling(dtm)
+        assert sol.second_singular_value == pytest.approx(1.0, abs=1e-12)
+        assert not sol.degenerate_subspace
+        assert optimal_directions(dtm, sol).shape == (2, 1)
+
+    def test_wide_channel_has_one_direction(self):
+        # 2 outputs, 4 inputs: two complement directions are mapped to 0
+        w = Channel(np.array([[0.9, 0.2, 0.5, 0.1], [0.1, 0.8, 0.5, 0.9]]))
+        dtm = build_dtm(w, uniform_distribution(4))
+        sol = solve_coupling(dtm)
+        dirs = optimal_directions(dtm, sol)
+        assert dirs.shape == (4, 1) and not sol.degenerate_subspace
+        assert abs(float(dirs[:, 0] @ sol.psi_x)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_useless_wide_channel_ties_every_direction(self):
+        # identical columns: B maps the whole complement to 0
+        w = Channel(np.tile([[0.3], [0.7]], (1, 4)))
+        dtm = build_dtm(w, uniform_distribution(4))
+        sol = solve_coupling(dtm)
+        dirs = optimal_directions(dtm, sol)
+        assert sol.degenerate_subspace
+        assert dirs.shape == (4, 3)
+        np.testing.assert_allclose(dirs.T @ dirs, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(dirs.T @ np.sqrt(dtm.p_x.probs), 0.0, atol=1e-12)
+
+    def test_flag_agrees_with_direction_count(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n_in = int(rng.integers(2, 6))
+            n_out = int(rng.integers(2, n_in + 2))  # wide, square and tall
+            # columns drawn from a small pool, some one-hot, so that ties occur
+            pool = np.column_stack([
+                rng.dirichlet(np.ones(n_out)) if rng.random() < 0.5
+                else np.eye(n_out)[:, rng.integers(n_out)]
+                for _ in range(int(rng.integers(1, n_in + 1)))
+            ])
+            w = Channel(pool[:, rng.integers(pool.shape[1], size=n_in)])
+            try:
+                dtm = build_dtm(w, random_dist(rng, n_in))
+            except ValueError:  # fewer than two reachable outputs or inputs
+                continue
+            sol = solve_coupling(dtm)
+            assert sol.degenerate_subspace == (optimal_directions(dtm, sol).shape[1] > 1)
+
     def test_replace_zero_rejected(self):
         dtm = build_dtm(identity_channel(3), uniform_distribution(3))
         sol = solve_coupling(dtm)

@@ -6,7 +6,9 @@ ISO dates by one rule on each path: only ``dataio._parse_plain`` uses
 ``np.loadtxt``, only ``dataio._iso_ordinal`` (the row reader's rule) uses
 ``fromisoformat`` and only ``dataio._iso_ordinals`` (numpy's) names
 ``datetime64``.  Pixels are sampled by one rule: only
-``dataio._count_levels`` calls a generator's ``random``."""
+``dataio._count_levels`` calls a generator's ``random``.  The trailing
+window of online fusion has one implementation: only
+``fusion.online_inverse_mse_weights`` uses ``sliding_window_view``."""
 
 import ast
 from pathlib import Path
@@ -98,6 +100,16 @@ def test_one_function_uses_each_accept_rule(name, owner):
         for function in users(ast.parse(path.read_text(encoding="utf-8")), name)
     )
     assert uses == [owner]
+
+
+def test_one_function_takes_a_trailing_window():
+    # online_alpha_update reads the last row of the vectorized refresh
+    uses = sorted(
+        (path.name, function)
+        for path in PACKAGE.glob("*.py")
+        for function in users(ast.parse(path.read_text(encoding="utf-8")), "sliding_window_view")
+    )
+    assert uses == [("fusion.py", "online_inverse_mse_weights")]
 
 
 def test_detects_a_use_by_reference_or_call():

@@ -345,12 +345,35 @@ class TestOnlineUpdate:
         with pytest.raises(ValueError, match="per channel"):
             online_alpha_update(self.make_model(), [np.ones(3)], window=2)
 
+    @pytest.mark.parametrize("lengths", [(3, 2), (0, 4), (5, 1)])
+    def test_ragged_histories_rejected(self, lengths):
+        histories = [np.ones(k) for k in lengths]
+        with pytest.raises(ValueError, match="share one length"):
+            online_alpha_update(self.make_model(), histories, window=2)
+
+    @pytest.mark.parametrize("n", [0, 3, 7, 20])
+    def test_trailing_mean_of_random_histories(self, n):
+        # window 7: n = 0, n < W, n = W and n > W
+        window = 7
+        rng = np.random.default_rng(n)
+        chans = tuple((c, passthrough()) for c in "abc")
+        model = FusionModel(chans, [0.2, 0.3, 0.5], "mrc_inverse_mse")
+        err = rng.exponential(size=(3, n)) * [[1.0], [2.0], [0.5]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = online_alpha_update(model, list(err), window)
+        assert len(caught) == int(0 < n < window)
+        if n == 0:
+            assert out is model
+        else:
+            want = mrc_weights_inverse_mse(err[:, -window:].mean(axis=1))
+            np.testing.assert_allclose(out.alphas, want, rtol=1e-12)
+
 
 class TestOnlineWeights:
     def test_rows_hold_weights_in_force_per_sample(self):
         err = np.array([[1.0, 1.0, 1.0, 9.0], [3.0, 3.0, 3.0, 3.0]])
-        with pytest.warns(UserWarning, match="all available"):
-            rows = online_inverse_mse_weights(err, 2, [0.5, 0.5])
+        rows = online_inverse_mse_weights(err, 2, [0.5, 0.5])
         assert rows.shape == (5, 2)
         np.testing.assert_array_equal(rows[0], [0.5, 0.5])
         np.testing.assert_allclose(rows[1:4], [[0.75, 0.25]] * 3, rtol=1e-15)
@@ -376,9 +399,19 @@ class TestOnlineWeights:
     def test_short_window_warns_once(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            online_inverse_mse_weights(np.ones((2, 100)), 50, [0.5, 0.5])
+            online_inverse_mse_weights(np.ones((2, 40)), 50, [0.5, 0.5])
         assert len(caught) == 1
         assert "fewer completed errors" in str(caught[0].message)
+
+    @pytest.mark.parametrize("n, window, warns", [
+        (0, 5, False), (1, 5, True), (4, 5, True), (5, 5, False), (100, 5, False),
+        (1, 1, False),
+    ])
+    def test_warns_exactly_when_final_row_is_short(self, n, window, warns):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            online_inverse_mse_weights(np.ones((2, n)), window, [0.5, 0.5])
+        assert len(caught) == int(warns)
 
     def test_window_of_one_never_warns(self):
         with warnings.catch_warnings():
