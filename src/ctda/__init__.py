@@ -69,7 +69,6 @@ from .coupling import (  # noqa: E402
     tensor_dtm,
 )
 from .scoring import (  # noqa: E402
-    ScoredItem,
     build_image_scorer,
     error_vs_noise_curve,
     learn_pooled_source,
@@ -127,7 +126,6 @@ __all__ = [
     "sequence_score",
     "solve_coupling",
     "tensor_dtm",
-    "ScoredItem",
     "build_image_scorer",
     "error_vs_noise_curve",
     "learn_pooled_source",

@@ -28,7 +28,6 @@ import math
 import os
 import sys
 import warnings
-from itertools import repeat
 
 import numpy as np
 
@@ -63,13 +62,14 @@ from .fusion import (
     selective_weights,
 )
 from .scoring import (
-    _per_pixel_totals,
-    _pooled_totals,
-    _separation_error,
     build_image_scorer,
     error_vs_noise_curve,
     resolve_threads,
     save_curve_csv,
+    save_scores_csv,
+    score_dataset,
+    score_dataset_per_pixel,
+    separation_error,
 )
 from .stats import (
     DiscreteDistribution,
@@ -405,16 +405,15 @@ def cmd_score(args) -> None:
     )
     if args.mode == "pooled":
         table = build_image_scorer(dataset.images, channel, smooth=args.smooth)
-        totals = _pooled_totals(dataset, table)
+        scores = score_dataset(dataset, table)
     else:
-        totals = _per_pixel_totals(dataset, channel, smooth=True)
+        scores = score_dataset_per_pixel(dataset, channel, smooth=True)
     labels = dataset.labels
-    label_cells = repeat("", totals.size) if labels is None else labels
-    _write_csv(args.out, ["index", "label", "score"], np.arange(totals.size), label_cells, totals)
-    print(f"scored {totals.size} images (mode={args.mode})")
+    save_scores_csv(scores, labels, args.out)
+    print(f"scored {scores.size} images (mode={args.mode})")
     if labels is not None:
         try:
-            err = _separation_error(totals, labels)
+            err = separation_error(scores, labels)
         except ValueError as exc:
             print(f"separation error unavailable: {exc}")
         else:

@@ -51,10 +51,14 @@ class FusionModel:
         object.__setattr__(self, "alphas", alphas)
         if len(channels) < 1:
             raise ValueError("fusion needs at least one channel")
+        seen = set()
         for entry in channels:
             name, model = entry
             if not isinstance(model, EqualizerModel):
                 raise ValueError(f"channel {name!r} is not an equalizer model")
+            if name in seen:
+                raise ValueError(f"duplicate channel name {name!r}")
+            seen.add(name)
         if alphas.shape != (len(channels),):
             raise ValueError("need exactly one weight per channel")
         if self.mode not in FUSION_MODES:
@@ -222,7 +226,7 @@ def online_alpha_update(model: FusionModel, squared_errors, window: int) -> Fusi
     err = np.asarray(squared_errors, dtype=float)
     if err.size == 0:
         return model
-    rows = online_inverse_mse_weights(err[:, -window:], window, model.alphas)
+    rows = _online_rows(err[:, -window:], window, model.alphas)
     return dataclasses.replace(model, alphas=rows[-1])
 
 
@@ -238,6 +242,12 @@ def online_inverse_mse_weights(squared_errors, window: int, initial) -> np.ndarr
     even it rests on fewer than ``window`` errors (``0 < n < window``).
     Computed in one vectorized pass of at most ``M * n * window`` additions.
     """
+    return _online_rows(squared_errors, window, initial)
+
+
+def _online_rows(squared_errors, window: int, initial) -> np.ndarray:
+    """``online_inverse_mse_weights``, for each public entry point to call
+    directly: its short-window warning names that entry point's caller."""
     err = np.asarray(squared_errors, dtype=float)
     if err.ndim != 2:
         raise ValueError("squared errors must be an (M, n) array, one row per channel")
@@ -253,7 +263,7 @@ def online_inverse_mse_weights(squared_errors, window: int, initial) -> np.ndarr
     if 0 < n < window:
         warnings.warn(
             "fewer completed errors than the update window; using all available",
-            stacklevel=2,
+            stacklevel=3,
         )
     # Rows 1 .. short average every error so far; later rows a full window.
     mses = np.cumsum(err[:, :short], axis=1) / np.arange(1, short + 1)

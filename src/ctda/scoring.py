@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,7 +26,6 @@ from .coupling import (
     optimal_directions,
     replace_direction,
     score_table,
-    sequence_score,
     solve_coupling,
 )
 from .dataio import ImageDataset, _noisy_two_class_images, _write_csv
@@ -40,19 +40,6 @@ from .stats import (
 # Recovered source entries more negative than this are treated as a modeling
 # inconsistency rather than sampling noise.
 NEGATIVITY_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class ScoredItem:
-    """One scored image: corpus position, score, and optional true label."""
-
-    index: int
-    score: float
-    label: Optional[int] = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.score):
-            raise ValueError("score must be finite")
 
 
 @dataclass(frozen=True)
@@ -163,14 +150,9 @@ def _max_variance_direction(solution, dtm, pixels, alphabet):
     return replace_direction(solution, dtm, subspace @ eigvecs[:, -1])
 
 
-def score_dataset(dataset: ImageDataset, table: ScoreTable) -> list:
-    """Score every image; labels (if present) are carried along for later
-    evaluation only."""
-    return _scored_items(_pooled_totals(dataset, table), dataset.labels)
-
-
-def _pooled_totals(dataset: ImageDataset, table: ScoreTable) -> np.ndarray:
-    """Each image's summed pixel scores under one ``table``."""
+def score_dataset(dataset: ImageDataset, table: ScoreTable) -> np.ndarray:
+    """Each image's summed pixel scores under one ``table``: an
+    ``(n_images,)`` array in corpus order.  Labels play no part."""
     if dataset.alphabet_size > table.scores.size:
         raise ValueError("score table does not cover the dataset's alphabet")
     return _row_sums(table.scores, dataset.images)
@@ -220,8 +202,9 @@ def _symbol_counts(rows: np.ndarray, alphabet: int) -> np.ndarray:
 
 def score_dataset_per_pixel(
     dataset: ImageDataset, channel: Channel, smooth: bool = True
-) -> list:
-    """Variant fitting one score table per pixel position.
+) -> np.ndarray:
+    """Each image's summed scores under one score table per pixel position:
+    an ``(n_images,)`` array in corpus order.
 
     Useful when pixel statistics vary across the image.  Per-pixel sample
     sizes are small, so marginals are smoothed by default and inversion
@@ -229,11 +212,6 @@ def score_dataset_per_pixel(
     source has fewer than two live symbols contributes nothing.  All pixels
     are solved in one stacked pass per support pattern.
     """
-    return _scored_items(_per_pixel_totals(dataset, channel, smooth), dataset.labels)
-
-
-def _per_pixel_totals(dataset: ImageDataset, channel: Channel, smooth: bool) -> np.ndarray:
-    """Each image's summed scores under per-pixel tables."""
     images = dataset.images
     n, n_pix = images.shape
     if n == 0:
@@ -272,48 +250,40 @@ def _pixel_counts(images: np.ndarray, k: int, stop: int) -> np.ndarray:
     return counts.reshape(stop, k)
 
 
-def _scored_items(totals: np.ndarray, labels: Optional[np.ndarray]) -> list:
-    return [
-        ScoredItem(
-            index=i,
-            score=float(score),
-            label=None if labels is None else int(labels[i]),
-        )
-        for i, score in enumerate(totals)
-    ]
+def _scores_and_labels(scores, labels):
+    """``scores`` as a finite 1-D float array, and ``labels`` as an array of
+    the same shape (None stays None: unlabeled)."""
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 1:
+        raise ValueError(f"scores must be one-dimensional, got shape {scores.shape}")
+    if labels is not None and (labels := np.asarray(labels)).shape != scores.shape:
+        raise ValueError(f"labels of shape {labels.shape} for {scores.size} scores")
+    return _finite(scores), labels
 
 
-def separation_error(items: Sequence[ScoredItem]) -> float:
+def separation_error(scores, labels) -> float:
     """Fraction of a balanced two-class corpus misplaced by score sorting.
 
     The low-score half is assigned to one class and the high-score half to
     the other, in whichever of the two orientations errs less (the scores
-    carry an arbitrary overall sign).
+    carry an arbitrary overall sign).  Unlabeled (``labels`` None) raises.
     """
-    labels = [item.label for item in items]
-    return _separation_error(
-        np.array([item.score for item in items]), None if None in labels else np.array(labels)
-    )
-
-
-def _separation_error(totals: np.ndarray, labels: Optional[np.ndarray]) -> float:
-    """``separation_error`` of images scored ``totals`` with ``labels``
-    (None: unlabeled)."""
-    if not len(totals):
+    scores, labels = _scores_and_labels(scores, labels)
+    if not scores.size:
         raise ValueError("nothing to evaluate")
     if labels is None:
-        raise ValueError("separation error needs labeled items")
+        raise ValueError("separation error needs labels")
     classes = np.unique(labels)
     if classes.size != 2:
         raise ValueError(f"need exactly two classes, got {classes.size}")
     counts = [(labels == c).sum() for c in classes]
     if counts[0] != counts[1]:
         raise ValueError("classes must be balanced")
-    order = np.argsort(totals, kind="stable")
+    order = np.argsort(scores, kind="stable")
     low_half = labels[order[: counts[0]]]
     wrong_a = int((low_half != classes[0]).sum())  # low half called class 0
     wrong_b = int((low_half != classes[1]).sum())  # low half called class 1
-    return 2.0 * min(wrong_a, wrong_b) / len(totals)
+    return 2.0 * min(wrong_a, wrong_b) / scores.size
 
 
 def _curve_point(
@@ -334,7 +304,7 @@ def _curve_point(
     )
     table = _image_scorer(DiscreteDistribution(counts / noisy.size), noisy, channel)
     labels = np.repeat(np.arange(2, dtype=np.int64), n_per_class)
-    error = _separation_error(_row_sums(table.scores, noisy), labels)
+    error = separation_error(_row_sums(table.scores, noisy), labels)
     return CurvePoint(
         e=float(e),
         error_probability=error,
@@ -402,10 +372,12 @@ def error_vs_noise_curve(
 # --- CSV output -------------------------------------------------------------
 
 
-def save_scores_csv(items: Sequence[ScoredItem], path) -> None:
-    """Write ``index,label,score`` rows (label cell blank when unlabeled)."""
-    rows = [(it.index, "" if it.label is None else int(it.label), it.score) for it in items]
-    _write_csv(path, ["index", "label", "score"], *zip(*rows))
+def save_scores_csv(scores, labels, path) -> None:
+    """Write an ``index,label,score`` row per score (label cells blank when
+    ``labels`` is None)."""
+    scores, labels = _scores_and_labels(scores, labels)
+    labels = repeat("", scores.size) if labels is None else labels
+    _write_csv(path, ["index", "label", "score"], np.arange(scores.size), labels, scores)
 
 
 def save_curve_csv(points: Sequence[CurvePoint], path) -> None:

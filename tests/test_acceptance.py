@@ -35,7 +35,7 @@ from ctda.fusion import (
     mrc_weights_lmmse,
 )
 from ctda.baselines import fit_ols, predict_series
-from ctda.scoring import ScoredItem, build_image_scorer, score_dataset, separation_error
+from ctda.scoring import build_image_scorer, score_dataset, separation_error
 from ctda.stats import Channel, DiscreteDistribution, parametric_channel
 
 from oracles import balanced_labelings, bayes_error, mi_of_mixture, naive_separation_error
@@ -291,13 +291,7 @@ def test_08_image_separation(report):
         # the scoring path sees no labels at any point
         unlabeled = ImageDataset(19, 19, 4, noisy.images)
         table = build_image_scorer(unlabeled.images, channel)
-        raw = score_dataset(unlabeled, table)
-        assert all(item.label is None for item in raw)
-        items = [
-            ScoredItem(index=item.index, score=item.score, label=int(lbl))
-            for item, lbl in zip(raw, clean.labels)
-        ]
-        err = separation_error(items)
+        err = separation_error(score_dataset(unlabeled, table), clean.labels)
         oracle = bayes_error(
             noisy.images, clean.labels, channel.matrix, dist_a.probs, dist_b.probs
         )
@@ -320,11 +314,7 @@ def test_09_separation_metric(report):
     order), plus every binary tie pattern."""
 
     def check(scores, labels):
-        items = [
-            ScoredItem(index=i, score=float(s), label=int(l))
-            for i, (s, l) in enumerate(zip(scores, labels))
-        ]
-        return separation_error(items) == naive_separation_error(scores, labels)
+        return separation_error(scores, labels) == naive_separation_error(scores, labels)
 
     ok = True
     cases = 0

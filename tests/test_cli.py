@@ -39,15 +39,7 @@ from ctda.dataio import (
     save_images_csv,
 )
 from ctda.equalizer import estimate_series, model_from_dict, select_length
-from ctda.scoring import (
-    _curve_point,
-    build_image_scorer,
-    resolve_threads,
-    save_scores_csv,
-    score_dataset,
-    score_dataset_per_pixel,
-    separation_error,
-)
+from ctda.scoring import _curve_point, build_image_scorer, resolve_threads
 from ctda.stats import (
     DiscreteDistribution,
     parametric_channel,
@@ -55,7 +47,7 @@ from ctda.stats import (
     save_distribution,
     uniform_distribution,
 )
-from oracles import online_inverse_mse_loop
+from oracles import naive_separation_error, online_inverse_mse_loop, per_pixel_scores_loop
 from pipe_feeder import fed_pipe
 
 DIST_A = DiscreteDistribution([0.7, 0.1, 0.1, 0.1])
@@ -877,6 +869,9 @@ class TestScore:
     def test_bytes_and_report_match_the_item_api(
         self, image_files, tmp_path, capsys, mode, labeled
     ):
+        # one row per item, as csv.writer writes it, with each score summed
+        # independently of ctda.scoring: a gather over the pooled table, or
+        # the one-pixel-at-a-time oracle
         _, noisy = image_files
         if not labeled:
             noisy = ImageDataset(noisy.width, noisy.height, noisy.alphabet_size, noisy.images)
@@ -885,18 +880,23 @@ class TestScore:
         out, expected = tmp_path / "scores.csv", tmp_path / "expected.csv"
         channel = parametric_channel(0.05)
         if mode == "pooled":
-            items = score_dataset(noisy, build_image_scorer(noisy.images, channel))
+            scores = build_image_scorer(noisy.images, channel).scores[noisy.images].sum(axis=1)
         else:
-            items = score_dataset_per_pixel(noisy, channel, smooth=True)
-        save_scores_csv(items, expected)
+            scores = per_pixel_scores_loop(noisy.images, channel.matrix, True)
+        labels = [""] * len(scores) if noisy.labels is None else noisy.labels.tolist()
+        with open(expected, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["index", "label", "score"])
+            writer.writerows(zip(range(len(scores)), labels, scores.tolist()))
         rc = main(["score", "--images", str(path), "--channel-e", "0.05",
                    "--mode", mode, "--out", str(out)])
         assert rc == 0
         assert out.read_bytes() == expected.read_bytes()
         printed = capsys.readouterr().out
-        assert f"scored {len(items)} images (mode={mode})" in printed
+        assert f"scored {len(scores)} images (mode={mode})" in printed
         if labeled:
-            assert f"separation_error={separation_error(items):.6g}" in printed
+            err = naive_separation_error(scores, labels)
+            assert f"separation_error={err:.6g}" in printed
 
 
 class TestOutOfMemory:

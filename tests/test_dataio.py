@@ -31,7 +31,7 @@ from ctda.dataio import (
     save_images_csv,
     split,
 )
-from ctda.scoring import CurvePoint, ScoredItem, save_curve_csv, save_scores_csv
+from ctda.scoring import CurvePoint, save_curve_csv, save_scores_csv
 from ctda.stats import (
     Channel,
     DiscreteDistribution,
@@ -1624,7 +1624,7 @@ class TestWriteCsv:
             assert ours.read_bytes() == reference.read_bytes()
 
     def test_empty_score_and_curve_files_hold_the_header(self, tmp_path):
-        save_scores_csv([], tmp_path / "scores.csv")
+        save_scores_csv([], None, tmp_path / "scores.csv")
         save_curve_csv([], tmp_path / "curve.csv")
         assert (tmp_path / "scores.csv").read_bytes() == b"index,label,score\r\n"
         assert (tmp_path / "curve.csv").read_bytes() == b"e,error_probability,n_images,seed\r\n"
@@ -1638,8 +1638,6 @@ class TestWriteCsv:
         stamps = np.cumsum(rng.integers(1, 4, n)) + datetime.date(1999, 12, 30).toordinal()
         images = rng.integers(0, 4, (n, 3))
         labels = rng.integers(-(2**63), 2**63 - 1, n, endpoint=True)
-        scored = [ScoredItem(i, float(v), None if i % 2 else int(labels[i]))
-                  for i, v in enumerate(values)]
         points = [CurvePoint(float(v), abs(float(v)), i, 2**63 - 1 - i)
                   for i, v in enumerate(values)]
         dates = [datetime.date.fromordinal(int(t)).isoformat() for t in stamps]
@@ -1652,9 +1650,10 @@ class TestWriteCsv:
              ["label", "p0", "p1", "p2"], ([int(l), *r] for l, r in zip(labels, images.tolist()))),
             (lambda p: save_images_csv(ImageDataset(1, 3, 4, images), p),
              ["label", "p0", "p1", "p2"], (["", *r] for r in images.tolist())),
-            (lambda p: save_scores_csv(scored, p),
-             ["index", "label", "score"],
-             ([s.index, "" if s.label is None else s.label, s.score] for s in scored)),
+            (lambda p: save_scores_csv(values, labels, p),
+             ["index", "label", "score"], zip(range(n), labels.tolist(), values.tolist())),
+            (lambda p: save_scores_csv(values, None, p),
+             ["index", "label", "score"], zip(range(n), [""] * n, values.tolist())),
             (lambda p: save_curve_csv(points, p),
              ["e", "error_probability", "n_images", "seed"],
              ([p.e, p.error_probability, p.n_images, p.seed] for p in points)),

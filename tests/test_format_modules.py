@@ -8,7 +8,9 @@ ISO dates by one rule on each path: only ``dataio._parse_plain`` uses
 ``datetime64``.  Pixels are sampled by one rule: only
 ``dataio._count_levels`` calls a generator's ``random``.  The trailing
 window of online fusion has one implementation: only
-``fusion.online_inverse_mse_weights`` uses ``sliding_window_view``."""
+``fusion._online_rows`` uses ``sliding_window_view``.  Images are scored
+through one public array API: ``cli`` imports no private name from
+``scoring``.  No module imports a name it neither uses nor exports."""
 
 import ast
 from pathlib import Path
@@ -103,13 +105,14 @@ def test_one_function_uses_each_accept_rule(name, owner):
 
 
 def test_one_function_takes_a_trailing_window():
-    # online_alpha_update reads the last row of the vectorized refresh
+    # both public entry points of the online refresh call this one function;
+    # online_alpha_update reads the last row
     uses = sorted(
         (path.name, function)
         for path in PACKAGE.glob("*.py")
         for function in users(ast.parse(path.read_text(encoding="utf-8")), "sliding_window_view")
     )
-    assert uses == [("fusion.py", "online_inverse_mse_weights")]
+    assert uses == [("fusion.py", "_online_rows")]
 
 
 def test_detects_a_use_by_reference_or_call():
@@ -191,3 +194,65 @@ def test_detects_a_random_call_but_not_the_module():
         "u = np.random.default_rng(0).random(3)\n"
     )
     assert callers(tree, "random") == {"draw", "<module>"}
+
+
+def imported_from(tree, module: str) -> list:
+    """Names that ``tree``'s ``from <module> import ...`` statements bring in."""
+    return [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and ("." * node.level + (node.module or "")) == module
+        for alias in node.names
+    ]
+
+
+def test_cli_imports_no_private_scoring_name():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    names = imported_from(tree, ".scoring")
+    assert "score_dataset" in names
+    assert [name for name in names if name.startswith("_")] == []
+
+
+def test_detects_a_relative_import():
+    tree = ast.parse("from .scoring import _pooled, score\nfrom scoring import other\n")
+    assert imported_from(tree, ".scoring") == ["_pooled", "score"]
+
+
+def unused_imports(tree) -> list:
+    """Names bound by ``tree``'s top-level imports (``__future__`` aside) that
+    the module neither uses nor lists in ``__all__``."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        element.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for element in ast.walk(node.value)
+        if isinstance(element, ast.Constant)
+    }
+    return [name for name in bound if name not in used | exported]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used_or_exported(path):
+    assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_detects_an_unused_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from .a import used, kept, dead\n"
+        "__all__ = ['kept']\n"
+        "def f():\n"
+        "    import json\n"
+        "    return used(np.zeros(1))\n"
+    )
+    assert unused_imports(tree) == ["os", "dead"]

@@ -182,6 +182,11 @@ class TestFusionModel:
         with pytest.raises(ValueError, match="mode"):
             FusionModel((("a", passthrough()),), [1.0], "majority")
 
+    def test_duplicate_channel_name(self):
+        m = passthrough()
+        with pytest.raises(ValueError, match="^duplicate channel name 'a'$"):
+            FusionModel((("a", m), ("b", m), ("a", m)), [0.25, 0.25, 0.5], "mrc_inverse_mse")
+
 
 class TestFuse:
     def test_single_channel_is_infer(self):
@@ -330,6 +335,12 @@ class TestOnlineUpdate:
             out = online_alpha_update(model, [np.full(2, 1.0), np.full(2, 3.0)], window=10)
         np.testing.assert_allclose(out.alphas, [0.75, 0.25])
 
+    def test_short_window_warning_names_the_caller(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            online_alpha_update(self.make_model(), [np.ones(2), np.ones(2)], window=10)
+        assert [w.filename for w in caught] == [__file__]
+
     def test_no_history_unchanged(self):
         model = self.make_model()
         out = online_alpha_update(model, [np.zeros(0), np.zeros(0)], window=5)
@@ -402,6 +413,12 @@ class TestOnlineWeights:
             online_inverse_mse_weights(np.ones((2, 40)), 50, [0.5, 0.5])
         assert len(caught) == 1
         assert "fewer completed errors" in str(caught[0].message)
+
+    def test_short_window_warning_names_the_caller(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            online_inverse_mse_weights(np.ones((2, 3)), 10, [0.5, 0.5])
+        assert [w.filename for w in caught] == [__file__]
 
     @pytest.mark.parametrize("n, window, warns", [
         (0, 5, False), (1, 5, True), (4, 5, True), (5, 5, False), (100, 5, False),
@@ -498,6 +515,13 @@ class TestSerialization:
         )
         again = fusion_from_dict(json.loads(json.dumps(fusion_to_dict(model))))
         assert again.degenerate
+
+    def test_file_naming_a_channel_twice_rejected(self):
+        m = passthrough()
+        blob = fusion_to_dict(FusionModel((("a", m), ("b", m)), [0.5, 0.5], "mrc_inverse_mse"))
+        blob["channels"][1]["name"] = "a"
+        with pytest.raises(ValueError, match="^duplicate channel name 'a'$"):
+            fusion_from_dict(json.loads(json.dumps(blob)))
 
     def test_files_without_degenerate_flag_load(self):
         blob = fusion_to_dict(FusionModel((("a", passthrough()),), [1.0], "equal_gain"))

@@ -23,11 +23,6 @@ from ctda.coupling import (
 from ctda import scoring
 from ctda.scoring import (
     CurvePoint,
-    ScoredItem,
-    _per_pixel_totals,
-    _pooled_totals,
-    _scored_items,
-    _separation_error,
     build_image_scorer,
     error_vs_noise_curve,
     learn_pooled_source,
@@ -52,13 +47,6 @@ from oracles import naive_separation_error, per_pixel_scores_loop
 
 DIST_A = DiscreteDistribution([0.7, 0.1, 0.1, 0.1])
 DIST_B = DiscreteDistribution([0.1, 0.1, 0.1, 0.7])
-
-
-def items_from(scores, labels):
-    return [
-        ScoredItem(index=i, score=float(s), label=int(l))
-        for i, (s, l) in enumerate(zip(scores, labels))
-    ]
 
 
 class TestLearnPooledSource:
@@ -140,19 +128,19 @@ class TestBuildImageScorer:
         db = DiscreteDistribution([0.0, 0.0, 0.0, 1.0])
         ds = gen_two_class_images(0, 20, 5, 5, da, db)
         table = build_image_scorer(ds.images, identity_channel(4))
-        assert separation_error(score_dataset(ds, table)) == 0.0
+        assert separation_error(score_dataset(ds, table), ds.labels) == 0.0
 
     def test_shipped_noisy_scenario(self):
         clean = gen_two_class_images(101, 100, 19, 19, DIST_A, DIST_B)
         channel = parametric_channel(0.05)
         noisy = apply_channel_to_dataset(clean, channel, seed=202)
         table = build_image_scorer(noisy.images, channel)
-        assert separation_error(score_dataset(noisy, table)) <= 0.02
+        assert separation_error(score_dataset(noisy, table), noisy.labels) <= 0.02
 
     def test_noiseless_same_distributions(self):
         ds = gen_two_class_images(101, 100, 19, 19, DIST_A, DIST_B)
         table = build_image_scorer(ds.images, parametric_channel(0.0))
-        assert separation_error(score_dataset(ds, table)) <= 0.01
+        assert separation_error(score_dataset(ds, table), ds.labels) <= 0.01
 
     def test_noiseless_tie_break_matches_per_image_bincount_loop(self):
         pixels = gen_two_class_images(5, 60, 4, 4, DIST_A, DIST_B).images
@@ -199,20 +187,22 @@ class TestScoreDataset:
     def test_zero_table(self):
         ds = ImageDataset(2, 1, 2, [[0, 1], [1, 1]])
         table = ScoreTable(np.zeros(2), np.zeros(0, dtype=np.int64))
-        items = score_dataset(ds, table)
-        assert [i.score for i in items] == [0.0, 0.0]
+        scores = score_dataset(ds, table)
+        assert scores.dtype == np.float64 and scores.tolist() == [0.0, 0.0]
 
     def test_sum_of_pixel_scores(self):
         ds = ImageDataset(3, 1, 2, [[0, 0, 1]])
         table = ScoreTable(np.array([1.0, -1.0]), np.zeros(0, dtype=np.int64))
-        assert score_dataset(ds, table)[0].score == pytest.approx(1.0)
+        assert score_dataset(ds, table)[0] == pytest.approx(1.0)
 
-    def test_labels_carried(self):
-        ds = ImageDataset(1, 1, 2, [[0], [1]], labels=[0, 1])
+    def test_labels_play_no_part(self):
+        # one score per image, in corpus order, whatever the labels say
+        labeled = ImageDataset(1, 1, 2, [[0], [1]], labels=[1, 0])
         table = ScoreTable(np.array([0.5, -0.5]), np.zeros(0, dtype=np.int64))
-        items = score_dataset(ds, table)
-        assert [i.label for i in items] == [0, 1]
-        assert [i.index for i in items] == [0, 1]
+        scores = score_dataset(labeled, table)
+        assert scores.tolist() == [0.5, -0.5]
+        unlabeled = ImageDataset(1, 1, 2, labeled.images)
+        assert score_dataset(unlabeled, table).tobytes() == scores.tobytes()
 
     def test_alphabet_coverage_checked(self):
         ds = ImageDataset(1, 1, 4, [[3]])
@@ -220,9 +210,13 @@ class TestScoreDataset:
         with pytest.raises(ValueError, match="alphabet"):
             score_dataset(ds, table)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_finite_score_invariant(self):
-        with pytest.raises(ValueError, match="finite"):
-            ScoredItem(0, np.nan)
+        # a table whose sums overflow float64 gives no score at all
+        ds = ImageDataset(2, 1, 2, [[0, 0], [0, 1]])
+        table = ScoreTable(np.array([1e308, -1e308]), np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match="^score must be finite$"):
+            score_dataset(ds, table)
 
 
 class TestPerPixel:
@@ -233,9 +227,7 @@ class TestPerPixel:
         channel = parametric_channel(0.1)
         pooled = score_dataset(ds, build_image_scorer(ds.images, channel))
         per_pixel = score_dataset_per_pixel(ds, channel, smooth=False)
-        np.testing.assert_allclose(
-            [i.score for i in per_pixel], [i.score for i in pooled], atol=1e-12
-        )
+        np.testing.assert_allclose(per_pixel, pooled, atol=1e-12)
 
     def test_iid_pixels_agree_with_pooled_ranking(self):
         clean = gen_two_class_images(3, 50, 12, 12, DIST_A, DIST_B)
@@ -243,9 +235,7 @@ class TestPerPixel:
         noisy = apply_channel_to_dataset(clean, channel, seed=4)
         pooled = score_dataset(noisy, build_image_scorer(noisy.images, channel))
         per_pixel = score_dataset_per_pixel(noisy, channel)
-        rho = spearmanr(
-            [i.score for i in pooled], [i.score for i in per_pixel]
-        ).statistic
+        rho = spearmanr(pooled, per_pixel).statistic
         assert rho >= 0.99
 
     def test_constant_pixel_contributes_nothing(self):
@@ -258,9 +248,7 @@ class TestPerPixel:
         padded = score_dataset_per_pixel(
             ImageDataset(4, 1, 4, with_const), parametric_channel(0.1), smooth=False
         )
-        np.testing.assert_allclose(
-            [i.score for i in padded], [i.score for i in base], atol=1e-12
-        )
+        np.testing.assert_allclose(padded, base, atol=1e-12)
 
     def test_empty_dataset(self):
         ds = ImageDataset(2, 1, 2, np.zeros((0, 2), dtype=int))
@@ -270,34 +258,46 @@ class TestPerPixel:
 
 class TestSeparationError:
     def test_perfectly_separated(self):
-        items = items_from([-3.0, -2.0, 5.0, 6.0], [0, 0, 1, 1])
-        assert separation_error(items) == 0.0
+        assert separation_error([-3.0, -2.0, 5.0, 6.0], [0, 0, 1, 1]) == 0.0
 
     def test_anti_separated(self):
-        items = items_from([5.0, 6.0, -3.0, -2.0], [0, 0, 1, 1])
-        assert separation_error(items) == 0.0
+        assert separation_error([5.0, 6.0, -3.0, -2.0], [0, 0, 1, 1]) == 0.0
 
     def test_interleaved_worst_case(self):
-        items = items_from([0.0, 2.0, 1.0, 3.0], [0, 0, 1, 1])
-        assert separation_error(items) == 0.5
+        assert separation_error([0.0, 2.0, 1.0, 3.0], [0, 0, 1, 1]) == 0.5
 
     def test_unbalanced(self):
         with pytest.raises(ValueError, match="balanced"):
-            separation_error(items_from([1.0, 2.0, 3.0], [0, 0, 1]))
+            separation_error([1.0, 2.0, 3.0], [0, 0, 1])
 
     def test_needs_two_classes(self):
         with pytest.raises(ValueError, match="two classes"):
-            separation_error(items_from([1.0, 2.0], [0, 0]))
+            separation_error([1.0, 2.0], [0, 0])
         with pytest.raises(ValueError, match="two classes"):
-            separation_error(items_from([1.0, 2.0, 3.0], [0, 1, 2]))
+            separation_error([1.0, 2.0, 3.0], [0, 1, 2])
 
     def test_needs_labels(self):
         with pytest.raises(ValueError, match="label"):
-            separation_error([ScoredItem(0, 1.0), ScoredItem(1, 2.0, label=1)])
+            separation_error(np.array([1.0, 2.0]), None)
 
     def test_empty(self):
         with pytest.raises(ValueError, match="nothing"):
-            separation_error([])
+            separation_error([], [])
+
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 0, 1, 1, 0, 1], [[0], [1], [0], [1]]])
+    def test_one_label_per_score(self, labels):
+        with pytest.raises(ValueError, match="labels of shape .* for 4 scores"):
+            separation_error([1.0, 2.0, 3.0, 4.0], np.array(labels))
+
+    @pytest.mark.parametrize("scores", [[[1.0, 2.0], [3.0, 4.0]], [[1.0], [2.0]], 5.0])
+    def test_scores_must_be_one_dimensional(self, scores):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            separation_error(scores, [0, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_scores_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="^score must be finite$"):
+            separation_error([1.0, bad], [0, 1])
 
     def test_matches_naive_oracle_on_random_cases(self):
         rng = np.random.default_rng(12)
@@ -306,8 +306,7 @@ class TestSeparationError:
             labels = np.repeat([0, 1], n)
             rng.shuffle(labels)
             scores = np.round(rng.standard_normal(2 * n), 2)  # force some ties
-            items = items_from(scores, labels)
-            assert separation_error(items) == pytest.approx(
+            assert separation_error(scores, labels) == pytest.approx(
                 naive_separation_error(scores, labels), abs=1e-12
             )
 
@@ -316,8 +315,8 @@ class TestSeparationError:
         scores = rng.standard_normal(20)
         labels = np.repeat([0, 1], 10)
         rng.shuffle(labels)
-        base = separation_error(items_from(scores, labels))
-        warped = separation_error(items_from(np.exp(3.0 * scores), labels))
+        base = separation_error(scores, labels)
+        warped = separation_error(np.exp(3.0 * scores), labels)
         assert base == warped
 
     def test_sign_flip_invariance(self):
@@ -326,14 +325,16 @@ class TestSeparationError:
             scores = rng.standard_normal(12)
             labels = np.repeat([0, 1], 6)
             rng.shuffle(labels)
-            a = separation_error(items_from(scores, labels))
-            b = separation_error(items_from(-scores, labels))
+            a = separation_error(scores, labels)
+            b = separation_error(-scores, labels)
             assert a == b
 
 
 class TestArrayPathMatchesWrappers:
-    """The public item-list functions are wrappers of the array helpers that
-    the CLI and the sweep use: same values, same messages."""
+    """The CLI and the sweep call the public array functions themselves.
+    These pin what the item-list wrappers those functions replaced gave:
+    one score per image in corpus order whatever the labels, any two label
+    values, and the same messages."""
 
     @pytest.fixture
     def noisy(self):
@@ -341,13 +342,15 @@ class TestArrayPathMatchesWrappers:
         return apply_channel_to_dataset(clean, parametric_channel(0.1), seed=22)
 
     def test_separation_error_on_random_cases(self):
+        # any two label values, in either order, against the oracle on 0/1
         rng = np.random.default_rng(23)
         for _ in range(100):
             n = int(rng.integers(1, 8))
-            labels = np.repeat(rng.choice([-1, 0, 3], 2, replace=False), n)
+            values = rng.choice([-1, 0, 3], 2, replace=False)
+            labels = np.repeat([0, 1], n)
             rng.shuffle(labels)
             totals = np.round(rng.standard_normal(2 * n), 1)  # ties
-            assert separation_error(items_from(totals, labels)) == _separation_error(
+            assert separation_error(totals, values[labels]) == naive_separation_error(
                 totals, labels
             )
 
@@ -355,40 +358,41 @@ class TestArrayPathMatchesWrappers:
     def test_pooled_items(self, noisy, labeled):
         ds = noisy if labeled else ImageDataset(5, 5, 4, noisy.images)
         table = build_image_scorer(ds.images, parametric_channel(0.1))
-        assert score_dataset(ds, table) == _scored_items(_pooled_totals(ds, table), ds.labels)
+        scores = score_dataset(ds, table)
+        expected = np.array([table.scores[image].sum() for image in noisy.images])
+        assert scores.shape == (noisy.n_images,)
+        np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("smooth", [True, False])
     def test_per_pixel_items(self, noisy, smooth):
         channel = parametric_channel(0.1)
-        totals = _per_pixel_totals(noisy, channel, smooth)
-        assert score_dataset_per_pixel(noisy, channel, smooth) == _scored_items(
-            totals, noisy.labels
-        )
+        unlabeled = ImageDataset(5, 5, 4, noisy.images)
+        scores = score_dataset_per_pixel(noisy, channel, smooth)
+        assert scores.shape == (noisy.n_images,) and scores.dtype == np.float64
+        assert score_dataset_per_pixel(unlabeled, channel, smooth).tobytes() == scores.tobytes()
 
     @pytest.mark.parametrize("scores, labels, message", [
         ([], [], "nothing to evaluate"),
-        ([1.0, 2.0], None, "separation error needs labeled items"),
+        ([1.0, 2.0], None, "separation error needs labels"),
         ([1.0, 2.0], [4, 4], "need exactly two classes, got 1"),
         ([1.0, 2.0, 3.0], [0, 0, 1], "classes must be balanced"),
     ], ids=["empty", "unlabeled", "one-class", "unbalanced"])
     def test_separation_error_messages(self, scores, labels, message):
-        if labels is None:
-            items = [ScoredItem(i, s) for i, s in enumerate(scores)]
-        else:
-            items = items_from(scores, labels)
-        with pytest.raises(ValueError) as from_items:
-            separation_error(items)
-        with pytest.raises(ValueError) as from_arrays:
-            _separation_error(np.array(scores), None if labels is None else np.array(labels))
-        assert str(from_items.value) == str(from_arrays.value) == message
+        for args in ((scores, labels),
+                     (np.array(scores), None if labels is None else np.array(labels))):
+            with pytest.raises(ValueError) as raised:
+                separation_error(*args)
+            assert str(raised.value) == message
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_pooled_total(self):
-        ds = ImageDataset(2, 1, 2, [[0, 0], [0, 1]])
-        table = ScoreTable(np.array([1e308, -1e308]), np.zeros(0, dtype=np.int64))
-        for score in (score_dataset, _pooled_totals):
-            with pytest.raises(ValueError, match="^score must be finite$"):
-                score(ds, table)
+        # the one overflowing image is the last, in the second 256-image block
+        images = np.zeros((300, 2), dtype=np.int64)
+        images[-1] = 1
+        ds = ImageDataset(2, 1, 2, images, labels=np.arange(300) % 2)
+        table = ScoreTable(np.array([1.0, -1e308]), np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match="^score must be finite$"):
+            score_dataset(ds, table)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, inf - inf
     def test_non_finite_per_pixel_total(self, noisy, monkeypatch):
@@ -399,8 +403,6 @@ class TestArrayPathMatchesWrappers:
         channel = parametric_channel(0.1)
         with pytest.raises(ValueError, match="^score must be finite$"):
             score_dataset_per_pixel(noisy, channel)
-        with pytest.raises(ValueError, match="^score must be finite$"):
-            _per_pixel_totals(noisy, channel, True)
 
 
 class TestCurve:
@@ -445,7 +447,7 @@ class TestCurve:
             channel = parametric_channel(e)
             noisy = apply_channel_to_dataset(clean, channel, int(noise_seed))
             table = build_image_scorer(noisy.images, channel)
-            error = _separation_error(_pooled_totals(noisy, table), noisy.labels)
+            error = separation_error(score_dataset(noisy, table), noisy.labels)
             return CurvePoint(float(e), error, noisy.n_images, seed ^ index)
 
         outcomes = []
@@ -470,8 +472,8 @@ class TestCurve:
             clean = gen_two_class_images(int(gen_seed), 40, 7, 7, dist_a, dist_b)
             channel = parametric_channel(e)
             noisy = apply_channel_to_dataset(clean, channel, int(noise_seed))
-            items = score_dataset(noisy, build_image_scorer(noisy.images, channel))
-            expected.append(CurvePoint(e, separation_error(items), 80, seed ^ index))
+            scores = score_dataset(noisy, build_image_scorer(noisy.images, channel))
+            expected.append(CurvePoint(e, separation_error(scores, noisy.labels), 80, seed ^ index))
         assert error_vs_noise_curve(dist_a, dist_b, 7, 7, 40, grid, seed, threads=1) == expected
 
     def test_point_seeds_derived_from_position(self):
@@ -490,7 +492,7 @@ class TestScoresSummedInBlocks:
     def test_pooled_totals(self, n):
         images = np.random.default_rng(n).integers(0, 4, (n, 7))
         table = build_image_scorer(images, parametric_channel(0.1))
-        got = _pooled_totals(ImageDataset(7, 1, 4, images), table)
+        got = score_dataset(ImageDataset(7, 1, 4, images), table)
         assert got.tobytes() == table.scores[images].sum(axis=1).tobytes()
 
     @pytest.mark.parametrize("n", [255, 256, 257, 600])
@@ -505,8 +507,8 @@ class TestScoresSummedInBlocks:
     @pytest.mark.parametrize("e", [0.0, 0.1])  # e = 0 also counts symbols in the tie-break
     def test_curve_point_totals(self, monkeypatch, n_per_class, e):
         seen = []
-        monkeypatch.setattr(scoring, "_separation_error",
-                            lambda totals, labels: seen.append(totals) or 0.0)
+        monkeypatch.setattr(scoring, "separation_error",
+                            lambda scores, labels: seen.append(scores) or 0.0)
         scoring._curve_point(2, e, 9, DIST_A, DIST_B, 4, 3, n_per_class)
         gen_seed, noise_seed = np.random.SeedSequence(9 ^ 2).generate_state(2)
         channel, noisy = _noisy_two_class_images(
@@ -531,10 +533,10 @@ class TestPixelDtypes:
         for smooth in (False, True):
             tables = [build_image_scorer(ds.images, channel, smooth) for ds in (narrow, wide)]
             assert tables[0].scores.tobytes() == tables[1].scores.tobytes()
-            got, want = (_pooled_totals(ds, tables[1]) for ds in (narrow, wide))
+            got, want = (score_dataset(ds, tables[1]) for ds in (narrow, wide))
             assert got.tobytes() == want.tobytes()
         if e:  # per-pixel inversion needs an invertible channel
-            got, want = (_per_pixel_totals(ds, channel, smooth=True) for ds in (narrow, wide))
+            got, want = (score_dataset_per_pixel(ds, channel) for ds in (narrow, wide))
             assert got.tobytes() == want.tobytes()
 
 
@@ -582,13 +584,22 @@ class TestResolveThreads:
 
 class TestCsvOutputs:
     def test_scores_csv(self, tmp_path):
-        items = [ScoredItem(0, 1.5, 1), ScoredItem(1, -0.25)]
         path = tmp_path / "scores.csv"
-        save_scores_csv(items, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "index,label,score"
-        assert lines[1] == "0,1,1.5"
-        assert lines[2] == "1,,-0.25"
+        save_scores_csv(np.array([1.5, -0.25]), np.array([1, 0]), path)
+        assert path.read_text().splitlines() == ["index,label,score", "0,1,1.5", "1,0,-0.25"]
+        save_scores_csv([1.5, -0.25], None, path)
+        assert path.read_text().splitlines() == ["index,label,score", "0,,1.5", "1,,-0.25"]
+
+    @pytest.mark.parametrize("scores, labels, message", [
+        ([1.0, 2.0], [0], "labels of shape"),
+        ([[1.0, 2.0]], None, "one-dimensional"),
+        ([1.0, np.nan], None, "finite"),
+    ], ids=["short-labels", "2-D", "nan"])
+    def test_scores_csv_rejects(self, tmp_path, scores, labels, message):
+        path = tmp_path / "scores.csv"
+        with pytest.raises(ValueError, match=message):
+            save_scores_csv(scores, labels, path)
+        assert not path.exists()
 
     def test_curve_csv(self, tmp_path):
         points = [CurvePoint(0.05, 0.01, 200, 42)]
@@ -599,10 +610,10 @@ class TestCsvOutputs:
         assert lines[1] == "0.05,0.01,200,42"
 
     def test_byte_identical_rewrites(self, tmp_path):
-        items = [ScoredItem(i, float(np.sin(i)), i % 2) for i in range(10)]
+        scores, labels = np.sin(np.arange(10.0)), np.arange(10) % 2
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        save_scores_csv(items, p1)
-        save_scores_csv(items, p2)
+        save_scores_csv(scores, labels, p1)
+        save_scores_csv(scores, labels, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -656,8 +667,7 @@ class TestPerPixelMatchesLoop:
         except ValueError as exc:
             expected = str(exc)
         try:
-            items = score_dataset_per_pixel(dataset, channel, smooth=smooth)
-            got = np.array([item.score for item in items])
+            got = score_dataset_per_pixel(dataset, channel, smooth=smooth)
         except ValueError as exc:
             got = str(exc)
         if isinstance(expected, str):
@@ -676,7 +686,7 @@ class TestPerPixelMatchesLoop:
         channel = parametric_channel(e)
         ds = ImageDataset(6, 1, 4, images)
         expected = per_pixel_scores_loop(images, channel.matrix, False)
-        got = np.array([i.score for i in score_dataset_per_pixel(ds, channel, smooth=False)])
+        got = score_dataset_per_pixel(ds, channel, smooth=False)
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [255, 256, 257, 600])
@@ -685,7 +695,7 @@ class TestPerPixelMatchesLoop:
         images = np.random.default_rng(n).integers(0, 4, (n, 5))
         ds = ImageDataset(5, 1, 4, images)
         expected = per_pixel_scores_loop(images, parametric_channel(0.1).matrix, True)
-        got = _per_pixel_totals(ds, parametric_channel(0.1), True)
+        got = score_dataset_per_pixel(ds, parametric_channel(0.1), True)
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("channel, message", [
