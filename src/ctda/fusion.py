@@ -187,8 +187,8 @@ def select_channels(channels, policy: str, k: int | None = None, threshold: floa
         raise ValueError("no channels to select from")
     ranked = sorted(channels, key=lambda nc: (nc[1].validation_mse, nc[0]))
     if policy == "top_k":
-        if k is None or k < 1:
-            raise ValueError("top_k selection needs k >= 1")
+        if not isinstance(k, (int, np.integer)) or k < 1:
+            raise ValueError(f"top_k selection needs an integer k >= 1, got {k!r}")
         if k > len(channels):
             warnings.warn(
                 f"requested top {k} of {len(channels)} channels; keeping all",
@@ -197,8 +197,8 @@ def select_channels(channels, policy: str, k: int | None = None, threshold: floa
             k = len(channels)
         return ranked[:k], False
     if policy == "mse_threshold":
-        if threshold is None:
-            raise ValueError("mse_threshold selection needs a threshold")
+        if threshold is None or np.isnan(threshold):
+            raise ValueError(f"mse_threshold selection needs a threshold, got {threshold!r}")
         kept = [nc for nc in ranked if nc[1].validation_mse <= threshold]
         if kept:
             return kept, False

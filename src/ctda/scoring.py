@@ -32,6 +32,7 @@ from .dataio import ImageDataset, _noisy_two_class_images, _write_csv
 from .stats import (
     Channel,
     DiscreteDistribution,
+    _blocks,
     _smoothed,
     empirical_distribution,
     smoothed_distribution,
@@ -158,23 +159,12 @@ def score_dataset(dataset: ImageDataset, table: ScoreTable) -> np.ndarray:
     return _row_sums(table.scores, dataset.images)
 
 
-_BLOCK_IMAGES = 256  # images per step of a corpus-sized gather or count: no (n, pixels) temporary
-
-
-def _row_sums(values: np.ndarray, index: np.ndarray, offset=None) -> np.ndarray:
-    """Checked finite, each row's sum of ``values.take(index + offset)``
-    (``offset``: None, or added to each row), gathered ``_BLOCK_IMAGES`` rows
-    at a time.  Unless ``index`` is intp with no offset, each block is cast
-    with its offset into one reused intp buffer, so ``take`` never converts
-    a narrow dtype itself.  A row's sum does not depend on the blocking."""
+def _row_sums(values: np.ndarray, index: np.ndarray, offset=0) -> np.ndarray:
+    """Checked finite, each row's sum of ``values.take(index + offset)``,
+    gathered a block of rows at a time (``stats._blocks``).  A row's sum does
+    not depend on the blocking."""
     sums = np.empty(len(index))
-    cast = offset is not None or index.dtype != np.intp
-    rows = np.empty((min(len(index), _BLOCK_IMAGES), index.shape[1]), np.intp) if cast else None
-    for lo in range(0, len(index), _BLOCK_IMAGES):
-        block = index[lo : lo + _BLOCK_IMAGES]
-        if cast:  # unsafe is exact: the indices are in range of ``values``
-            block = np.add(block, 0 if offset is None else offset, out=rows[: len(block)],
-                           dtype=np.intp, casting="unsafe")
+    for lo, block in _blocks(index, offset):
         values.take(block).sum(axis=1, out=sums[lo : lo + len(block)])
     return _finite(sums)
 
@@ -185,18 +175,14 @@ def _finite(totals: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _symbol_counts(rows: np.ndarray, alphabet: int) -> np.ndarray:
-    """``(len(rows), alphabet)`` counts of each row's symbols, from one
-    bincount per block of ``_BLOCK_IMAGES`` rows: the block's row i's
-    symbols land in bins i*K .. i*K+K-1."""
-    counts = np.empty((len(rows), alphabet), np.int64)
-    bins = np.empty((min(len(rows), _BLOCK_IMAGES), rows.shape[1]), np.int64)
-    for lo in range(0, len(rows), _BLOCK_IMAGES):
-        block = counts[lo : lo + _BLOCK_IMAGES]
-        n = len(block)
-        np.add(rows[lo : lo + n], alphabet * np.arange(n)[:, None], out=bins[:n],
-               dtype=np.int64, casting="unsafe")  # uint64 + int64 would be float
-        block.flat = np.bincount(bins[:n].ravel(), minlength=block.size)
+def _symbol_counts(rows: np.ndarray, k: int) -> np.ndarray:
+    """``(len(rows), k)`` counts of each row's symbols, from one bincount
+    per block (``stats._blocks``): the block's row i's symbols land in bins
+    i*k .. i*k+k-1."""
+    counts = np.empty((len(rows), k), np.int64)
+    for lo, block in _blocks(rows, k * np.arange(len(rows))[:, None]):
+        block -= k * lo  # bins counted from the block's first row
+        counts[lo : lo + len(block)].flat = np.bincount(block.ravel(), minlength=len(block) * k)
     return counts
 
 
@@ -238,15 +224,11 @@ def score_dataset_per_pixel(
 
 def _pixel_counts(images: np.ndarray, k: int, stop: int) -> np.ndarray:
     """``(stop, k)`` counts of the symbols of each of the first ``stop``
-    pixels, from one bincount per block of ``_BLOCK_IMAGES`` images: pixel
+    pixels, from one bincount per block of images (``stats._blocks``): pixel
     j's symbols land in bins j*k .. j*k+k-1."""
     counts = np.zeros(stop * k, np.int64)
-    offset = k * np.arange(stop)
-    bins = np.empty((min(len(images), _BLOCK_IMAGES), stop), np.int64)
-    for lo in range(0, len(images), _BLOCK_IMAGES):
-        rows = images[lo : lo + _BLOCK_IMAGES, :stop]
-        np.add(rows, offset, out=bins[: len(rows)], dtype=np.int64, casting="unsafe")
-        counts += np.bincount(bins[: len(rows)].ravel(), minlength=counts.size)
+    for _, block in _blocks(images[:, :stop], k * np.arange(stop)):
+        counts += np.bincount(block.ravel(), minlength=counts.size)
     return counts.reshape(stop, k)
 
 

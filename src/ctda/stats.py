@@ -139,13 +139,26 @@ def parametric_channel(e: float) -> Channel:
     return Channel(w)
 
 
-_BLOCK_SYMBOLS = 1 << 16  # symbols per bincount: a narrow dtype is widened this many at a time
+_BLOCK_SYMBOLS = 1 << 16  # symbols widened to intp at a time: no corpus-sized intp copy
+
+
+def _blocks(rows: np.ndarray, offset=0):
+    """``(lo, block)`` for each run of rows ``lo ..`` of the 2-D integer
+    ``rows`` that holds at most ``_BLOCK_SYMBOLS`` symbols, or one row when a
+    row holds more.  ``block`` is those rows plus ``offset`` (a 2-D offset is
+    cut to the block's rows) in one reused intp buffer, so a narrow dtype is
+    never widened whole.  The cast is unsafe: callers pass values that fit."""
+    step = max(1, _BLOCK_SYMBOLS // rows.shape[1])
+    buffer = np.empty((min(len(rows), step), rows.shape[1]), np.intp)
+    for lo in range(0, len(rows), step):
+        part = rows[lo : lo + step]
+        cut = offset[lo : lo + step] if np.ndim(offset) == 2 else offset
+        yield lo, np.add(part, cut, out=buffer[: len(part)], dtype=np.intp, casting="unsafe")
 
 
 def empirical_distribution(samples, alphabet_size: int) -> DiscreteDistribution:
     """Relative symbol frequencies of integer ``samples`` over ``0 .. K-1``,
-    counted ``_BLOCK_SYMBOLS`` at a time, so ``uint8`` samples are never
-    copied whole to ``bincount``'s intp."""
+    counted a block at a time (``_blocks``)."""
     s = np.asarray(samples)
     if s.size == 0:
         raise ValueError("cannot estimate a distribution from no samples")
@@ -154,17 +167,12 @@ def empirical_distribution(samples, alphabet_size: int) -> DiscreteDistribution:
         raise ValueError("samples must be integer symbols")
     if alphabet_size < 2:
         raise ValueError("alphabet needs at least 2 symbols")
-    counts = None
-    try:  # bincount rejects a negative symbol; at 2**63 - 1 its length overflows
-        if s.max() < alphabet_size:
-            counts = np.zeros(alphabet_size, np.intp)
-            for lo in range(0, s.size, _BLOCK_SYMBOLS):
-                counts += np.bincount(s[lo : lo + _BLOCK_SYMBOLS], minlength=alphabet_size)
-    except ValueError:
-        counts = None
-    if counts is None:
+    if s.min() < 0 or s.max() >= alphabet_size:
         bad = int(s[(s < 0) | (s >= alphabet_size)][0])
         raise ValueError(f"symbol {bad} outside alphabet of size {alphabet_size}")
+    counts = np.zeros(alphabet_size, np.intp)
+    for _, block in _blocks(s[:, None]):
+        counts += np.bincount(block.ravel(), minlength=alphabet_size)
     return DiscreteDistribution(counts / s.size)
 
 
@@ -175,8 +183,6 @@ def smoothed_distribution(samples, alphabet_size: int) -> DiscreteDistribution:
     occur, while perturbing observed frequencies by at most O(1/n).
     """
     s = np.asarray(samples).reshape(-1)
-    if s.size == 0:
-        raise ValueError("cannot estimate a distribution from no samples")
     base = empirical_distribution(s, alphabet_size)
     return DiscreteDistribution(_smoothed(base.probs, s.size))
 

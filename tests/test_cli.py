@@ -498,6 +498,14 @@ class TestInfer:
         assert "keeping the single best" in captured
         assert captured.count("alpha=") == 1
 
+    def test_nan_threshold_exits_1(self, fitted, tmp_path, capsys):
+        out = tmp_path / "preds.csv"
+        assert main(self.infer_argv(fitted, out, ["--mse-threshold", "nan"])) == 1
+        captured = capsys.readouterr()
+        assert "needs a threshold, got nan" in captured.err
+        assert "keeping the single best" not in captured.out
+        assert not out.exists()
+
     def test_top_k_and_threshold_conflict(self, fitted, tmp_path, capsys):
         out = tmp_path / "preds.csv"
         with pytest.raises(SystemExit) as exc:

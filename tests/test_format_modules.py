@@ -10,7 +10,9 @@ ISO dates by one rule on each path: only ``dataio._parse_plain`` uses
 window of online fusion has one implementation: only
 ``fusion._online_rows`` uses ``sliding_window_view``.  Images are scored
 through one public array API: ``cli`` imports no private name from
-``scoring``.  No module imports a name it neither uses nor exports."""
+``scoring``.  A corpus is widened to intp by one rule: only
+``stats._blocks`` passes ``casting=``.  No module imports a name it
+neither uses nor exports."""
 
 import ast
 from pathlib import Path
@@ -156,6 +158,46 @@ def test_detects_a_converter():
         "rows = np.loadtxt(fh, delimiter=',')\n"
     )
     assert converter_calls(tree) == 2
+
+
+def keyword_passers(tree, keyword: str) -> set:
+    """Innermost functions of ``tree`` with a call that passes ``keyword=``;
+    ``"<module>"`` for a call outside every function."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif isinstance(node, ast.Call) and any(k.arg == keyword for k in node.keywords):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_function_widens_a_corpus():
+    # every count and gather of a corpus casts its blocks through stats._blocks
+    passers = sorted(
+        (path.name, function)
+        for path in PACKAGE.glob("*.py")
+        for function in keyword_passers(ast.parse(path.read_text(encoding="utf-8")), "casting")
+    )
+    assert passers == [("stats.py", "_blocks")]
+
+
+def test_detects_a_casting_keyword():
+    tree = ast.parse(
+        "def widen(rows, out):\n"
+        "    def inner():\n"
+        "        return np.add(rows, 0, out=out, casting='unsafe')\n"
+        "    return rows.astype(int, casting='safe')\n"
+        "def plain(rows):\n"
+        "    return np.add(rows, 1, dtype='casting')\n"
+        "np.copyto(a, b, casting='no')\n"
+    )
+    assert keyword_passers(tree, "casting") == {"inner", "widen", "<module>"}
 
 
 def callers(tree, method: str) -> set:

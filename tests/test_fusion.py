@@ -294,6 +294,17 @@ class TestSelectChannels:
             b, _ = select_channels(monotone, "top_k", k=k)
             assert [n for n, _ in a] == [n for n, _ in b]
 
+    @pytest.mark.parametrize("k", [None, 0, 1.5, 2.0])
+    def test_top_k_needs_a_positive_integer(self, k):
+        with pytest.raises(ValueError, match=f"integer k >= 1, got {k!r}"):
+            select_channels(self.make([0.5, 0.2, 0.9]), "top_k", k=k)
+
+    @pytest.mark.parametrize("threshold", [None, float("nan"), np.nan])
+    def test_threshold_must_be_a_number(self, threshold):
+        # NaN compares false with every MSE: it once forced the single best
+        with pytest.raises(ValueError, match="needs a threshold, got "):
+            select_channels(self.make([0.5, 0.2]), "mse_threshold", threshold=threshold)
+
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="policy"):
             select_channels(self.make([0.1]), "random")

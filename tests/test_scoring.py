@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from ctda.coupling import (
     score_table,
     solve_coupling,
 )
-from ctda import scoring
+from ctda import scoring, stats
 from ctda.scoring import (
     CurvePoint,
     build_image_scorer,
@@ -483,22 +484,29 @@ class TestCurve:
         assert [p.seed for p in points] == [12 ^ 0, 12 ^ 1, 12 ^ 2]
 
 
+def blocks_of_256_rows(monkeypatch, width):
+    """Make ``stats._blocks`` step 256 rows of ``width`` symbols at a time."""
+    monkeypatch.setattr(stats, "_BLOCK_SYMBOLS", 256 * width)
+
+
 class TestScoresSummedInBlocks:
-    """Corpus-sized gathers and counts run 256 images at a time; each
-    matches its whole-array form bit for bit on either side of a block's
-    edge."""
+    """Corpus-sized gathers and counts run a block of rows at a time (here
+    256); each matches its whole-array form bit for bit on either side of a
+    block's edge."""
 
     @pytest.mark.parametrize("n", [255, 256, 257, 600])
-    def test_pooled_totals(self, n):
+    def test_pooled_totals(self, monkeypatch, n):
         images = np.random.default_rng(n).integers(0, 4, (n, 7))
         table = build_image_scorer(images, parametric_channel(0.1))
+        blocks_of_256_rows(monkeypatch, 7)
         got = score_dataset(ImageDataset(7, 1, 4, images), table)
         assert got.tobytes() == table.scores[images].sum(axis=1).tobytes()
 
     @pytest.mark.parametrize("n", [255, 256, 257, 600])
-    def test_symbol_counts(self, n):
+    def test_symbol_counts(self, monkeypatch, n):
         rows = np.random.default_rng(n).integers(0, 5, (n, 9))
         expected = np.array([np.bincount(row, minlength=5) for row in rows])
+        blocks_of_256_rows(monkeypatch, 9)
         got = scoring._symbol_counts(rows, 5)
         assert got.dtype == expected.dtype and (got == expected).all()
 
@@ -509,6 +517,7 @@ class TestScoresSummedInBlocks:
         seen = []
         monkeypatch.setattr(scoring, "separation_error",
                             lambda scores, labels: seen.append(scores) or 0.0)
+        blocks_of_256_rows(monkeypatch, 4 * 3)
         scoring._curve_point(2, e, 9, DIST_A, DIST_B, 4, 3, n_per_class)
         gen_seed, noise_seed = np.random.SeedSequence(9 ^ 2).generate_state(2)
         channel, noisy = _noisy_two_class_images(
@@ -524,7 +533,8 @@ class TestPixelDtypes:
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.uint64])
     @pytest.mark.parametrize("e", [0.0, 0.1])  # e = 0 also counts symbols in the tie-break
-    def test_scores_match_int64(self, dtype, e):
+    def test_scores_match_int64(self, monkeypatch, dtype, e):
+        blocks_of_256_rows(monkeypatch, 4 * 3)
         clean = gen_two_class_images(5, 150, 4, 3, DIST_A, DIST_B)
         wide = apply_channel_to_dataset(clean, parametric_channel(e), seed=6)
         narrow = ImageDataset(4, 3, 4, wide.images.astype(dtype), wide.labels)
@@ -538,6 +548,35 @@ class TestPixelDtypes:
         if e:  # per-pixel inversion needs an invertible channel
             got, want = (score_dataset_per_pixel(ds, channel) for ds in (narrow, wide))
             assert got.tobytes() == want.tobytes()
+
+
+def traced_peak(function, *args) -> int:
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCorpusFootprint:
+    """Pooled scoring and the tie-break's symbol counts widen a ``uint8``
+    corpus to intp a block of at most ``stats._BLOCK_SYMBOLS`` symbols at a
+    time, whatever the image size: on 60 images of 300x300 pixels (5.1 MiB)
+    they peak under 2 MiB, where 256-image blocks peaked at 82 and 41 MiB.
+    Per-pixel scoring stays O(pixels) by design: its stacked coupling solve
+    holds about 74 MiB at 90,000 pixels."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return np.random.default_rng(27).integers(0, 4, (60, 300 * 300), dtype=np.uint8)
+
+    def test_pooled_scores(self, corpus):
+        table = build_image_scorer(corpus, parametric_channel(0.1))
+        assert traced_peak(score_dataset, ImageDataset(300, 300, 4, corpus), table) < 2 * 2**20
+
+    def test_symbol_counts(self, corpus):
+        assert traced_peak(scoring._symbol_counts, corpus, 4) < 2 * 2**20
 
 
 class TestResolveThreads:
@@ -690,11 +729,12 @@ class TestPerPixelMatchesLoop:
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [255, 256, 257, 600])
-    def test_totals_gathered_in_blocks_of_images(self, n):
-        # the totals are gathered 256 images at a time
+    def test_totals_gathered_in_blocks_of_images(self, monkeypatch, n):
+        # the counts and totals are taken 256 images at a time
         images = np.random.default_rng(n).integers(0, 4, (n, 5))
         ds = ImageDataset(5, 1, 4, images)
         expected = per_pixel_scores_loop(images, parametric_channel(0.1).matrix, True)
+        blocks_of_256_rows(monkeypatch, 5)
         got = score_dataset_per_pixel(ds, parametric_channel(0.1), True)
         assert got.tobytes() == expected.tobytes()
 

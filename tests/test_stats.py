@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from unittest import mock
 
@@ -220,6 +221,32 @@ class TestEmpiricalDistribution:
         d = smoothed_distribution([0] * 100, 4)
         assert d.probs[0] > 0.999
         np.testing.assert_allclose(d.probs.sum(), 1.0, atol=1e-15)
+
+
+class TestBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_blocks_concatenate_to_the_whole_widened_array(self, data):
+        # the one rule by which a corpus is widened to intp, a block at a time
+        dtype = np.dtype(data.draw(st.sampled_from([np.uint8, np.uint64, np.int64])))
+        n, width = data.draw(st.integers(0, 12)), data.draw(st.integers(1, 6))
+        top = min(np.iinfo(dtype).max, 2**40)
+        rows = np.array(data.draw(st.lists(st.integers(0, top), min_size=n * width,
+                                           max_size=n * width)), dtype).reshape(n, width)
+        shape = data.draw(st.sampled_from([(), (width,), (n, 1), (n, width)]))
+        size = math.prod(shape)
+        offset = np.array(data.draw(st.lists(st.integers(0, 2**20), min_size=size,
+                                             max_size=size)), np.intp).reshape(shape)
+        if not shape:
+            offset = int(offset)  # a scalar, as the callers pass it
+        symbols = data.draw(st.integers(1, 3 * width))  # below one row's width too
+        with mock.patch.object(stats, "_BLOCK_SYMBOLS", symbols):
+            blocks = [(lo, block.copy()) for lo, block in stats._blocks(rows, offset)]
+        step = max(1, symbols // width)
+        assert [lo for lo, _ in blocks] == list(range(0, n, step))
+        assert all(block.dtype == np.intp and len(block) <= step for _, block in blocks)
+        whole = np.concatenate([b for _, b in blocks] or [np.empty((0, width), np.intp)])
+        assert whole.tobytes() == (rows.astype(np.intp) + offset).tobytes()
 
 
 class TestChannelOutput:
