@@ -74,6 +74,7 @@ from .scoring import (
 from .stats import (
     DiscreteDistribution,
     FileFormatError,
+    _BLOCK_SYMBOLS,
     _read_json,
     _write_json,
     load_channel,
@@ -429,7 +430,7 @@ def cmd_sweep(args) -> None:
     workers = resolve_threads(args.threads, len(args.e_grid))
     _check_memory(  # one corpus per worker, before any point is built
         f"sweep: --n {args.n} on --dims {width}x{height} with {workers} worker(s)",
-        SWEEP_BYTES_PER_PIXEL * 2 * args.n * width * height * workers,
+        _sweep_bytes(2 * args.n, width * height) * workers,
     )
     dist_a = DiscreteDistribution(np.asarray(args.p_a))
     dist_b = DiscreteDistribution(np.asarray(args.p_b))
@@ -452,13 +453,17 @@ def cmd_sweep(args) -> None:
     print(f"wrote {args.out}")
 
 
-# A sweep point's peak is about this many bytes per pixel of its (2n, pixels)
-# corpus: the int64 noisy images, plus one block of widened symbols and one of
-# gathered scores, 1 MiB together (stats._blocks).  tracemalloc, at e = 0 and
-# 0.1: 8.4 at n = 2,000 on 28x28 and at 1,000 on 50x50, 10.2 at 300 on 28x28
-# and 11.0 at 500 on 19x19; the symbol counts kept while drawing add none.
-# Below about 250,000 pixels that fixed 1 MiB can lead (12.9 at 5,000 on 5x5).
-SWEEP_BYTES_PER_PIXEL = 12
+def _sweep_bytes(images: int, pixels: int) -> int:
+    """Estimated peak of one sweep point of ``images`` images of ``pixels``
+    pixels each."""
+    # 12 bytes per pixel for the int64 noisy corpus (8; the symbol counts kept
+    # while drawing add none), 64 per image for its scores, labels and the
+    # tie-break's symbol counts (under 44), and 32 per symbol for the scratch
+    # of one block of draws, counts or gathers (under 28).  tracemalloc, the
+    # worse of e = 0 and 0.1, read 0.37-0.86 times this from --n 100 on 10x10
+    # to 2,000 on 28x28, 20,000 on 1x1 and 1 on 600x600; less on smaller
+    # corpora, where the block term leads.
+    return images * (12 * pixels + 64) + 32 * max(_BLOCK_SYMBOLS, pixels)
 
 
 def _baseline_bytes(rows: int, k: int, inputs: int = 0) -> int:

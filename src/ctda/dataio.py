@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .stats import Channel, DiscreteDistribution, FileFormatError, parametric_channel
+from .stats import Channel, DiscreteDistribution, FileFormatError, _block_rows, parametric_channel
 
 
 @dataclass(frozen=True, eq=False)
@@ -526,33 +526,34 @@ def _channel_levels(channel: Channel, alphabet_size: int) -> np.ndarray:
     return cum[:, :-1].T
 
 
-_BLOCK_ROWS = 32  # rows per step of _count_levels: its blocks stay in cache
-
-
-def _count_levels(levels, rng, out, symbols=None, tally=None) -> None:
-    """Set ``out`` to the number of CDF ``levels`` at or below each of its
+def _count_levels(levels, rng, out, symbols=None, tally=None) -> np.ndarray:
+    """``out``, set to the number of CDF ``levels`` at or below each of its
     uniform draws from ``rng``, in row-major order: inverse-CDF sampling.
-    Each entry of ``levels`` is one level, a scalar or, with ``symbols``, a
-    row indexed by each element's symbol (in range: ``np.take`` clips, so as
-    not to buffer).  Runs ``_BLOCK_ROWS`` rows at a time, drawing as it goes
-    (PCG64 doubles come out in order, so the draws equal one whole draw):
-    each block's draws, narrow counts and gathered levels stay in cache, and
-    the block is stored into ``out`` once.  ``tally``, if given, gains the
-    count of each symbol set in ``out``: levels rise, so a draw at or above
-    level k is at or above every level before it, and ``count_nonzero`` of
-    each level's hits moves that many symbols from k up to k + 1."""
-    shape = (min(len(out), _BLOCK_ROWS), out.shape[1])
+    Each entry of ``levels`` is a scalar or, with ``symbols``, a row indexed
+    by each element's symbol (in range: ``np.take`` clips, so as not to
+    buffer).  ``symbols`` is an array, or the ``(levels, rng)`` that each
+    block's symbols are first drawn from by this rule.  Runs
+    ``stats._block_rows`` rows at a time (PCG64 doubles come out in order,
+    so the draws equal one whole draw), storing each block once.  ``tally``,
+    if given, gains the count of each symbol set in ``out``: levels rise, so
+    ``count_nonzero`` of each level k's hits moves that many from k to k + 1."""
+    step = _block_rows(out.shape[1])
+    shape = (min(len(out), step), out.shape[1])
     counts = np.empty(shape, np.min_scalar_type(len(levels)))
     gathered = None if symbols is None else np.empty(shape)
+    drawn = np.empty(shape, np.intp) if isinstance(symbols, tuple) else None
     if tally is not None:
         tally[0] += out.size
-    for lo in range(0, len(out), _BLOCK_ROWS):
-        block = out[lo : lo + _BLOCK_ROWS]
-        n, draws = len(block), rng.random(block.shape)
+    for lo in range(0, len(out), step):
+        block = out[lo : lo + step]
+        n = len(block)
+        if symbols is not None:
+            picked = symbols[lo : lo + n] if drawn is None else _count_levels(*symbols, drawn[:n])
+        draws = rng.random(block.shape)
         counts[:n] = 0
         for k, level in enumerate(levels):
             if symbols is not None:
-                level = np.take(level, symbols[lo : lo + n], out=gathered[:n], mode="clip")
+                level = np.take(level, picked, out=gathered[:n], mode="clip")
             hits = level <= draws
             counts[:n] += hits
             if tally is not None:
@@ -560,6 +561,7 @@ def _count_levels(levels, rng, out, symbols=None, tally=None) -> None:
                 tally[k] -= moved
                 tally[k + 1] += moved
         block[...] = counts[:n]
+    return out
 
 
 def apply_channel_to_dataset(dataset: ImageDataset, channel: Channel, seed: int) -> ImageDataset:
@@ -596,12 +598,8 @@ def _noisy_two_class_images(gen_seed, noise_seed, n_per_class, width, height, di
     levels = _channel_levels(channel, dist_a.size)
     gen, noise = np.random.default_rng(gen_seed), np.random.default_rng(noise_seed)
     noisy = np.empty((2 * n_per_class, width * height), dtype=np.int64)
-    clean = np.empty((min(_BLOCK_ROWS, n_per_class), width * height), dtype=np.int64)
-    for first, cdf in zip((0, n_per_class), classes):
-        for lo in range(first, first + n_per_class, _BLOCK_ROWS):
-            block = noisy[lo : min(lo + _BLOCK_ROWS, first + n_per_class)]
-            _count_levels(cdf, gen, clean[: len(block)])
-            _count_levels(levels, noise, block, clean[: len(block)], tally)
+    for rows, cdf in zip((noisy[:n_per_class], noisy[n_per_class:]), classes):
+        _count_levels(levels, noise, rows, (cdf, gen), tally)
     return channel, noisy
 
 
@@ -651,7 +649,7 @@ def _parse_digit_rows(fh, body, n_pixels: int):
     ``n_pixels + 1`` one-digit ASCII cells separated by commas, every line
     ending in ``\\n`` or every line in ``\\r\\n`` (the last ``\\n`` may be
     missing).  The images are the grid's ``uint8`` digits, the labels int64.
-    The grid's end, comma and digit columns are checked whole.
+    Commas and digits are checked by reductions, which hold no mask.
     The row reader reports a cell over ``csv.field_size_limit()``."""
     # A decoder state is packed into ``body`` when the header ends in a lone "\r".
     if body >> 64 or csv.field_size_limit() < 1:
@@ -668,8 +666,9 @@ def _parse_digit_rows(fh, body, n_pixels: int):
     end = np.frombuffer(b"\r\n"[2 * cells + 1 - width :], np.uint8)
     labels = grid[:, 0] - np.uint8(ord("0"))  # a non-digit wraps above 9
     images = grid[:, 2 : 2 * cells : 2] - np.uint8(ord("0"))
-    if ((grid[:, 2 * cells - 1 :] != end).any() or (labels > 9).any() or (images > 9).any()
-            or (grid[:, 1 : 2 * cells - 1 : 2] != ord(",")).any()):
+    commas = grid[:, 1 : 2 * cells - 1 : 2]
+    if ((grid[:, 2 * cells - 1 :] != end).any() or labels.max() > 9 or images.max() > 9
+            or commas.min() != ord(",") or commas.max() != ord(",")):
         return None
     return labels.astype(np.int64), images
 

@@ -33,6 +33,7 @@ from .stats import (
     Channel,
     DiscreteDistribution,
     _blocks,
+    _counts,
     _smoothed,
     empirical_distribution,
     smoothed_distribution,
@@ -142,8 +143,7 @@ def _max_variance_direction(solution, dtm, pixels, alphabet):
     subspace = optimal_directions(dtm, solution)
     if subspace.shape[1] < 2:
         return solution
-    counts = _symbol_counts(pixels, alphabet).astype(float)
-    r = counts[:, dtm.output_symbols] / np.sqrt(dtm.p_y.probs)
+    r = _symbol_counts(pixels, alphabet)[:, dtm.output_symbols] / np.sqrt(dtm.p_y.probs)
     r -= r.mean(axis=0)
     image = dtm.matrix @ subspace  # (Ky, k): output images of the tied basis
     form = image.T @ ((r.T @ r) / pixels.shape[0]) @ image
@@ -176,14 +176,9 @@ def _finite(totals: np.ndarray) -> np.ndarray:
 
 
 def _symbol_counts(rows: np.ndarray, k: int) -> np.ndarray:
-    """``(len(rows), k)`` counts of each row's symbols, from one bincount
-    per block (``stats._blocks``): the block's row i's symbols land in bins
+    """``(len(rows), k)`` counts of each row's symbols: row i's land in bins
     i*k .. i*k+k-1."""
-    counts = np.empty((len(rows), k), np.int64)
-    for lo, block in _blocks(rows, k * np.arange(len(rows))[:, None]):
-        block -= k * lo  # bins counted from the block's first row
-        counts[lo : lo + len(block)].flat = np.bincount(block.ravel(), minlength=len(block) * k)
-    return counts
+    return _counts(rows, np.zeros((len(rows), k), np.intp), k * np.arange(len(rows))[:, None])
 
 
 def score_dataset_per_pixel(
@@ -209,7 +204,7 @@ def score_dataset_per_pixel(
     stop = int(outside[0]) if outside.size else n_pix
     tables = np.zeros((n_pix, k))
     if stop:
-        p_y = _pixel_counts(images, k, stop) / n
+        p_y = _counts(images[:, :stop], np.zeros((stop, k), np.intp), k * np.arange(stop)) / n
         if smooth:
             p_y = _smoothed(p_y, n)
         p_x = _recover(p_y, channel, tol=np.inf)
@@ -220,16 +215,6 @@ def score_dataset_per_pixel(
         column = images[:, stop]
         raise ValueError(f"symbol {int(column[column >= k][0])} outside alphabet of size {k}")
     return _row_sums(tables.ravel(), images, k * np.arange(n_pix))  # pixel j's table at j*k
-
-
-def _pixel_counts(images: np.ndarray, k: int, stop: int) -> np.ndarray:
-    """``(stop, k)`` counts of the symbols of each of the first ``stop``
-    pixels, from one bincount per block of images (``stats._blocks``): pixel
-    j's symbols land in bins j*k .. j*k+k-1."""
-    counts = np.zeros(stop * k, np.int64)
-    for _, block in _blocks(images[:, :stop], k * np.arange(stop)):
-        counts += np.bincount(block.ravel(), minlength=counts.size)
-    return counts.reshape(stop, k)
 
 
 def _scores_and_labels(scores, labels):
@@ -287,12 +272,7 @@ def _curve_point(
     table = _image_scorer(DiscreteDistribution(counts / noisy.size), noisy, channel)
     labels = np.repeat(np.arange(2, dtype=np.int64), n_per_class)
     error = separation_error(_row_sums(table.scores, noisy), labels)
-    return CurvePoint(
-        e=float(e),
-        error_probability=error,
-        n_images=len(noisy),
-        seed=point_seed,
-    )
+    return CurvePoint(e=float(e), error_probability=error, n_images=len(noisy), seed=point_seed)
 
 
 def resolve_threads(requested: int = 0, points: Optional[int] = None) -> int:

@@ -139,16 +139,22 @@ def parametric_channel(e: float) -> Channel:
     return Channel(w)
 
 
-_BLOCK_SYMBOLS = 1 << 16  # symbols widened to intp at a time: no corpus-sized intp copy
+_BLOCK_SYMBOLS = 1 << 15  # symbols per block of any pass over a corpus: no corpus-sized scratch
+
+
+def _block_rows(width: int) -> int:
+    """Rows of ``width`` symbols per block of every pass over a corpus: as
+    many as fit in ``_BLOCK_SYMBOLS`` symbols, or one when a row holds more."""
+    return max(1, _BLOCK_SYMBOLS // width)
 
 
 def _blocks(rows: np.ndarray, offset=0):
-    """``(lo, block)`` for each run of rows ``lo ..`` of the 2-D integer
-    ``rows`` that holds at most ``_BLOCK_SYMBOLS`` symbols, or one row when a
-    row holds more.  ``block`` is those rows plus ``offset`` (a 2-D offset is
-    cut to the block's rows) in one reused intp buffer, so a narrow dtype is
-    never widened whole.  The cast is unsafe: callers pass values that fit."""
-    step = max(1, _BLOCK_SYMBOLS // rows.shape[1])
+    """``(lo, block)`` for each run of ``_block_rows`` rows ``lo ..`` of the
+    2-D integer ``rows``.  ``block`` is those rows plus ``offset`` (a 2-D
+    offset is cut to the block's rows) in one reused intp buffer, so a narrow
+    dtype is never widened whole.  The cast is unsafe: callers pass values
+    that fit."""
+    step = _block_rows(rows.shape[1])
     buffer = np.empty((min(len(rows), step), rows.shape[1]), np.intp)
     for lo in range(0, len(rows), step):
         part = rows[lo : lo + step]
@@ -156,9 +162,20 @@ def _blocks(rows: np.ndarray, offset=0):
         yield lo, np.add(part, cut, out=buffer[: len(part)], dtype=np.intp, casting="unsafe")
 
 
+def _counts(rows: np.ndarray, bins: np.ndarray, offset=0) -> np.ndarray:
+    """Add one to the contiguous intp ``bins`` at flat index ``symbol +
+    offset`` for each symbol of the 2-D ``rows``, a block at a time
+    (``_blocks``), and return ``bins``.  Offset ``k * i`` on row i counts
+    each row's symbols, ``k * j`` on column j each column's."""
+    flat = bins.reshape(-1)
+    for _, block in _blocks(rows, offset):
+        np.add.at(flat, block, 1)
+    return bins
+
+
 def empirical_distribution(samples, alphabet_size: int) -> DiscreteDistribution:
     """Relative symbol frequencies of integer ``samples`` over ``0 .. K-1``,
-    counted a block at a time (``_blocks``)."""
+    counted a block at a time (``_counts``)."""
     s = np.asarray(samples)
     if s.size == 0:
         raise ValueError("cannot estimate a distribution from no samples")
@@ -170,10 +187,7 @@ def empirical_distribution(samples, alphabet_size: int) -> DiscreteDistribution:
     if s.min() < 0 or s.max() >= alphabet_size:
         bad = int(s[(s < 0) | (s >= alphabet_size)][0])
         raise ValueError(f"symbol {bad} outside alphabet of size {alphabet_size}")
-    counts = np.zeros(alphabet_size, np.intp)
-    for _, block in _blocks(s[:, None]):
-        counts += np.bincount(block.ravel(), minlength=alphabet_size)
-    return DiscreteDistribution(counts / s.size)
+    return DiscreteDistribution(_counts(s[:, None], np.zeros(alphabet_size, np.intp)) / s.size)
 
 
 def smoothed_distribution(samples, alphabet_size: int) -> DiscreteDistribution:

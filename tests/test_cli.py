@@ -16,7 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ctda import __version__, cli
+from ctda import __version__, cli, stats
 from ctda.cli import (
     MAX_GRID_POINTS,
     _dims,
@@ -952,8 +952,10 @@ class TestSweepFootprint:
 
     @pytest.mark.parametrize("spare", [-1, 0])
     def test_estimate_is_12_bytes_per_pixel_per_worker(self, tmp_path, monkeypatch, spare):
+        # plus 64 bytes per image and 32 per symbol of one block, on every
+        # worker: --n 6 on 5x3, one corpus per worker
         workers = resolve_threads(2, 2)
-        need = 12 * 2 * 6 * (5 * 3) * workers  # --n 6 on 5x3, one corpus per worker
+        need = (12 * 2 * 6 * (5 * 3) + 64 * 2 * 6 + 32 * stats._BLOCK_SYMBOLS) * workers
         pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": need + spare}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         argv = ["sweep", "--e-grid", "0,0.1", "--n", "6", "--dims", "5x3", "--threads", "2",
@@ -965,7 +967,10 @@ class TestSweepFootprint:
         else:
             assert main(argv) == 0
 
-    @pytest.mark.parametrize("n, side", [(500, 19), (300, 28)])
+    # small corpora, where the per-image and block terms lead, and an image
+    # larger than one block
+    @pytest.mark.parametrize("n, side", [(500, 19), (300, 28), (100, 10), (5000, 5),
+                                         (5000, 1), (2, 200)])
     @pytest.mark.parametrize("e", [0.0, 0.1])
     def test_a_point_peaks_within_the_estimate(self, n, side, e):
         # e = 0 is the degenerate channel, whose tie-break counts symbols too
@@ -976,7 +981,7 @@ class TestSweepFootprint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (2 * n * side * side) <= cli.SWEEP_BYTES_PER_PIXEL
+        assert peak <= cli._sweep_bytes(2 * n, side * side)
 
 
 class TestScoreFootprint:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctda import dataio
+from ctda import dataio, stats
 from ctda.dataio import (
     ALIGN_POLICIES,
     FileFormatError,
@@ -1030,14 +1030,20 @@ class TestNoisyTwoClassImages:
         assert noisy.dtype == np.int64
         assert noisy.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("rows", [1, 31, 32, 33, 70])
-    def test_block_draws_equal_one_whole_draw(self, rows):
-        # _count_levels draws 32 rows at a time; PCG64 hands out its doubles
-        # in order, so the blocks read the same stream as one whole draw
-        whole = np.random.default_rng(rows).random((rows, 9))
-        rng = np.random.default_rng(rows)
-        blocks = [rng.random((min(32, rows - lo), 9)) for lo in range(0, rows, 32)]
-        assert np.vstack(blocks).tobytes() == whole.tobytes()
+    # the narrowest width, widths either side of 32 (which divides the
+    # budget), 70 (which does not) and one above the budget (a block is then
+    # one row)
+    @pytest.mark.parametrize("width", [1, 31, 32, 33, 70, stats._BLOCK_SYMBOLS + 1])
+    def test_block_draws_equal_one_whole_draw(self, width):
+        # _count_levels draws stats._block_rows(width) rows at a time; PCG64
+        # hands out its doubles in order, so step - 1, step and step + 1 rows
+        # drawn in blocks count the levels under one whole draw
+        step, levels = stats._block_rows(width), np.array([0.1, 0.35, 0.7])
+        for rows in sorted({max(step - 1, 1), step, step + 1}):
+            whole = np.random.default_rng(rows).random((rows, width))
+            out = np.empty((rows, width), np.int64)
+            dataio._count_levels(levels, np.random.default_rng(rows), out)
+            assert out.tobytes() == (levels <= whole[..., None]).sum(axis=-1).tobytes()
 
 
 class TestSymbolTally:
@@ -1389,6 +1395,18 @@ class TestDigitGrid:
             assert got_labels.tobytes() == labels.tobytes()
             assert got_images.dtype == np.uint8
             np.testing.assert_array_equal(got_images, images)
+
+    def test_grid_checks_hold_no_corpus_sized_mask(self, tmp_path):
+        # 1,000 x 784 one-digit pixels (1.57 MB), as the benchmark writes
+        # them: the body's bytes and the uint8 images peak at 2.33 MiB;
+        # checking the digits and commas by boolean masks peaked at 3.08
+        rng = np.random.default_rng(28)
+        p = tmp_path / "im.csv"
+        header = "label," + ",".join(f"p{i}" for i in range(784))
+        np.savetxt(p, np.column_stack([rng.integers(0, 2, 1000), rng.integers(0, 4, (1000, 784))]),
+                   fmt="%d", delimiter=",", header=header, comments="")
+        load_images_csv(p)  # once untraced: first-call set-up is not the grid's
+        assert traced_peak(load_images_csv, p) < 2.7 * 2**20
 
     @pytest.mark.parametrize("high, ends", [
         (100, ["\n"]),  # cells of one and two digits

@@ -11,8 +11,10 @@ window of online fusion has one implementation: only
 ``fusion._online_rows`` uses ``sliding_window_view``.  Images are scored
 through one public array API: ``cli`` imports no private name from
 ``scoring``.  A corpus is widened to intp by one rule: only
-``stats._blocks`` passes ``casting=``.  No module imports a name it
-neither uses nor exports."""
+``stats._blocks`` passes ``casting=``; it is counted by one kernel: only
+``stats._counts`` calls ``np.add.at`` or ``np.bincount``; and every pass
+over it is blocked by one budget: only ``stats`` sets a ``_BLOCK*``
+constant.  No module imports a name it neither uses nor exports."""
 
 import ast
 from pathlib import Path
@@ -236,6 +238,62 @@ def test_detects_a_random_call_but_not_the_module():
         "u = np.random.default_rng(0).random(3)\n"
     )
     assert callers(tree, "random") == {"draw", "<module>"}
+
+
+def test_one_function_counts_a_corpus():
+    # every corpus count adds its blocks into bins through stats._counts
+    calls = sorted(
+        (path.name, function)
+        for path in PACKAGE.glob("*.py")
+        for method in ("at", "bincount")
+        for function in callers(ast.parse(path.read_text(encoding="utf-8")), method)
+    )
+    assert calls == [("stats.py", "_counts")]
+
+
+def test_detects_a_count_call():
+    tree = ast.parse(
+        "def tally(bins, rows):\n"
+        "    np.add.at(bins, rows, 1)\n"
+        "def histogram(rows):\n"
+        "    return np.bincount(rows)\n"
+        "def other(rows):\n"
+        "    return np.add(rows, 1)\n"
+    )
+    assert callers(tree, "at") | callers(tree, "bincount") == {"tally", "histogram"}
+
+
+def block_constants(tree) -> set:
+    """Names starting with ``_BLOCK`` that ``tree`` assigns anywhere."""
+    return {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.startswith("_BLOCK")
+    }
+
+
+def test_one_module_sets_the_block_budget():
+    # drawing, counting and gathering all take their run length from stats
+    defined = sorted(
+        (path.name, name)
+        for path in PACKAGE.glob("*.py")
+        for name in block_constants(ast.parse(path.read_text(encoding="utf-8")))
+    )
+    assert defined == [("stats.py", "_BLOCK_SYMBOLS")]
+
+
+def test_detects_a_block_constant():
+    tree = ast.parse(
+        "_BLOCK_ROWS = 32\n"
+        "_BLOCKS: int = 2\n"
+        "def draw():\n"
+        "    _BLOCK_LOCAL = 4\n"
+        "    block = _BLOCK_ROWS\n"
+        "_STEP = 1\n"
+    )
+    assert block_constants(tree) == {"_BLOCK_ROWS", "_BLOCKS", "_BLOCK_LOCAL"}
 
 
 def imported_from(tree, module: str) -> list:

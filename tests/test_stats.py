@@ -249,6 +249,49 @@ class TestBlocks:
         assert whole.tobytes() == (rows.astype(np.intp) + offset).tobytes()
 
 
+class TestCounts:
+    """``stats._counts``, the one corpus count, against one whole bincount."""
+
+    @staticmethod
+    def offset_and_size(kind, n, width, k):
+        if kind == "scalar":
+            return 2, k + 2
+        if kind == "row":  # row i's symbols in bins i*k .. i*k+k-1
+            return k * np.arange(n)[:, None], n * k
+        return k * np.arange(width), width * k  # column j's in j*k .. j*k+k-1
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_counts_match_one_bincount(self, data):
+        dtype = np.dtype(data.draw(st.sampled_from(INTEGER_DTYPES)))
+        n, width, k = data.draw(st.integers(0, 12)), data.draw(st.integers(1, 6)), 3
+        rows = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n * width,
+                                           max_size=n * width)), dtype).reshape(n, width)
+        kind = data.draw(st.sampled_from(["scalar", "row", "column"]))
+        offset, size = self.offset_and_size(kind, n, width, k)
+        start = np.array(data.draw(st.lists(st.integers(0, 9), min_size=size, max_size=size)),
+                         np.intp)
+        expected = start + np.bincount((rows.astype(np.intp) + offset).ravel(), minlength=size)
+        budget = data.draw(st.sampled_from([3, stats._BLOCK_SYMBOLS]))  # 3: rows past it too
+        with mock.patch.object(stats, "_BLOCK_SYMBOLS", budget):
+            got = stats._counts(rows, start.copy(), offset)
+        assert got.dtype == np.intp and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["scalar", "row", "column"])
+    def test_rows_longer_than_the_budget(self, kind):
+        n, width, k = 3, stats._BLOCK_SYMBOLS + 5, 4
+        rows = np.random.default_rng(28).integers(0, k, (n, width), dtype=np.uint8)
+        offset, size = self.offset_and_size(kind, n, width, k)
+        expected = np.bincount((rows.astype(np.intp) + offset).ravel(), minlength=size)
+        got = stats._counts(rows, np.zeros(size, np.intp), offset)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_counts_into_bins_of_any_shape(self):
+        rows = np.array([[0, 2, 2], [1, 1, 0]], np.uint8)
+        got = stats._counts(rows, np.zeros((2, 3), np.intp), 3 * np.arange(2)[:, None])
+        np.testing.assert_array_equal(got, [[1, 0, 2], [1, 2, 0]])
+
+
 class TestChannelOutput:
     def test_parametric_uniform_input(self):
         # hand-computed marginal of the 4-symbol channel at e=0.1
