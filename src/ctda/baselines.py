@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equalizer import _lagged_sums, _solve_loaded, _window_span
+from .equalizer import _centred, _check_count, _solve_loaded, _walk, _window_span
 
 METHODS = ("ols", "bayes")
 
@@ -36,8 +36,7 @@ class LinearModel:
     def __post_init__(self):
         coef = np.asarray(self.coefficients, dtype=float)
         object.__setattr__(self, "coefficients", coef)
-        if self.common_lag < 0:
-            raise ValueError("lag must be >= 0")
+        object.__setattr__(self, "common_lag", _check_count(self.common_lag, "lag"))
         if coef.ndim != 1 or coef.size == 0 or coef.size % (self.common_lag + 1):
             raise ValueError(
                 f"coefficient count {coef.size} does not split into whole "
@@ -69,27 +68,26 @@ def _as_matrix(xs) -> np.ndarray:
 
 
 def _prepare(xs, y, lag: int):
-    """Validate a fit's inputs; return its centred normal equations, from
-    :func:`_lagged_sums` of the series shifted by their means, and
+    """Validate a fit's inputs; return its centred normal equations, from a
+    fixed-row :func:`_walk` of the series shifted by their means, and
     ``finish(coef) -> (intercept, residual MSE)``, by ``np.convolve``."""
     x = _as_matrix(xs)
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size != x.shape[1]:
         raise ValueError("target must be a series matching the inputs' length")
-    if lag < 0:
-        raise ValueError("lag must be >= 0")
+    lag = _check_count(lag, "lag")
     if x.shape[1] <= lag + 1:
         raise ValueError(f"insufficient data: {x.shape[1]} samples cannot fit lag {lag}")
     # Overflows are silent: _solve_loaded, then the models, refuse what is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
         means, c = x.mean(axis=1), float(y[lag:].mean())
         xc, yc = x - means[:, None], y - c
-        gram, sums, rhs, ysum, m = _lagged_sums(xc, yc, lag, y.size - 1, lag + 1)
-        cgram, crhs = gram - sums[:, None] * sums / m, rhs - sums * (ysum / m)
+        *_, state = _walk(xc, yc, 0, lag, first=lag)
+        cgram, crhs, intercept = _centred(state)
 
     def finish(coef):
         with np.errstate(over="ignore", invalid="ignore"):
-            b = (ysum - coef @ sums) / m  # intercept of the centred fit
+            b = intercept(coef)  # of the centred fit
             w = coef.reshape(x.shape[0], -1)
             est = sum(np.convolve(xm, wm, "valid") for xm, wm in zip(xc, w))
             mse = float(np.mean((yc[lag:] - b - est) ** 2))

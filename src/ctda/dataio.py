@@ -435,10 +435,7 @@ class ImageDataset:
     def __post_init__(self):
         imgs = _integers(self.images, "pixel")
         object.__setattr__(self, "images", imgs)
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be positive")
-        if self.alphabet_size < 2:
-            raise ValueError("pixel alphabet needs at least 2 symbols")
+        _check_geometry(self.width, self.height, self.alphabet_size)
         if imgs.ndim != 2 or imgs.shape[1] != self.width * self.height:
             raise ValueError(
                 f"images must be (n, {self.width * self.height}); got {imgs.shape}"
@@ -458,6 +455,14 @@ class ImageDataset:
     @property
     def n_pixels(self) -> int:
         return int(self.images.shape[1])
+
+
+def _check_geometry(width: int, height: int, alphabet_size: int) -> None:
+    """The checks a corpus's shape and alphabet pass before any pixel."""
+    if width < 1 or height < 1:
+        raise ValueError("image dimensions must be positive")
+    if alphabet_size < 2:
+        raise ValueError("pixel alphabet needs at least 2 symbols")
 
 
 def _integers(values, what: str, dtype=None) -> np.ndarray:
@@ -493,7 +498,7 @@ def gen_two_class_images(
     on the same stream, class 0 first: one uniform draw per pixel, mapped
     through the class CDF.
     """
-    classes = _class_levels(n_per_class, dist_a, dist_b)
+    classes = _class_levels(n_per_class, width, height, dist_a, dist_b)
     rng = np.random.default_rng(seed)
     images = np.empty((2 * n_per_class, width * height), dtype=np.int64)
     for rows, cdf in zip((images[:n_per_class], images[n_per_class:]), classes):
@@ -502,13 +507,15 @@ def gen_two_class_images(
     return ImageDataset(width, height, dist_a.size, images, labels)
 
 
-def _class_levels(n_per_class: int, dist_a, dist_b) -> list:
-    """Checked, each class's levels of numpy ``choice``'s CDF but the last:
-    the cumulative sum over its last entry, which is 1, above every draw."""
+def _class_levels(n_per_class: int, width: int, height: int, dist_a, dist_b) -> list:
+    """Checked, with the corpus geometry, each class's levels of numpy
+    ``choice``'s CDF but the last: the cumulative sum over its last entry,
+    which is 1, above every draw."""
     if dist_a.size != dist_b.size:
         raise ValueError("class distributions must share an alphabet")
     if n_per_class < 1:
         raise ValueError("need at least one image per class")
+    _check_geometry(width, height, dist_a.size)
     return [cdf[:-1] / cdf[-1] for cdf in (dist_a.probs.cumsum(), dist_b.probs.cumsum())]
 
 
@@ -589,11 +596,10 @@ def _noisy_two_class_images(gen_seed, noise_seed, n_per_class, width, height, di
     """``(channel, images)``: ``parametric_channel(e)`` and the pixels of
     ``apply_channel_to_dataset(gen_two_class_images(gen_seed, n_per_class,
     width, height, dist_a, dist_b), channel, noise_seed)``, with the same
-    checks in the same order (an empty corpus runs the geometry checks),
-    drawn a row block at a time so that no clean corpus is held.  ``tally``,
-    if given, gains the count of each noisy symbol (see ``_count_levels``)."""
-    classes = _class_levels(n_per_class, dist_a, dist_b)
-    ImageDataset(width, height, dist_a.size, np.empty((0, width * height), dtype=np.int64))
+    checks in the same order, drawn a row block at a time so that no clean
+    corpus is held.  ``tally``, if given, gains the count of each noisy
+    symbol (see ``_count_levels``)."""
+    classes = _class_levels(n_per_class, width, height, dist_a, dist_b)
     channel = parametric_channel(e)
     levels = _channel_levels(channel, dist_a.size)
     gen, noise = np.random.default_rng(gen_seed), np.random.default_rng(noise_seed)

@@ -46,8 +46,7 @@ class EqualizerModel:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
-        if self.length < 0:
-            raise ValueError("model length must be >= 0")
+        object.__setattr__(self, "length", _check_count(self.length, "model length"))
         if w.shape != (self.length + 1,):
             raise ValueError(
                 f"length {self.length} model needs {self.length + 1} taps, "
@@ -75,6 +74,16 @@ def _check_series(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _check_count(value, what: str) -> int:
+    """``value``, a model length or lag, as an int; ``ValueError`` unless it
+    is a whole number >= 0 of an integer type (numpy's included)."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{what} must be >= 0")
+    return int(value)
+
+
 def _solve_loaded(gram: np.ndarray, rhs: np.ndarray, penalty: float = 0.0):
     """Solve ``(gram + penalty I) w = rhs`` for a symmetric ``gram``; returns
     ``(w, degenerate)``.  A rank-deficient system is diagonally loaded and
@@ -89,52 +98,64 @@ def _solve_loaded(gram: np.ndarray, rhs: np.ndarray, penalty: float = 0.0):
     return np.linalg.solve(a, rhs), degenerate
 
 
-def _walk(xc: np.ndarray, yc: np.ndarray, shift: int, max_length: int):
+def _walk(xs, yc: np.ndarray, shift: int, max_length: int, first: int = 0):
     """Yield ``(gram, sums, rhs, ysum, m)`` for each length ``L = 0 ..
-    max_length``: the sums over the windows of ``L + 1`` samples of ``xc``
-    ending at ``L .. last`` (newest sample first; ``last = xc.size - 1 -
-    shift``) paired with targets ``yc[end + shift]``, and their count ``m``.
-    The arrays are views that the next step overwrites.
+    max_length``: sums over the ``m`` windows of ``L + 1`` samples (newest
+    first) of each series in ``xs``, one or an ``(M, n)`` stack, that end at
+    ``max(L, first) .. n - 1 - shift``, with targets ``yc[end + shift]``;
+    ``gram[a, i, b, j]`` pairs lag ``i`` of series ``a`` with lag ``j`` of
+    ``b``.  Views that the next step overwrites.
 
-    Order-recursive, by the covariance method (Morf, Dickinson, Kailath and
-    Vieira, IEEE Trans. ASSP 1977): length ``L`` subtracts the window ending
-    at ``L - 1`` from length ``L - 1``'s sums and adds the lag-``L`` column,
-    one dot for its first entry and its right-hand side, and a step down
-    each diagonal, ``G[i, L] = G[i-1, L-1] + xc[L-i] xc[0] - xc[last-i+1]
-    xc[last-L+1]``, for the rest.  O(rows) per length plus O(L**2) for the
-    downdate, and length ``L``'s sums never depend on ``max_length``, so a
-    walk to ``L`` alone reproduces them bit for bit."""
-    last = xc.size - 1 - shift
-    taps = max_length + 1
-    gram, sums, rhs = np.empty((taps, taps)), np.empty(taps), np.empty(taps)
-    head, t = xc[: last + 1], yc[shift : last + 1 + shift]
-    gram[0, 0], sums[0], rhs[0], ysum = head @ head, head.sum(), head @ t, t.sum()
+    By the covariance method (Morf, Dickinson, Kailath and Vieira, IEEE
+    Trans. ASSP 1977): while ``L > first`` the window ending at ``L - 1``
+    leaves, in O(M**2 L**2).  A dot per pair of series starts the new lag
+    row and one per series its right-hand side; the rest steps down its
+    diagonal, ``G[b, L, a, i] = G[b, L-1, a, i-1] + x_b[r-L] x_a[r-i] -
+    x_b[e-L] x_a[e-i]``, ``r = max(L, first)``, ``e = n - shift``.  A walk
+    to ``L`` alone gives length ``L``'s sums bit for bit."""
+    xs = np.atleast_2d(xs)
+    (n_ch, n), rev = xs.shape, xs[:, ::-1]  # rev[:, j] is xs[:, n - 1 - j]
+    last, taps = n - 1 - shift, max_length + 1
+    gram, (sums, rhs) = np.empty((n_ch, taps, n_ch, taps)), np.empty((2, n_ch, taps))
+    sums[:, 0] = [xa[first : last + 1].sum() for xa in xs]
+    ysum = yc[first + shift : last + 1 + shift].sum()
     for length in range(taps):
-        if length:
-            row, gone = xc[length - 1 :: -1], yc[length - 1 + shift]  # the window leaving
-            gram[:length, :length] -= row[:, None] * row
-            sums[:length] -= row
-            rhs[:length] -= row * gone
-            ysum -= gone
-            end = xc[last - length + 1]  # the oldest sample of the last window
-            gram[0, length] = xc[length : last + 1] @ xc[: last + 1 - length]
-            gram[1 : length + 1, length] = (gram[:length, length - 1] + row * xc[0]
-                                            - xc[last - length + 1 : last + 1][::-1] * end)
-            gram[length, :length] = gram[:length, length]
-            sums[length] = sums[length - 1] + xc[0] - end
-            rhs[length] = xc[: last + 1 - length] @ yc[length + shift : last + 1 + shift]
-        k = length + 1
-        yield gram[:k, :k], sums[:k], rhs[:k], ysum, last + 1 - length
+        start, k = max(length, first), length + 1  # the first window end
+        enter, leave = rev[:, n - start : n - start + length], rev[:, shift : shift + length]
+        if length > first:  # enter is the window ending at length - 1, which leaves
+            gram[:, :length, :, :length] -= enter[:, :, None, None] * enter
+            sums[:, :length] -= enter
+            rhs[:, :length] -= enter * yc[length - 1 + shift]
+            ysum -= yc[length - 1 + shift]
+        if length:  # enter[:, i - 1] is x[r - i] and leave[:, i - 1] is x[e - i]
+            gram[:, length, :, 1:k] = (gram[:, length - 1, :, :length]
+                                       + enter[:, -1:, None] * enter - leave[:, -1:, None] * leave)
+            sums[:, length] = sums[:, length - 1] + enter[:, -1] - leave[:, -1]
+        lagged, t = xs[:, start - length : last + 1 - length], yc[start + shift : last + 1 + shift]
+        for a, xa in enumerate(xs[:, start : last + 1]):
+            for b, xb in enumerate(lagged):  # 1-D dots: a stacked matmul rounds otherwise
+                gram[b, length, a, 0] = xa.dot(xb)
+            rhs[a, length] = lagged[a].dot(t)
+        gram[:, :length, :, length] = gram[:, length, :, :length].transpose(1, 2, 0)
+        yield gram[:, :k, :, :k], sums[:, :k], rhs[:, :k], ysum, last + 1 - start
+
+
+def _centred(state):
+    """``(G - s s^T / m, r - s ysum / m, intercept)`` of a :func:`_walk` state,
+    one column per series and lag; ``intercept(w) = (ysum - w . s) / m``."""
+    gram, sums, rhs, ysum, m = state
+    s = sums.ravel()
+    cgram = (gram - sums[:, :, None, None] * sums / m).reshape(s.size, s.size)
+    return cgram, (rhs - sums * (ysum / m)).ravel(), lambda w: (ysum - w @ s) / m
 
 
 def _walk_model(state, length: int, mean_x: float, c: float, mode: str) -> EqualizerModel:
     """The least-squares model of one :func:`_walk` state of series centred
     by ``mean_x`` and ``c``; its training MSE is left at 0."""
-    gram, sums, rhs, ysum, m = state
-    weights, degenerate = _solve_loaded(gram - sums[:, None] * sums / m,
-                                        rhs - sums * (ysum / m))
-    mean_y = c + (ysum - weights @ sums) / m
-    return EqualizerModel(length, weights, mean_x, mean_y, 0.0, mode=mode, degenerate=degenerate)
+    cgram, crhs, intercept = _centred(state)
+    weights, degenerate = _solve_loaded(cgram, crhs)
+    return EqualizerModel(length, weights, mean_x, c + intercept(weights), 0.0, mode=mode,
+                          degenerate=degenerate)
 
 
 def fit_weights(x, y, length: int, mode: str = "infer") -> EqualizerModel:
@@ -148,8 +169,7 @@ def fit_weights(x, y, length: int, mode: str = "infer") -> EqualizerModel:
     diagonally loaded and flagged ``degenerate``.
     """
     x, y = _check_series(x, y)
-    if length < 0:
-        raise ValueError("model length must be >= 0")
+    length = _check_count(length, "model length")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     n = x.size
@@ -235,33 +255,6 @@ def _validation_mse(model: EqualizerModel, x, y, start: int) -> float:
         return float(np.mean((y[start:] - est) ** 2))
 
 
-def _lagged_sums(xs, yc: np.ndarray, first: int, last: int, taps: int):
-    """Sums over the windows of ``taps`` samples of each series in ``xs``
-    ending at ``first .. last`` (newest sample first, one block of columns
-    per series) paired with targets ``yc[end]``: the Gram matrix,
-    column sums, right-hand side, target sum and row count.
-
-    O(rows * taps) per pair of series, by the covariance method (Morf,
-    Dickinson, Kailath and Vieira, IEEE Trans. ASSP 1977): ``np.correlate``
-    gives each pair's first Gram row and column, and every other entry steps
-    down its diagonal, ``G[i+1, j+1] = G[i, j] + x_a[first-1-i] x_b[first-1-j]
-    - x_a[last-i] x_b[last-j]``, as do the column sums."""
-    xs = np.atleast_2d(xs)
-    n_ch, k = xs.shape[0], taps
-    span = xs[:, first - k + 1 : last + 1]  # every sample the windows read
-    ends, t = span[:, k - 1 :], yc[first : last + 1]
-    enter, leave = span[:, : k - 1][:, ::-1], span[:, ::-1][:, : k - 1]
-    row0 = np.array([[np.correlate(b, a)[::-1] for b in span] for a in ends])  # [a, b, j]
-    gram = np.empty((n_ch, k, n_ch, k))  # [a, i, b, j]: x_a lag i times x_b lag j
-    gram[:, 0], gram[:, :, :, 0] = row0, row0.transpose(1, 2, 0)
-    for i in range(k - 1):
-        step = enter[:, i, None, None] * enter - leave[:, i, None, None] * leave
-        np.add(gram[:, i, :, :-1], step, out=gram[:, i + 1, :, 1:])
-    sums = np.cumsum(np.column_stack([ends.sum(axis=1), enter - leave]), axis=1)
-    rhs = np.array([np.correlate(a, t)[::-1] for a in span])
-    return gram.reshape(n_ch * k, n_ch * k), sums.ravel(), rhs.ravel(), float(t.sum()), t.size
-
-
 def select_length(
     x,
     y,
@@ -287,8 +280,7 @@ def select_length(
     ``ValueError``.
     """
     x, y = _check_series(x, y)
-    if max_length < 0:
-        raise ValueError("max_length must be >= 0")
+    max_length = _check_count(max_length, "max_length")
     if criterion not in ("validation", "aic"):
         raise ValueError(f"unknown selection criterion {criterion!r}")
     if mode not in MODES:
@@ -351,6 +343,8 @@ def lms_update(model: EqualizerModel, x, y, n: int, step: float) -> EqualizerMod
         raise ValueError("LMS step must be finite and positive")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not 0 <= n < y.size:  # O(1): an LMS loop calls this once per sample
+        raise ValueError(f"index {n} outside target of length {y.size}")
     err = y[n] - infer(model, x, n)
     window = x[n - model.length : n + 1][::-1]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -37,6 +37,13 @@ class TestLinearModel:
         model = LinearModel(np.ones(6), 0.0, 2, 0.0)
         assert model.n_channels == 2
 
+    def test_lag_that_is_not_a_whole_number(self):
+        # a float lag that divides the coefficient count was kept, and
+        # predictions then failed on it with TypeError
+        with pytest.raises(ValueError, match="lag must be an integer"):
+            LinearModel(np.ones(6), 0.0, 2.0, 0.0)
+        assert type(LinearModel(np.ones(6), 0.0, np.int64(2), 0.0).common_lag) is int
+
 
 class TestFitOls:
     def test_exact_two_channel_lag0(self):
@@ -147,6 +154,20 @@ class TestFitBayes:
         x = np.ones((1, 10))
         with pytest.raises(ValueError, match="lag must be >= 0"):
             fit_bayes(x, np.ones(10), -1, noise_variance=1.0)
+
+    @pytest.mark.parametrize("fit", [fit_ols, fit_bayes])
+    @pytest.mark.parametrize("lag", [1.5, 2.0, "2"])
+    def test_lag_that_is_not_a_whole_number_rejected(self, fit, lag):
+        # it raised TypeError from the slicing inside the fit
+        x = np.random.default_rng(0).standard_normal((2, 50))
+        with pytest.raises(ValueError, match="lag must be an integer"):
+            fit(x, x[0], lag)
+
+    @pytest.mark.parametrize("fit", [fit_ols, fit_bayes])
+    def test_numpy_integer_lag_accepted(self, fit):
+        x = np.random.default_rng(0).standard_normal((2, 50))
+        np.testing.assert_array_equal(fit(x, x[0], np.int64(2)).coefficients,
+                                      fit(x, x[0], 2).coefficients)
 
 
 class TestPredict:

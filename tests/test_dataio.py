@@ -857,6 +857,16 @@ class TestGenTwoClassImages:
                 DiscreteDistribution([0.3, 0.3, 0.4]),
             )
 
+    @pytest.mark.parametrize("width, height", [(0, 3), (3, 0), (0, 0), (-1, 3), (3, -2)])
+    def test_empty_or_negative_geometry_checked_before_drawing(self, width, height):
+        # a zero side divided by zero in the block rule, a negative one
+        # reached numpy's "negative dimensions are not allowed"
+        da = DiscreteDistribution([0.5, 0.5])
+        with pytest.raises(ValueError, match="image dimensions must be positive"):
+            gen_two_class_images(0, 2, width, height, da, da)
+        with pytest.raises(ValueError, match="image dimensions must be positive"):
+            dataio._noisy_two_class_images(0, 1, 2, width, height, da, da, 0.1)
+
 
 class TestApplyChannel:
     def test_identity_channel_is_noop(self):

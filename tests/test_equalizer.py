@@ -49,6 +49,13 @@ class TestModelInvariants:
         with pytest.raises(ValueError, match="length"):
             EqualizerModel(-1, np.ones(0), 0.0, 0.0, 0.0)
 
+    def test_length_that_is_not_a_whole_number(self):
+        # a float length matched its tap count, so the model was kept, saved
+        # as "length": 2.0 and failed in estimate_series with TypeError
+        with pytest.raises(ValueError, match="model length must be an integer"):
+            EqualizerModel(2.0, np.ones(3), 0.0, 0.0, 0.0)
+        assert type(EqualizerModel(np.int64(2), np.ones(3), 0.0, 0.0, 0.0).length) is int
+
     def test_finite_weights(self):
         with pytest.raises(ValueError, match="finite"):
             EqualizerModel(0, [np.nan], 0.0, 0.0, 0.0)
@@ -118,6 +125,26 @@ class TestFitWeights:
         x[3] = np.inf
         with pytest.raises(ValueError, match="finite"):
             fit_weights(x, np.ones(10), 0)
+
+
+class TestWholeLengths:
+    """A length that is not a whole number raised numpy's or Python's
+    TypeError from deep inside the fit; numpy integers stay accepted."""
+
+    @pytest.mark.parametrize("fit, what", [(fit_weights, "model length"),
+                                           (select_length, "max_length")])
+    @pytest.mark.parametrize("length", [2.5, 3.0, "3", None])
+    def test_rejected_with_value_error(self, fit, what, length):
+        x = np.random.default_rng(0).standard_normal(100)
+        with pytest.raises(ValueError, match=f"{what} must be an integer"):
+            fit(x, x, length)
+
+    @pytest.mark.parametrize("fit", [fit_weights, select_length])
+    def test_numpy_integers_fit_as_ints(self, fit):
+        x = np.random.default_rng(0).standard_normal(100)
+        model = fit(x, x, np.int32(2))
+        assert model_to_dict(model) == model_to_dict(fit(x, x, 2))
+        assert type(model.length) is int
 
 
 class TestSelectLength:
@@ -288,6 +315,17 @@ class TestLms:
         x = 1e200 * np.random.default_rng(0).standard_normal(100)
         with pytest.raises(ValueError, match="variance overflows float64; rescale"):
             default_lms_step(x)
+
+    @pytest.mark.parametrize("n, size_x, size_y, where", [
+        (5, 5, 5, "target of length 5"),  # past the end of both
+        (4, 5, 4, "target of length 4"),  # a target shorter than the input
+        (-1, 5, 5, "target of length 5"),
+        (4, 4, 5, "series of length 4"),  # past the end of the input
+    ])
+    def test_index_out_of_range_names_the_index(self, n, size_x, size_y, where):
+        model = EqualizerModel(1, [0.1, 0.2], 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match=f"index {n} outside {where}"):
+            lms_update(model, np.ones(size_x), np.ones(size_y), n, 0.1)
 
     def test_length_and_means_preserved(self):
         model = EqualizerModel(1, [0.1, 0.2], 5.0, 6.0, 0.3)
